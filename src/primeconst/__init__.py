@@ -10,8 +10,7 @@ digit certified by a closed interval that provably contains the limit.
 
 Modules:
 
-* `exact_arith`: rational intervals, certified floors, verified decimal
-  rendering.
+* `exact_arith`: rational intervals and verified decimal rendering.
 * `sequences`: term sources (primes, naturals, doubling, a degenerate
   boundary case, explicit lists) and admissibility validation.
 * `constant`: partial sums, enclosures of width exactly 1/product, term
@@ -45,8 +44,8 @@ from .crosscheck import (
     nondivisor_mean,
 )
 from .exact_arith import (
-    Ambiguous,
     DecimalDigits,
+    InvalidArgument,
     NonPositiveInterval,
     ParseError,
     RationalInterval,
@@ -56,7 +55,6 @@ from .exact_arith import (
     to_decimal,
 )
 from .recurrence import (
-    AmbiguousFloorError,
     FloorBelowTwo,
     MismatchDetected,
     PrecisionExhausted,
@@ -65,7 +63,6 @@ from .recurrence import (
     RoundtripReport,
     StopReason,
     recover,
-    recurrence_step,
     residuals,
     roundtrip,
 )
@@ -86,14 +83,13 @@ from .sequences import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "Ambiguous",
-    "AmbiguousFloorError",
     "ConstantEnclosure",
     "DecimalDigits",
     "DistributionRow",
     "ExplicitExhausted",
     "FloorBelowTwo",
     "InsufficientTerms",
+    "InvalidArgument",
     "MismatchDetected",
     "NonDivisorDistribution",
     "NonPositiveInterval",
@@ -129,7 +125,6 @@ __all__ = [
     "plan_terms",
     "product",
     "recover",
-    "recurrence_step",
     "residuals",
     "roundtrip",
     "smallest_nondividing_prime",

@@ -28,6 +28,7 @@ from .constant import (
 )
 from .crosscheck import TermLimitExceeded, alpha_build, alpha_decode, nondivisor_mean
 from .exact_arith import (
+    InvalidArgument,
     NonPositiveInterval,
     ParseError,
     RationalInterval,
@@ -36,7 +37,6 @@ from .exact_arith import (
     to_decimal,
 )
 from .recurrence import (
-    AmbiguousFloorError,
     FloorBelowTwo,
     PrecisionExhausted,
     StopReason,
@@ -60,12 +60,8 @@ DEFAULT_BENCH_SIZES = (1000, 10000, 100000)
 _BUILTIN_SEQUENCES = ("primes", "naturals", "doubling", "boundary")
 
 
-class UsageError(ValueError):
-    """A flag combination the parser alone cannot reject."""
-
-
 _USER_ERRORS = (
-    UsageError,
+    InvalidArgument,
     ParseError,
     NonPositiveInterval,
     TooShort,
@@ -75,9 +71,9 @@ _USER_ERRORS = (
     FloorBelowTwo,
     PrecisionExhausted,
     TermLimitExceeded,
-    AmbiguousFloorError,
-    ValueError,
+    # Reading or writing the files named on the command line.
     OSError,
+    UnicodeDecodeError,
 )
 
 
@@ -211,7 +207,7 @@ def _cmd_constant(args: argparse.Namespace) -> tuple[str, dict, int]:
     spec = _resolve_sequence(args)
     if args.digits is not None:
         if args.digits < 1:
-            raise UsageError("--digits must be >= 1")
+            raise InvalidArgument("--digits must be >= 1")
         enclosure = enclose_digits(spec, args.digits, max_digits=args.max_digits)
     else:
         enclosure = enclose(spec, args.terms, max_digits=args.max_digits)
@@ -313,7 +309,7 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[str, dict, int]:
             terms = spec.terms(args.terms)
     else:
         if args.terms is None:
-            raise UsageError("--terms is required with a built-in sequence")
+            raise InvalidArgument("--terms is required with a built-in sequence")
         terms = spec.terms(args.terms)
     report = validate_bertrand(terms)
     doc = {"sequence": spec.label(), **report.to_json_dict()}
@@ -418,17 +414,17 @@ def main(argv: list[str] | None = None) -> int:
     handler = _HANDLERS[args.command]
     try:
         text, doc, code = handler(args)
+        payload = json.dumps(doc, indent=2) if args.format == "json" else text
+        if args.out:
+            Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        else:
+            print(payload)
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    payload = json.dumps(doc, indent=2) if args.format == "json" else text
-    if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
-    else:
-        print(payload)
     return code
 
 

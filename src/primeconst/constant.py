@@ -25,8 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_arith import DecimalDigits, RationalInterval, format_rational, parse_rational, to_decimal
+from .exact_arith import (
+    DecimalDigits,
+    InvalidArgument,
+    RationalInterval,
+    format_rational,
+    parse_rational,
+    to_decimal,
+)
 from .sequences import (
+    ExplicitExhausted,
     SequenceSpec,
     ValidationReport,
     Violation,
@@ -158,10 +166,10 @@ def enclose(spec: SequenceSpec, terms_used: int, max_digits: int | None = None) 
     interval can certify.
     """
     if terms_used < 1:
-        raise ValueError(f"terms_used must be >= 1, got {terms_used}")
+        raise InvalidArgument(f"terms_used must be >= 1, got {terms_used}")
     try:
         terms = spec.terms(terms_used + 1)
-    except Exception as exc:
+    except ExplicitExhausted as exc:
         raise InsufficientTerms(
             f"need {terms_used + 1} terms of {spec} for a {terms_used}-term enclosure"
         ) from exc
@@ -199,7 +207,7 @@ def plan_terms(spec: SequenceSpec, digits: int) -> int:
     `enclose_digits` adds the terms that such a case needs.
     """
     if digits < 1:
-        raise ValueError(f"digits must be >= 1, got {digits}")
+        raise InvalidArgument(f"digits must be >= 1, got {digits}")
     threshold = 10 ** (digits + 2)
     running = 1
     count = 0

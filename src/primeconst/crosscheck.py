@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .sequences import PrimeSieve, smallest_nondividing_prime
+from .exact_arith import InvalidArgument
+from .sequences import _SHARED_SIEVE, smallest_nondividing_prime
 
 __all__ = [
     "DistributionRow",
@@ -35,8 +36,6 @@ __all__ = [
 ]
 
 _ALPHA_TERM_CAP = 12
-
-_sieve = PrimeSieve()
 
 
 class TermLimitExceeded(ValueError):
@@ -75,7 +74,7 @@ def nondivisor_distribution(rows: int) -> NonDivisorDistribution:
     """Exact distribution rows for the first `rows` primes."""
     if rows < 1:
         raise ValueError(f"rows must be >= 1, got {rows}")
-    primes = _sieve.first(rows)
+    primes = _SHARED_SIEVE.first(rows)
     out: list[DistributionRow] = []
     running_product = 1
     for index, prime in enumerate(primes, start=1):
@@ -105,13 +104,13 @@ def nondivisor_mean(limit: int) -> Fraction:
     elementwise average but runs in O(log limit) divisions.
     """
     if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
-        raise ValueError(f"limit must be a positive integer, got {limit!r}")
+        raise InvalidArgument(f"limit must be a positive integer, got {limit!r}")
     total = 0
     running_product = 1
     k = 0
     while running_product <= limit:
         k += 1
-        prime = _sieve.nth(k)
+        prime = _SHARED_SIEVE.nth(k)
         next_product = running_product * prime
         count = limit // running_product - limit // next_product
         total += prime * count
@@ -127,7 +126,7 @@ def alpha_build(terms: int) -> Fraction:
     with every term, so the count is capped at 12 (about 8000 digits).
     """
     if not isinstance(terms, int) or isinstance(terms, bool) or terms < 1:
-        raise ValueError(f"terms must be a positive integer, got {terms!r}")
+        raise InvalidArgument(f"terms must be a positive integer, got {terms!r}")
     if terms > _ALPHA_TERM_CAP:
         raise TermLimitExceeded(
             f"alpha with {terms} terms needs 10**{2 ** (terms + 1)} as a denominator; "
@@ -135,7 +134,7 @@ def alpha_build(terms: int) -> Fraction:
         )
     top_exponent = 2 ** (terms + 1)
     numerator = 0
-    for i, prime in enumerate(_sieve.first(terms), start=1):
+    for i, prime in enumerate(_SHARED_SIEVE.first(terms), start=1):
         numerator += prime * 10 ** (top_exponent - 2 ** (i + 1))
     return Fraction(numerator, 10**top_exponent)
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "Ambiguous",
     "DecimalDigits",
+    "InvalidArgument",
     "NonPositiveInterval",
     "ParseError",
     "RationalInterval",
@@ -41,25 +41,16 @@ if hasattr(sys, "get_int_max_str_digits"):
         sys.set_int_max_str_digits(_INT_STR_DIGIT_CAP)
 
 
+class InvalidArgument(ValueError):
+    """Raised when a count, size or limit argument is missing or out of its range."""
+
+
 class ParseError(ValueError):
     """Raised when textual input is not in the accepted format."""
 
 
 class NonPositiveInterval(ValueError):
     """Raised when decimal rendering is asked for an interval not strictly above zero."""
-
-
-@dataclass(frozen=True)
-class Ambiguous:
-    """Marker returned by floor extraction when the interval straddles an integer.
-
-    `straddled` is the integer lying strictly inside the interval's span,
-    i.e. the candidate floor value that could not be certified.  This is a
-    value, not an exception: callers decide whether ambiguity is an error
-    or a normal stopping condition.
-    """
-
-    straddled: int
 
 
 @dataclass(frozen=True)
@@ -145,27 +136,6 @@ class RationalInterval:
         q = _as_fraction(value)
         return RationalInterval(self._lo + q, self._hi + q)
 
-    def scale_int(self, factor: int) -> "RationalInterval":
-        """Scale by a positive integer; the width scales by exactly `factor`."""
-        if not isinstance(factor, int) or isinstance(factor, bool):
-            raise TypeError(f"factor must be int, got {type(factor).__name__}")
-        if factor < 1:
-            raise ValueError(f"factor must be >= 1, got {factor}")
-        return RationalInterval(self._lo * factor, self._hi * factor)
-
-    def floor_unique(self) -> int | Ambiguous:
-        """The common floor of every point in the interval, if one exists.
-
-        Returns the integer m with m = floor(x) for all x in [lo, hi] when
-        hi < m + 1, and `Ambiguous(m + 1)` when the interval reaches or
-        crosses m + 1.  The closed right endpoint is treated conservatively:
-        [2.5, 3] is ambiguous because 3 itself has floor 3.
-        """
-        m = self._lo.numerator // self._lo.denominator
-        if self._hi < m + 1:
-            return m
-        return Ambiguous(m + 1)
-
     def contains(self, value: Fraction | int) -> bool:
         q = _as_fraction(value)
         return self._lo <= q <= self._hi
@@ -230,7 +200,7 @@ def to_decimal(interval: RationalInterval, max_digits: int) -> DecimalDigits:
     if not isinstance(max_digits, int) or isinstance(max_digits, bool):
         raise TypeError("max_digits must be int")
     if max_digits < 1:
-        raise ValueError(f"max_digits must be >= 1, got {max_digits}")
+        raise InvalidArgument(f"max_digits must be >= 1, got {max_digits}")
     if interval.lo <= 0:
         raise NonPositiveInterval(
             f"decimal rendering requires a strictly positive interval, got lo={interval.lo}"

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .constant import enclose
-from .exact_arith import Ambiguous, RationalInterval, format_rational
+from .exact_arith import InvalidArgument, RationalInterval, format_rational
 from .sequences import SequenceSpec, validate_bertrand
 
 __all__ = [
-    "AmbiguousFloorError",
     "FloorBelowTwo",
     "MismatchDetected",
     "PrecisionExhausted",
@@ -38,18 +38,9 @@ __all__ = [
     "RoundtripReport",
     "StopReason",
     "recover",
-    "recurrence_step",
     "residuals",
     "roundtrip",
 ]
-
-
-class AmbiguousFloorError(ValueError):
-    """Raised by `recurrence_step` when the floor cannot be certified."""
-
-    def __init__(self, straddled: int) -> None:
-        self.straddled = straddled
-        super().__init__(f"interval straddles {straddled}; floor not certified")
 
 
 class FloorBelowTwo(ValueError):
@@ -114,50 +105,52 @@ class StopReason:
         return {"kind": self.kind, "step": self.step, "straddled": self.straddled}
 
 
-def recurrence_step(interval: RationalInterval) -> tuple[int, RationalInterval]:
-    """One exact step of the floor recurrence.
-
-    Returns (m, image) where m is the certified floor and the image is
-    m * (interval - m + 1).  Raises AmbiguousFloorError when no floor is
-    certified and FloorBelowTwo when the certified floor is below 2.
-    """
-    floor_value = interval.floor_unique()
-    if isinstance(floor_value, Ambiguous):
-        raise AmbiguousFloorError(floor_value.straddled)
-    if floor_value < 2:
-        raise FloorBelowTwo(floor_value, step=1)
-    return floor_value, interval.add_scalar(1 - floor_value).scale_int(floor_value)
+def _step(x, m: int, denominator: int):
+    """Numerator over `denominator` of m * (y - m + 1), where y = x / denominator."""
+    return m * (x - (m - 1) * denominator)
 
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    """Certified terms from iterating the floor recurrence on an enclosure.
+    """Certified terms from iterating the floor recurrence on `start`.
 
-    `intervals[k]` is the interval the k-th floor was taken from, so
-    `recovered` and `intervals` always have equal length and the exact
-    residual enclosures can be reconstructed after the fact.
+    Only the terms, the starting enclosure, the stop reason and the
+    smallest residual upper bound are stored; the per-step intervals,
+    widths and residuals are derived from them on demand, so the result
+    stays the size of one enclosure however many steps ran.
     """
 
     recovered: tuple[int, ...]
-    intervals: tuple[RationalInterval, ...]
+    start: RationalInterval
     stop: StopReason
+    min_residual_upper: Fraction | None
+
+    def _replay(self):
+        """(a_k, lo_k, hi_k) for each certified step, replayed from `start`."""
+        lo, hi = self.start.lo, self.start.hi
+        for m in self.recovered:
+            yield m, lo, hi
+            lo, hi = _step(lo, m, 1), _step(hi, m, 1)
+
+    @property
+    def intervals(self) -> tuple[RationalInterval, ...]:
+        """The interval the k-th floor was taken from, for each certified step."""
+        return tuple(RationalInterval(lo, hi) for _, lo, hi in self._replay())
 
     @property
     def step_widths(self) -> list[Fraction]:
         """Width of the interval entering each step; grows by the term extracted."""
-        return [iv.width for iv in self.intervals]
+        widths = []
+        width = self.start.width
+        for m in self.recovered:
+            widths.append(width)
+            width *= m
+        return widths
 
     @property
     def residual_intervals(self) -> list[RationalInterval]:
         """Enclosures of f_n - a_n for each certified step."""
-        return [
-            iv.add_scalar(-m) for iv, m in zip(self.intervals, self.recovered)
-        ]
-
-    @property
-    def min_residual_upper(self) -> Fraction | None:
-        uppers = [r.hi for r in self.residual_intervals]
-        return min(uppers) if uppers else None
+        return [RationalInterval(lo - m, hi - m) for m, lo, hi in self._replay()]
 
     @property
     def denominator_bound(self) -> int | None:
@@ -188,31 +181,41 @@ def recover(start: RationalInterval, max_terms: int) -> RecoveryResult:
     the width already reaches 1 (no floor can ever be certified again),
     then floor certification itself.  Ambiguity is a normal stop; a
     certified floor below 2 raises FloorBelowTwo since it cannot arise
-    from a valid enclosure.
+    from a valid enclosure.  The loop runs on integer numerators over a
+    common denominator that the step keeps fixed, so no step pays for a gcd.
     """
     if not isinstance(max_terms, int) or isinstance(max_terms, bool) or max_terms < 0:
-        raise ValueError(f"max_terms must be a nonnegative integer, got {max_terms!r}")
+        raise InvalidArgument(f"max_terms must be a nonnegative integer, got {max_terms!r}")
+    denominator = lcm(start.lo.denominator, start.hi.denominator)
+    lo = start.lo.numerator * (denominator // start.lo.denominator)
+    hi = start.hi.numerator * (denominator // start.hi.denominator)
     recovered: list[int] = []
-    intervals: list[RationalInterval] = []
-    current = start
+    min_upper: int | None = None
     while True:
         step = len(recovered) + 1
         if len(recovered) >= max_terms:
             stop = StopReason("max_terms")
             break
-        if current.width >= 1:
+        if hi - lo >= denominator:
             stop = StopReason("width_exceeds_one", step=step)
             break
-        floor_value = current.floor_unique()
-        if isinstance(floor_value, Ambiguous):
-            stop = StopReason("ambiguous_floor", step=step, straddled=floor_value.straddled)
+        m = lo // denominator
+        if hi >= (m + 1) * denominator:
+            stop = StopReason("ambiguous_floor", step=step, straddled=m + 1)
             break
-        if floor_value < 2:
-            raise FloorBelowTwo(floor_value, step=step)
-        recovered.append(floor_value)
-        intervals.append(current)
-        current = current.add_scalar(1 - floor_value).scale_int(floor_value)
-    return RecoveryResult(tuple(recovered), tuple(intervals), stop)
+        if m < 2:
+            raise FloorBelowTwo(m, step=step)
+        recovered.append(m)
+        upper = hi - m * denominator
+        if min_upper is None or upper < min_upper:
+            min_upper = upper
+        lo, hi = _step(lo, m, denominator), _step(hi, m, denominator)
+    return RecoveryResult(
+        tuple(recovered),
+        start,
+        stop,
+        None if min_upper is None else Fraction(min_upper, denominator),
+    )
 
 
 @dataclass(frozen=True)
@@ -252,25 +255,21 @@ def residuals(spec: SequenceSpec, terms_used: int, count: int | None = None) -> 
     if count is None:
         count = certified
     if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+        raise InvalidArgument(f"count must be >= 0, got {count}")
     if count > certified:
         raise PrecisionExhausted(
             f"enclosure from {terms_used} terms certifies only {certified} "
             f"residuals, {count} requested; increase terms_used"
         )
-    rows = run.residual_intervals[:count]
-    min_upper = min((r.hi for r in rows), default=None)
-    if min_upper is None or min_upper <= 0:
-        bound = None
-    else:
-        bound = min_upper.denominator // min_upper.numerator
+    if count < certified:
+        run = recover(enclosure.interval, max_terms=count)
     return ResidualReport(
         sequence=spec,
         terms_used=terms_used,
         certified=certified,
-        residual_intervals=tuple(rows),
-        min_upper=min_upper,
-        denominator_bound=bound,
+        residual_intervals=tuple(run.residual_intervals),
+        min_upper=run.min_residual_upper,
+        denominator_bound=run.denominator_bound,
     )
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .exact_arith import ParseError
+from .exact_arith import InvalidArgument, ParseError
 
 __all__ = [
     "ExplicitExhausted",
@@ -137,7 +137,9 @@ class SequenceSpec:
     def __post_init__(self) -> None:
         if self.kind is SequenceKind.EXPLICIT:
             if not self.explicit_terms:
-                raise ValueError("explicit sequence needs at least one term")
+                raise InvalidArgument("explicit sequence needs at least one term")
+            if not all(isinstance(t, int) and not isinstance(t, bool) for t in self.explicit_terms):
+                raise TypeError("explicit terms must be ints; floats, bools and other types are refused")
         elif self.explicit_terms is not None:
             raise ValueError(f"{self.kind.value} sequence takes no explicit terms")
 
@@ -162,7 +164,7 @@ class SequenceSpec:
 
     @classmethod
     def explicit(cls, terms) -> "SequenceSpec":
-        return cls(SequenceKind.EXPLICIT, tuple(int(t) for t in terms))
+        return cls(SequenceKind.EXPLICIT, tuple(terms))
 
     @classmethod
     def from_name(cls, name: str) -> "SequenceSpec":
@@ -201,7 +203,7 @@ class SequenceSpec:
     def terms(self, count: int) -> list[int]:
         """The first `count` terms, in order."""
         if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+            raise InvalidArgument(f"count must be >= 0, got {count}")
         if self.kind is SequenceKind.PRIMES:
             return _SHARED_SIEVE.first(count)
         if self.kind is SequenceKind.EXPLICIT:

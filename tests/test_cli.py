@@ -135,6 +135,15 @@ class TestConstantCommand:
         assert out == ""
         assert json.loads(target.read_text())["terms_used"] == 5
 
+    def test_out_write_failure_is_user_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "enc.txt"
+        code, out, err = run_cli(
+            ["constant", "--terms", "5", "--out", str(target)], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_deterministic_output(self, capsys):
         args = ["constant", "--sequence", "primes", "--digits", "12", "--format", "json"]
         first = run_cli(args, capsys)
@@ -265,6 +274,13 @@ class TestValidateCommand:
         assert "ok: false" in out
         assert "UpperBoundExceeded at index 1" in out
 
+    def test_non_utf8_file_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_bytes(b"2\n3\n\xff\n")
+        code, _, err = run_cli(["validate", "--sequence-file", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_file_prefix_with_terms(self, capsys, tmp_path):
         path = tmp_path / "seq.txt"
         path.write_text("3\n4\n6\n10\n18\n34\n")
@@ -339,6 +355,40 @@ class TestErrorMapping:
         code, _, err = run_cli(["mean", "--limit", "8"], capsys)
         assert code == 1
         assert "internal error" in err
+
+    def test_bare_value_error_is_internal(self, capsys, monkeypatch):
+        def explode(args):
+            raise ValueError("synthetic failure")
+
+        monkeypatch.setitem(cli._HANDLERS, "mean", explode)
+        code, _, err = run_cli(["mean", "--limit", "8"], capsys)
+        assert code == 1
+        assert "internal error" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["constant", "--terms", "0"], "terms_used must be >= 1"),
+            (["constant", "--terms", "5", "--max-digits", "0"], "max_digits must be >= 1"),
+            (["recover", "--value", "2.92", "--max-terms", "-1"], "max_terms must be"),
+            (["residuals", "--terms", "20", "--count", "-1"], "count must be >= 0"),
+            (["validate", "--terms", "-1"], "count must be >= 0"),
+            (["mean", "--limit", "0"], "limit must be a positive integer"),
+            (["alpha", "--terms", "0"], "terms must be a positive integer"),
+            (["bench", "--digits", "0"], "digits must be >= 1"),
+        ],
+    )
+    def test_out_of_range_arguments_exit_two(self, capsys, argv, message):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("error:") and message in err
+
+    def test_empty_sequence_file_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_text("# no terms\n")
+        code, _, err = run_cli(["validate", "--sequence-file", str(path)], capsys)
+        assert code == 2
+        assert "explicit sequence needs at least one term" in err
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as excinfo:

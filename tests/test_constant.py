@@ -160,6 +160,15 @@ class TestEnclose:
         with pytest.raises(InsufficientTerms):
             enclose(SequenceSpec.explicit([2, 3]), 2)
 
+    def test_other_term_errors_propagate(self, monkeypatch):
+        # Only running out of explicit terms means InsufficientTerms.
+        def broken(self, count):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(SequenceSpec, "terms", broken)
+        with pytest.raises(RuntimeError, match="synthetic failure"):
+            enclose(SequenceSpec.primes(), 5)
+
     def test_inadmissible_terms(self):
         with pytest.raises(ValidationFailed) as excinfo:
             enclose(SequenceSpec.explicit([2, 5, 6]), 2)

@@ -1,13 +1,11 @@
 """Unit and property tests for rational intervals and decimal rendering."""
 
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from primeconst.exact_arith import (
-    Ambiguous,
     NonPositiveInterval,
     ParseError,
     RationalInterval,
@@ -64,28 +62,6 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             interval(1, 2).add_scalar(0.5)
 
-    def test_scale_int_exact(self):
-        iv = interval((19, 10), (29, 15)).scale_int(3)
-        assert iv == interval((57, 10), (29, 5))
-
-    def test_scale_rejects_nonpositive_and_bool(self):
-        iv = interval(1, 2)
-        with pytest.raises(ValueError):
-            iv.scale_int(0)
-        with pytest.raises(ValueError):
-            iv.scale_int(-2)
-        with pytest.raises(TypeError):
-            iv.scale_int(True)
-
-    @given(
-        lo=st.fractions(min_value=-1000, max_value=1000),
-        delta=st.fractions(min_value=0, max_value=1000),
-        factor=st.integers(min_value=1, max_value=100),
-    )
-    def test_scale_width_law(self, lo, delta, factor):
-        iv = RationalInterval(lo, lo + delta)
-        assert iv.scale_int(factor).width == iv.width * factor
-
     @given(
         lo=st.fractions(min_value=-1000, max_value=1000),
         delta=st.fractions(min_value=0, max_value=1000),
@@ -97,39 +73,6 @@ class TestArithmetic:
         x = lo + point * delta
         assert iv.contains(x)
         assert iv.add_scalar(shift).contains(x + shift)
-
-
-class TestFloorUnique:
-    def test_certified_floor(self):
-        assert interval((87, 30), (88, 30)).floor_unique() == 2
-
-    def test_ambiguous_straddle(self):
-        result = interval((5, 2), (7, 2)).floor_unique()
-        assert result == Ambiguous(straddled=3)
-
-    def test_closed_endpoint_is_ambiguous(self):
-        # 3 itself is in [2.5, 3] and has floor 3, so 2 cannot be certified.
-        assert interval((5, 2), 3).floor_unique() == Ambiguous(straddled=3)
-
-    def test_degenerate_integer(self):
-        assert interval(3, 3).floor_unique() == 3
-
-    def test_negative_values(self):
-        assert interval((-3, 2), (-5, 4)).floor_unique() == -2
-
-    @given(
-        lo=st.fractions(min_value=-10**6, max_value=10**6),
-        delta=st.fractions(min_value=0, max_value=10**6),
-    )
-    def test_floor_agrees_with_math_floor(self, lo, delta):
-        iv = RationalInterval(lo, lo + delta)
-        result = iv.floor_unique()
-        if isinstance(result, Ambiguous):
-            assert result.straddled == math.floor(lo) + 1
-            assert iv.hi >= result.straddled
-        else:
-            assert result == math.floor(lo)
-            assert iv.hi < result + 1
 
 
 class TestToDecimal:

@@ -1,18 +1,19 @@
 """Tests for floor-recurrence recovery, residuals, and denominator bounds."""
 
+import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primeconst.constant import enclose
+from primeconst.constant import enclose, enclose_digits
 from primeconst.exact_arith import RationalInterval, parse_decimal
 from primeconst.recurrence import (
-    AmbiguousFloorError,
     FloorBelowTwo,
     PrecisionExhausted,
+    StopReason,
     recover,
-    recurrence_step,
     residuals,
     roundtrip,
 )
@@ -28,25 +29,98 @@ def iv(lo, hi):
     )
 
 
+def fraction_recover(start, max_terms):
+    """The floor recurrence on normalised Fractions, keeping every interval.
+
+    The differential oracle for `recover`, which runs on integer numerators
+    and keeps only the terms.  Returns every quantity a RecoveryResult
+    reports, computed the direct way.
+    """
+    recovered, intervals = [], []
+    lo, hi = start.lo, start.hi
+    while True:
+        step = len(recovered) + 1
+        if len(recovered) >= max_terms:
+            stop = StopReason("max_terms")
+            break
+        if hi - lo >= 1:
+            stop = StopReason("width_exceeds_one", step=step)
+            break
+        m = math.floor(lo)
+        if hi >= m + 1:
+            stop = StopReason("ambiguous_floor", step=step, straddled=m + 1)
+            break
+        if m < 2:
+            raise FloorBelowTwo(m, step=step)
+        recovered.append(m)
+        intervals.append(RationalInterval(lo, hi))
+        lo, hi = (lo - m + 1) * m, (hi - m + 1) * m
+    residual_intervals = [RationalInterval(i.lo - m, i.hi - m) for i, m in zip(intervals, recovered)]
+    min_upper = min((r.hi for r in residual_intervals), default=None)
+    return {
+        "recovered": tuple(recovered),
+        "stop": stop,
+        "intervals": tuple(intervals),
+        "step_widths": [i.hi - i.lo for i in intervals],
+        "residual_intervals": residual_intervals,
+        "min_residual_upper": min_upper,
+        "denominator_bound": (
+            None if min_upper is None or min_upper <= 0
+            else min_upper.denominator // min_upper.numerator
+        ),
+    }
+
+
+def assert_matches_oracle(start, max_terms):
+    try:
+        expected = fraction_recover(start, max_terms)
+    except FloorBelowTwo as oracle_error:
+        with pytest.raises(FloorBelowTwo) as excinfo:
+            recover(start, max_terms)
+        assert (excinfo.value.floor_value, excinfo.value.step) == (
+            oracle_error.floor_value,
+            oracle_error.step,
+        )
+        return None
+    run = recover(start, max_terms)
+    assert {name: getattr(run, name) for name in expected} == expected
+    return run
+
+
 class TestRecurrenceStep:
+    """Single steps of the recurrence, seen through `recover`."""
+
     def test_exact_image(self):
-        floor_value, image = recurrence_step(iv((87, 30), (88, 30)))
-        assert floor_value == 2
-        assert image == iv((19, 5), (58, 15))
+        run = recover(iv((87, 30), (88, 30)), max_terms=2)
+        assert run.recovered == (2, 3)
+        assert run.intervals[1] == iv((19, 5), (58, 15))
 
     def test_degenerate_fixed_point(self):
-        floor_value, image = recurrence_step(iv(3, 3))
-        assert floor_value == 3
-        assert image == iv(3, 3)
+        run = recover(iv(3, 3), max_terms=2)
+        assert run.recovered == (3, 3)
+        assert run.intervals == (iv(3, 3), iv(3, 3))
 
-    def test_ambiguous_raises(self):
-        with pytest.raises(AmbiguousFloorError) as excinfo:
-            recurrence_step(iv((5, 2), (7, 2)))
-        assert excinfo.value.straddled == 3
+    def test_ambiguous_stops(self):
+        # [5/2, 7/2] would stop for width first; this one is narrower than 1.
+        run = recover(iv((5, 2), (13, 4)), max_terms=5)
+        assert run.recovered == ()
+        assert run.stop == StopReason("ambiguous_floor", step=1, straddled=3)
+
+    def test_closed_endpoint_is_ambiguous(self):
+        # 3 itself is in [5/2, 3] and has floor 3, so 2 cannot be certified.
+        run = recover(iv((5, 2), 3), max_terms=5)
+        assert run.recovered == ()
+        assert run.stop == StopReason("ambiguous_floor", step=1, straddled=3)
 
     def test_floor_below_two_raises(self):
-        with pytest.raises(FloorBelowTwo):
-            recurrence_step(iv((3, 2), (8, 5)))
+        with pytest.raises(FloorBelowTwo) as excinfo:
+            recover(iv((3, 2), (8, 5)), max_terms=5)
+        assert (excinfo.value.floor_value, excinfo.value.step) == (1, 1)
+
+    def test_negative_floor_raises(self):
+        with pytest.raises(FloorBelowTwo) as excinfo:
+            recover(iv((-3, 2), (-5, 4)), max_terms=5)
+        assert (excinfo.value.floor_value, excinfo.value.step) == (-2, 1)
 
 
 class TestRecover:
@@ -56,6 +130,7 @@ class TestRecover:
         assert run.stop.kind == "width_exceeds_one"
         assert run.stop.step == 13
         assert len(run.intervals) == len(run.recovered)
+        assert run.intervals[0] == parse_decimal("2.920050977316")
 
     def test_two_digit_value_is_immediately_ambiguous(self):
         run = recover(parse_decimal("2.9"), max_terms=10)
@@ -115,6 +190,57 @@ class TestRecover:
         assert doc["stop"]["kind"] == "width_exceeds_one"
         assert len(doc["widths"]) == 4
         assert isinstance(doc["denominator_bound"], int)
+
+
+@st.composite
+def start_intervals(draw):
+    """Intervals with negative and small floors, integer points, and lo, hi
+    on unrelated denominators; widths from 0 to past 1."""
+    lo = draw(st.integers(-5, 60)) + draw(st.fractions(0, 1, max_denominator=10**12))
+    shape = draw(st.sampled_from(("point", "narrow", "wide")))
+    if shape == "point":
+        return RationalInterval(lo, lo)
+    if shape == "narrow":
+        return RationalInterval(lo, lo + Fraction(1, draw(st.integers(1, 10**40))))
+    return RationalInterval(lo, lo + draw(st.fractions(min_value=0, max_value=3, max_denominator=10**6)))
+
+
+class TestAgainstFractionOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(start=start_intervals(), max_terms=st.integers(min_value=0, max_value=80))
+    def test_random_intervals(self, start, max_terms):
+        assert_matches_oracle(start, max_terms)
+
+    def test_stop_kinds_each_reached(self):
+        assert_matches_oracle(iv((5, 2), 3), 10)
+        assert_matches_oracle(iv(2, 4), 10)
+        assert_matches_oracle(iv((-7, 3), (-7, 3)), 10)
+        assert_matches_oracle(iv((29, 10), (2921, 1000)), 10)
+        assert_matches_oracle(iv(3, 3), 10)
+
+    def test_primes_enclosure_5004_digits(self):
+        run = assert_matches_oracle(enclose(SequenceSpec.primes(), 1404).interval, 100000)
+        assert len(run.recovered) == 1404
+        assert run.stop == StopReason("width_exceeds_one", step=1405)
+
+    def test_primes_decimal_4000_digits(self):
+        start = parse_decimal(enclose_digits(SequenceSpec.primes(), 4000).digits.text)
+        run = assert_matches_oracle(start, 100000)
+        assert len(run.recovered) == 1154
+        assert run.stop.kind == "ambiguous_floor"
+
+    def test_result_keeps_no_per_step_intervals(self):
+        start = parse_decimal(enclose_digits(SequenceSpec.primes(), 4000).digits.text)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run = recover(start, 100000)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(run.recovered) == 1154
+        # One interval of this enclosure is about 3.3 kB; 1154 of them are MBs.
+        assert retained < 500_000
 
 
 class TestResiduals:

@@ -103,6 +103,13 @@ class TestExplicitSequences:
         with pytest.raises(ExplicitExhausted):
             spec.term(4)
 
+    def test_rejects_floats_and_bools(self):
+        # int() would silently turn these into (2, 3, 5) and (1, 3).
+        with pytest.raises(TypeError):
+            SequenceSpec.explicit([2.9, 3, 5])
+        with pytest.raises(TypeError):
+            SequenceSpec.explicit([True, 3])
+
     def test_requires_terms(self):
         with pytest.raises(ValueError):
             SequenceSpec(SequenceKind.EXPLICIT)
