@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 from .constant import (
@@ -32,6 +33,7 @@ from .exact_arith import (
     NonPositiveInterval,
     ParseError,
     RationalInterval,
+    decimal_length,
     format_rational,
     parse_decimal,
     to_decimal,
@@ -58,6 +60,11 @@ DEFAULT_MAX_TERMS = 1000
 DEFAULT_BENCH_SIZES = (1000, 10000, 100000)
 
 _BUILTIN_SEQUENCES = ("primes", "naturals", "doubling", "boundary")
+
+# What a handler returns: two functions that make the text and the JSON
+# document, of which `main` calls only the one `--format` asks for, and the
+# exit code.
+_Output = tuple[Callable[[], str], Callable[[], dict], int]
 
 
 _USER_ERRORS = (
@@ -203,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_constant(args: argparse.Namespace) -> tuple[str, dict, int]:
+def _cmd_constant(args: argparse.Namespace) -> _Output:
     spec = _resolve_sequence(args)
     if args.digits is not None:
         if args.digits < 1:
@@ -211,18 +218,21 @@ def _cmd_constant(args: argparse.Namespace) -> tuple[str, dict, int]:
         enclosure = enclose_digits(spec, args.digits, max_digits=args.max_digits)
     else:
         enclosure = enclose(spec, args.terms, max_digits=args.max_digits)
-    doc = enclosure.to_json_dict()
-    lines = [
-        enclosure.digits.text,
-        f"sequence: {spec}",
-        f"terms_used: {enclosure.terms_used}",
-        f"lo: {format_rational(enclosure.interval.lo)}",
-        f"hi: {format_rational(enclosure.interval.hi)}",
-        f"width: {format_rational(enclosure.interval.width)}",
-        f"verified_digits: {enclosure.digits.verified}",
-        f"boundary: {str(enclosure.digits.boundary).lower()}",
-    ]
-    return "\n".join(lines), doc, 0
+
+    def text() -> str:
+        lines = [
+            enclosure.digits.text,
+            f"sequence: {spec}",
+            f"terms_used: {enclosure.terms_used}",
+            f"lo: {format_rational(enclosure.interval.lo)}",
+            f"hi: {format_rational(enclosure.interval.hi)}",
+            f"width: {format_rational(enclosure.width)}",
+            f"verified_digits: {enclosure.digits.verified}",
+            f"boundary: {str(enclosure.digits.boundary).lower()}",
+        ]
+        return "\n".join(lines)
+
+    return text, enclosure.to_json_dict, 0
 
 
 def _interval_from_value(value: str) -> RationalInterval:
@@ -242,7 +252,7 @@ def _interval_from_value(value: str) -> RationalInterval:
         raise ParseError(f"{value}: not a valid enclosure document: {exc}") from None
 
 
-def _cmd_recover(args: argparse.Namespace) -> tuple[str, dict, int]:
+def _cmd_recover(args: argparse.Namespace) -> _Output:
     interval = _interval_from_value(args.value)
     run = recover(interval, args.max_terms)
     warnings: list[str] = []
@@ -251,57 +261,68 @@ def _cmd_recover(args: argparse.Namespace) -> tuple[str, dict, int]:
             "recovered terms do not strictly increase; the input encloses "
             "an integer fixed point or an inadmissible value"
         )
-    doc = run.to_json_dict()
-    doc["warnings"] = warnings
-    recovered_text = " ".join(str(t) for t in run.recovered) or "(none)"
-    bound = "none" if run.denominator_bound is None else str(run.denominator_bound)
-    lines = [
-        f"recovered: {recovered_text}",
-        f"count: {len(run.recovered)}",
-        f"stop: {_stop_text(run.stop)}",
-        f"denominator_bound: {bound}",
-    ]
-    lines.extend(f"warning: {w}" for w in warnings)
-    return "\n".join(lines), doc, 0
+
+    def text() -> str:
+        recovered_text = " ".join(str(t) for t in run.recovered) or "(none)"
+        bound = "none" if run.denominator_bound is None else str(run.denominator_bound)
+        lines = [
+            f"recovered: {recovered_text}",
+            f"count: {len(run.recovered)}",
+            f"stop: {_stop_text(run.stop)}",
+            f"denominator_bound: {bound}",
+        ]
+        lines.extend(f"warning: {w}" for w in warnings)
+        return "\n".join(lines)
+
+    def doc() -> dict:
+        return {**run.to_json_dict(), "warnings": warnings}
+
+    return text, doc, 0
 
 
-def _cmd_roundtrip(args: argparse.Namespace) -> tuple[str, dict, int]:
+def _cmd_roundtrip(args: argparse.Namespace) -> _Output:
     spec = _resolve_sequence(args)
     report = roundtrip(spec, args.terms, max_terms=args.max_terms)
-    doc = report.to_json_dict()
-    lines = [
-        f"sequence: {spec}",
-        f"terms_used: {report.terms_used}",
-        f"recovered_count: {len(report.recovered)}",
-        f"match_length: {report.match_length}",
-        "mismatches: 0",
-        f"stop: {_stop_text(report.stop)}",
-        f"degenerate_tail: {str(report.degenerate_tail).lower()}",
-    ]
-    return "\n".join(lines), doc, 0
+
+    def text() -> str:
+        lines = [
+            f"sequence: {spec}",
+            f"terms_used: {report.terms_used}",
+            f"recovered_count: {len(report.recovered)}",
+            f"match_length: {report.match_length}",
+            "mismatches: 0",
+            f"stop: {_stop_text(report.stop)}",
+            f"degenerate_tail: {str(report.degenerate_tail).lower()}",
+        ]
+        return "\n".join(lines)
+
+    return text, report.to_json_dict, 0
 
 
-def _cmd_residuals(args: argparse.Namespace) -> tuple[str, dict, int]:
+def _cmd_residuals(args: argparse.Namespace) -> _Output:
     spec = _resolve_sequence(args)
     report = residuals(spec, args.terms, count=args.count)
-    doc = report.to_json_dict()
-    min_upper = (
-        "none" if report.min_upper is None else format_rational(report.min_upper)
-    )
-    lines = [
-        f"sequence: {spec}",
-        f"terms_used: {report.terms_used}",
-        f"certified: {report.certified}",
-        f"count: {len(report.residual_intervals)}",
-        f"min_upper: {min_upper}",
-        f"denominator_bound: {report.denominator_bound}",
-    ]
-    for step, residual in enumerate(report.residual_intervals, start=1):
-        lines.append(f"residual {step}: {residual!r}")
-    return "\n".join(lines), doc, 0
+
+    def text() -> str:
+        min_upper = (
+            "none" if report.min_upper is None else format_rational(report.min_upper)
+        )
+        lines = [
+            f"sequence: {spec}",
+            f"terms_used: {report.terms_used}",
+            f"certified: {report.certified}",
+            f"count: {len(report.residual_intervals)}",
+            f"min_upper: {min_upper}",
+            f"denominator_bound: {report.denominator_bound}",
+        ]
+        for step, residual in enumerate(report.residual_intervals, start=1):
+            lines.append(f"residual {step}: {residual!r}")
+        return "\n".join(lines)
+
+    return text, report.to_json_dict, 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> tuple[str, dict, int]:
+def _cmd_validate(args: argparse.Namespace) -> _Output:
     spec = _resolve_sequence(args)
     if spec.kind is SequenceKind.EXPLICIT:
         terms = list(spec.explicit_terms or ())
@@ -312,38 +333,41 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[str, dict, int]:
             raise InvalidArgument("--terms is required with a built-in sequence")
         terms = spec.terms(args.terms)
     report = validate_bertrand(terms)
-    doc = {"sequence": spec.label(), **report.to_json_dict()}
-    lines = [
-        f"ok: {str(report.ok).lower()}",
-        f"sequence: {spec}",
-        f"terms_checked: {report.terms_checked}",
-        f"pairs_checked: {report.pairs_checked}",
-    ]
-    for violation in report.violations:
-        lines.append(f"violation: {violation.describe()}")
-    equalities = " ".join(str(i) for i in report.upper_bound_equalities) or "(none)"
-    lines.append(f"upper_bound_equalities: {equalities}")
-    lines.append(f"all_tail_equalities: {str(report.all_tail_equalities).lower()}")
-    return "\n".join(lines), doc, 0 if report.ok else 2
+
+    def text() -> str:
+        lines = [
+            f"ok: {str(report.ok).lower()}",
+            f"sequence: {spec}",
+            f"terms_checked: {report.terms_checked}",
+            f"pairs_checked: {report.pairs_checked}",
+        ]
+        for violation in report.violations:
+            lines.append(f"violation: {violation.describe()}")
+        equalities = " ".join(str(i) for i in report.upper_bound_equalities) or "(none)"
+        lines.append(f"upper_bound_equalities: {equalities}")
+        lines.append(f"all_tail_equalities: {str(report.all_tail_equalities).lower()}")
+        return "\n".join(lines)
+
+    def doc() -> dict:
+        return {"sequence": spec.label(), **report.to_json_dict()}
+
+    return text, doc, 0 if report.ok else 2
 
 
-def _cmd_mean(args: argparse.Namespace) -> tuple[str, dict, int]:
+def _cmd_mean(args: argparse.Namespace) -> _Output:
     value = nondivisor_mean(args.limit)
     preview = _decimal_preview(value)
-    doc = {
-        "limit": args.limit,
-        "mean": format_rational(value),
-        "decimal": preview,
-    }
-    lines = [
-        f"mean: {format_rational(value)}",
-        f"decimal: {preview}",
-        f"limit: {args.limit}",
-    ]
-    return "\n".join(lines), doc, 0
+
+    def text() -> str:
+        return f"mean: {format_rational(value)}\ndecimal: {preview}\nlimit: {args.limit}"
+
+    def doc() -> dict:
+        return {"limit": args.limit, "mean": format_rational(value), "decimal": preview}
+
+    return text, doc, 0
 
 
-def _cmd_alpha(args: argparse.Namespace) -> tuple[str, dict, int]:
+def _cmd_alpha(args: argparse.Namespace) -> _Output:
     alpha = alpha_build(args.terms)
     decoded = [alpha_decode(alpha, i) for i in range(1, args.terms + 1)]
     expected = SequenceSpec.primes().terms(args.terms)
@@ -351,23 +375,29 @@ def _cmd_alpha(args: argparse.Namespace) -> tuple[str, dict, int]:
     digits = to_decimal(
         RationalInterval(alpha, alpha), max_digits=2 ** (args.terms + 1)
     ).text
-    doc = {
-        "terms": args.terms,
-        "alpha": format_rational(alpha),
-        "digits": digits,
-        "decoded": decoded,
-        "matches_primes": matches,
-    }
-    lines = [
-        f"alpha: {digits}",
-        f"terms: {args.terms}",
-        f"decoded: {' '.join(str(d) for d in decoded)}",
-        f"matches_primes: {str(matches).lower()}",
-    ]
-    return "\n".join(lines), doc, 0 if matches else 1
+
+    def text() -> str:
+        lines = [
+            f"alpha: {digits}",
+            f"terms: {args.terms}",
+            f"decoded: {' '.join(str(d) for d in decoded)}",
+            f"matches_primes: {str(matches).lower()}",
+        ]
+        return "\n".join(lines)
+
+    def doc() -> dict:
+        return {
+            "terms": args.terms,
+            "alpha": format_rational(alpha),
+            "digits": digits,
+            "decoded": decoded,
+            "matches_primes": matches,
+        }
+
+    return text, doc, 0 if matches else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> tuple[str, dict, int]:
+def _cmd_bench(args: argparse.Namespace) -> _Output:
     sizes = args.digits if args.digits else list(DEFAULT_BENCH_SIZES)
     spec = SequenceSpec.primes()
     results = []
@@ -378,7 +408,7 @@ def _cmd_bench(args: argparse.Namespace) -> tuple[str, dict, int]:
         enclosure = enclose_digits(spec, size)
         elapsed = time.perf_counter() - started
         terms_used = enclosure.terms_used
-        product_digits = len(str(enclosure.product))
+        product_digits = decimal_length(enclosure.product)
         results.append(
             {
                 "digits_requested": size,
@@ -393,7 +423,7 @@ def _cmd_bench(args: argparse.Namespace) -> tuple[str, dict, int]:
             f"product_digits={product_digits} time={elapsed:.3f}s"
         )
     doc = {"sequence": "primes", "results": results, "timing": {"seconds": timings}}
-    return "\n".join(lines), doc, 0
+    return lambda: "\n".join(lines), lambda: doc, 0
 
 
 _HANDLERS = {
@@ -414,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
     handler = _HANDLERS[args.command]
     try:
         text, doc, code = handler(args)
-        payload = json.dumps(doc, indent=2) if args.format == "json" else text
+        payload = json.dumps(doc(), indent=2) if args.format == "json" else text()
         if args.out:
             Path(args.out).write_text(payload + "\n", encoding="utf-8")
         else:

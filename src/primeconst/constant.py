@@ -15,13 +15,21 @@ grows, so every digit they certify is final.  For the primes the limit is
 2.92005097731613..., and the first term of the recovered expansion of the
 enclosure is the sequence itself (see `recurrence`).
 
-Partial sums are accumulated in Horner form over a single running
-denominator, avoiding a gcd per step, and long products use a balanced
-split so huge-integer multiplications stay near the top of the tree.
+The series is summed by binary splitting (Haible and Papanikolaou, 1998).
+A range of terms gives a pair (P, S): P is the product of its terms and
+S / P its share of the sum, scaled to start at 1.  One term a gives
+(a, (a - 1) * a), and two adjacent ranges combine as
+(P1 * P2, S1 * P2 + S2).  The whole prefix gives g_N = S / P_N, so the
+enclosure is [(S + a_{N+1}) / P_N, (S + a_{N+1} + 1) / P_N] with no gcd
+until a Fraction is formed, and the operands of each multiplication are of
+comparable size.  `plan_terms` finds its term count in a product tree in
+the same way: it gallops over blocks of doubling length, then descends
+into the block that crosses the threshold.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,12 +37,14 @@ from .exact_arith import (
     DecimalDigits,
     InvalidArgument,
     RationalInterval,
+    decimal_length,
     format_rational,
     parse_rational,
     to_decimal,
 )
 from .sequences import (
     ExplicitExhausted,
+    SequenceKind,
     SequenceSpec,
     ValidationReport,
     Violation,
@@ -74,21 +84,21 @@ class ValidationFailed(ValueError):
 def product(values) -> int:
     """Exact product of integers, balanced-tree above 64 values.
 
-    The tree split keeps multiplicand sizes comparable, which matters once
+    The tree keeps multiplicand sizes comparable, which matters once
     products reach thousands of digits; short inputs use a plain fold.
     """
     items = list(values)
+    return _product_levels(items)[-1][0] if items else 1
 
-    def _run(lo: int, hi: int) -> int:
-        if hi - lo <= _TREE_THRESHOLD:
-            out = 1
-            for i in range(lo, hi):
-                out *= items[i]
-            return out
-        mid = (lo + hi) // 2
-        return _run(lo, mid) * _run(mid, hi)
 
-    return _run(0, len(items))
+def _product_levels(values: list[int]) -> list[list[int]]:
+    """Product tree, bottom-up: level 0 multiplies runs of _TREE_THRESHOLD values, the last is the root."""
+    level = [math.prod(values[i : i + _TREE_THRESHOLD]) for i in range(0, len(values), _TREE_THRESHOLD)]
+    levels = [level]
+    while len(level) > 1:
+        level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
+        levels.append(level)
+    return levels
 
 
 def _check_terms(terms: list[int]) -> None:
@@ -111,23 +121,29 @@ def _check_terms(terms: list[int]) -> None:
         raise ValidationFailed(report)
 
 
-def _horner_numerator(terms: list[int]) -> int:
-    """Numerator T with g = T / (a_1 * ... * a_{len-1}); exact, no gcd churn.
+def _series(terms: list[int]) -> tuple[int, int]:
+    """(P, S) with P = a_1 * ... * a_N and g_N = S / P, by binary splitting."""
 
-    Uses the recurrence T_1 = a_1 - 1 and T_k = T_{k-1} * a_{k-1} + (a_k - 1),
-    which is the partial sum brought over the running denominator.
-    """
-    total = terms[0] - 1
-    for previous, current in zip(terms, terms[1:]):
-        total = total * previous + (current - 1)
-    return total
+    def _run(lo: int, hi: int) -> tuple[int, int]:
+        if hi - lo <= _TREE_THRESHOLD:
+            p, s = 1, 0
+            for a in terms[lo:hi]:
+                p, s = p * a, (s + a - 1) * a
+            return p, s
+        mid = (lo + hi) // 2
+        p1, s1 = _run(lo, mid)
+        p2, s2 = _run(mid, hi)
+        return p1 * p2, s1 * p2 + s2
+
+    return _run(0, len(terms))
 
 
 def partial_sum(terms) -> Fraction:
     """Exact partial sum g_N of the defining series for the given terms."""
     terms = list(terms)
     _check_terms(terms)
-    return Fraction(_horner_numerator(terms), product(terms[:-1]))
+    p, s = _series(terms)
+    return Fraction(s, p)
 
 
 @dataclass(frozen=True)
@@ -136,14 +152,25 @@ class ConstantEnclosure:
 
     `interval` contains the limit; its width is exactly 1/product.
     `digits` holds the decimal digits certified by the interval.
+    `series_numerator` is S with partial sum g_N = S / product.
     """
 
     sequence: SequenceSpec
     terms_used: int
-    partial_sum: Fraction
+    series_numerator: int
     product: int
     interval: RationalInterval
     digits: DecimalDigits
+
+    @property
+    def partial_sum(self) -> Fraction:
+        """The partial sum g_N, in lowest terms; its gcd is paid on each read."""
+        return Fraction(self.series_numerator, self.product)
+
+    @property
+    def width(self) -> Fraction:
+        """The interval's width 1/product, without subtracting the endpoints."""
+        return Fraction(1, self.product)
 
     def to_json_dict(self) -> dict:
         return {
@@ -174,26 +201,57 @@ def enclose(spec: SequenceSpec, terms_used: int, max_digits: int | None = None) 
             f"need {terms_used + 1} terms of {spec} for a {terms_used}-term enclosure"
         ) from exc
     _check_terms(terms)
-    prefix = terms[:terms_used]
-    lookahead = terms[terms_used]
-    numerator = _horner_numerator(prefix)
-    product_before_last = product(prefix[:-1])
-    running_product = product_before_last * prefix[-1]
-    lo_numerator = numerator * prefix[-1] + lookahead
+    running_product, numerator = _series(terms[:terms_used])
+    lo_numerator = numerator + terms[terms_used]
     interval = RationalInterval(
         Fraction(lo_numerator, running_product),
         Fraction(lo_numerator + 1, running_product),
     )
     if max_digits is None:
-        max_digits = max(1, len(str(running_product)))
+        max_digits = max(1, decimal_length(running_product))
     return ConstantEnclosure(
         sequence=spec,
         terms_used=terms_used,
-        partial_sum=Fraction(numerator, product_before_last),
+        series_numerator=numerator,
         product=running_product,
         interval=interval,
         digits=to_decimal(interval, max_digits),
     )
+
+
+def _first_reaching(values: list[int], running: int, threshold: int) -> tuple[int | None, int]:
+    """(k, running * product(values)) for the smallest k with running * values[:k] >= threshold.
+
+    k is None, and the product exact, when no prefix of `values` reaches the
+    threshold.  Values >= 1 keep the prefix products monotone, so the root
+    of a product tree tells whether the block reaches the threshold, and a
+    descent that keeps `running * node >= threshold` finds the first run
+    that does.  A block holding a value below 1 is scanned one at a time.
+    """
+    if min(values) < 1:
+        for count, value in enumerate(values, start=1):
+            running *= value
+            if running >= threshold:
+                return count, running
+        return None, running
+    levels = _product_levels(values)
+    total = running * levels[-1][0]
+    if total < threshold:
+        return None, total
+    index = 0
+    for level in reversed(levels[:-1]):
+        index *= 2
+        # The right child exists whenever the left one falls short.
+        if running * level[index] < threshold:
+            running *= level[index]
+            index += 1
+    count = index * _TREE_THRESHOLD
+    for value in values[count:]:
+        count += 1
+        running *= value
+        if running >= threshold:
+            return count, total
+    raise AssertionError("unreachable: the run's product reaches the threshold")
 
 
 def plan_terms(spec: SequenceSpec, digits: int) -> int:
@@ -205,16 +263,25 @@ def plan_terms(spec: SequenceSpec, digits: int) -> int:
     still straddles a digit transition.  No fixed margin avoids that: e
     has 99 at places 225-226, so 224 digits of it need one more term.
     `enclose_digits` adds the terms that such a case needs.
+
+    The search gallops over blocks of doubling length, multiplying each
+    block by a product tree, and descends into the first block whose
+    product carries P past the threshold.  An explicit sequence that runs
+    out first raises ExplicitExhausted for the term after its last.
     """
     if digits < 1:
         raise InvalidArgument(f"digits must be >= 1, got {digits}")
     threshold = 10 ** (digits + 2)
-    running = 1
-    count = 0
-    while running < threshold:
-        count += 1
-        running *= spec.term(count)
-    return count
+    available = len(spec.explicit_terms) if spec.kind is SequenceKind.EXPLICIT else None
+    running, start, size = 1, 0, _TREE_THRESHOLD
+    while True:
+        end = start + size if available is None else min(start + size, available)
+        if end == start:
+            spec.term(end + 1)  # raises ExplicitExhausted, as the one-term loop did
+        found, running = _first_reaching(spec.terms(end)[start:], running, threshold)
+        if found is not None:
+            return start + found
+        start, size = end, 2 * size
 
 
 def enclose_digits(spec: SequenceSpec, digits: int, max_digits: int | None = None) -> ConstantEnclosure:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -11,7 +12,10 @@ from pathlib import Path
 import pytest
 
 from primeconst import cli
-from primeconst.exact_arith import parse_rational
+from primeconst.constant import ConstantEnclosure
+from primeconst.exact_arith import RationalInterval, parse_rational
+from primeconst.recurrence import RecoveryResult, ResidualReport
+from primeconst.sequences import SequenceSpec
 
 FIRST_TWENTY_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
 
@@ -339,11 +343,49 @@ class TestBenchCommand:
             assert result["product_decimal_digits"] > result["digits_requested"]
         assert set(doc["timing"]["seconds"]) == {"200", "300"}
 
+    def test_product_digits_are_exact(self, capsys):
+        doc = run_json(["bench", "--digits", "200", "3000"], capsys)
+        for result in doc["results"]:
+            product = math.prod(SequenceSpec.primes().terms(result["terms_used"]))
+            assert result["product_decimal_digits"] == len(str(product))
+
     def test_text_reports_time(self, capsys):
         code, out, _ = run_cli(["bench", "--digits", "150"], capsys)
         assert code == 0
         assert "digits=150" in out
         assert "time=" in out
+
+
+class TestOnlyTheRequestedFormat:
+    """Each handler builds only what --format prints: the other renderer is never called."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("renderer of the unused format was called")
+
+    def test_recover_text_skips_the_json_document(self, capsys, monkeypatch):
+        expected = run_cli(["recover", "--value", "2.920050977316"], capsys)
+        monkeypatch.setattr(RecoveryResult, "to_json_dict", self.refuse)
+        assert run_cli(["recover", "--value", "2.920050977316"], capsys) == expected
+        assert expected[0] == 0
+
+    def test_residuals_json_skips_the_text_lines(self, capsys, monkeypatch):
+        expected = run_cli(["residuals", "--terms", "50", "--format", "json"], capsys)
+        monkeypatch.setattr(RationalInterval, "__repr__", self.refuse)
+        assert run_cli(["residuals", "--terms", "50", "--format", "json"], capsys) == expected
+        assert expected[0] == 0
+
+    def test_constant_text_skips_the_json_document(self, capsys, monkeypatch):
+        expected = run_cli(["constant", "--digits", "40"], capsys)
+        monkeypatch.setattr(ConstantEnclosure, "to_json_dict", self.refuse)
+        assert run_cli(["constant", "--digits", "40"], capsys) == expected
+        assert expected[0] == 0
+
+    def test_residuals_text_skips_the_json_document(self, capsys, monkeypatch):
+        expected = run_cli(["residuals", "--terms", "50"], capsys)
+        monkeypatch.setattr(ResidualReport, "to_json_dict", self.refuse)
+        assert run_cli(["residuals", "--terms", "50"], capsys) == expected
+        assert expected[0] == 0
 
 
 class TestErrorMapping:

@@ -1,4 +1,9 @@
-"""Tests for partial sums, enclosures, and term planning."""
+"""Tests for partial sums, enclosures, and term planning.
+
+The Horner-form series numerator and the one-term-at-a-time planning loop
+that the binary splitting and the product-tree descent replaced are kept
+here as differential oracles.
+"""
 
 import math
 from fractions import Fraction
@@ -6,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from primeconst import constant
 from primeconst.constant import (
     InsufficientTerms,
     ValidationFailed,
@@ -35,6 +41,35 @@ def series_sum_oracle(terms):
         total += Fraction(t - 1, running)
         running *= t
     return total
+
+
+def horner_numerator(terms):
+    """T with g_N = T / (a_1 * ... * a_{N-1}): T_1 = a_1 - 1, T_k = T_{k-1} * a_{k-1} + (a_k - 1)."""
+    total = terms[0] - 1
+    for previous, current in zip(terms, terms[1:]):
+        total = total * previous + (current - 1)
+    return total
+
+
+def plan_terms_oracle(spec, digits):
+    """Smallest N with P_N >= 10**(digits + 2), one term at a time."""
+    if digits < 1:
+        raise ValueError(f"digits must be >= 1, got {digits}")
+    threshold = 10 ** (digits + 2)
+    running = 1
+    count = 0
+    while running < threshold:
+        count += 1
+        running *= spec.term(count)
+    return count
+
+
+def outcome(fn, *args):
+    """The value `fn` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
 
 
 class TestProduct:
@@ -82,6 +117,37 @@ class TestPartialSum:
             partial_sum([1])
         with pytest.raises(ValueError):
             partial_sum([])
+
+
+class TestBinarySplitting:
+    """The (P, S) split against the Horner numerator and `product`."""
+
+    @given(terms=st.lists(st.integers(min_value=-5, max_value=10**30), min_size=1, max_size=300))
+    def test_matches_horner_and_product(self, terms):
+        # Any integers: the identity is algebraic, admissibility plays no part.
+        p, s = constant._series(terms)
+        assert p == product(terms)
+        assert s == horner_numerator(terms) * terms[-1]
+
+    @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 700])
+    def test_enclosure_matches_horner(self, spec, n):
+        terms = spec.terms(n + 1)
+        numerator = horner_numerator(terms[:n]) * terms[n - 1] + terms[n]
+        denominator = product(terms[:n])
+        enclosure = enclose(spec, n, max_digits=30)
+        assert enclosure.interval.lo == Fraction(numerator, denominator)
+        assert enclosure.interval.hi == Fraction(numerator + 1, denominator)
+        assert enclosure.product == denominator
+        assert enclosure.partial_sum == Fraction(horner_numerator(terms[:n]), product(terms[: n - 1]))
+        assert enclosure.width == enclosure.interval.width
+
+    def test_hundred_thousand_digit_primes_enclosure(self):
+        # The 20488 terms that 10^5 digits plan for.
+        terms = SequenceSpec.primes().terms(20488)
+        p, s = constant._series(terms)
+        assert p == product(terms)
+        assert s == horner_numerator(terms) * terms[-1]
 
 
 class TestEnclose:
@@ -241,6 +307,66 @@ class TestPlanTerms:
     def test_explicit_exhaustion_propagates(self):
         with pytest.raises(ExplicitExhausted):
             plan_terms(SequenceSpec.explicit([2, 3]), 12)
+
+
+class TestPlanTermsAgainstLoop:
+    """The product-tree descent against the one-term-at-a-time loop it replaced."""
+
+    @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=str)
+    def test_builtins_up_to_two_thousand_digits(self, spec):
+        for digits in range(1, 2001):
+            assert plan_terms(spec, digits) == plan_terms_oracle(spec, digits), digits
+
+    @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=str)
+    def test_builtins_at_a_hundred_thousand_digits(self, spec):
+        assert plan_terms(spec, 10**5) == plan_terms_oracle(spec, 10**5)
+
+    def test_primes_at_a_hundred_thousand_digits(self):
+        assert plan_terms(SequenceSpec.primes(), 10**5) == 20488
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        terms=st.lists(
+            st.one_of(st.integers(min_value=-3, max_value=3), st.integers(min_value=2, max_value=10**6)),
+            min_size=1,
+            max_size=400,
+        ),
+        digits=st.integers(min_value=1, max_value=60),
+    )
+    def test_explicit_sequences(self, terms, digits):
+        # Ones, zeros and negatives too, and runs of small terms that carry
+        # the search past its first blocks: the same count or the same error.
+        spec = SequenceSpec.explicit(terms)
+        assert outcome(plan_terms, spec, digits) == outcome(plan_terms_oracle, spec, digits)
+
+    @pytest.mark.parametrize("base", [2, 10])
+    def test_product_equal_to_the_threshold(self, base):
+        # With tens, a prefix product meets 10**(digits + 2) exactly, at
+        # nodes of the tree too; the first count that meets it is the plan.
+        spec = SequenceSpec.explicit([base] * 1000)
+        for digits in range(1, 290):
+            assert plan_terms(spec, digits) == plan_terms_oracle(spec, digits), digits
+
+    @pytest.mark.parametrize("length", [1, 5, 63, 64, 65, 191, 192, 193, 500])
+    def test_explicit_exhaustion_message(self, length):
+        spec = SequenceSpec.explicit([2] * length)
+        expected = outcome(plan_terms_oracle, spec, 400)
+        assert expected[0] is ExplicitExhausted
+        assert outcome(plan_terms, spec, 400) == expected
+
+    @pytest.mark.parametrize("length", [3, 60, 133, 134, 135, 400])
+    @pytest.mark.parametrize("digits", [5, 100, 224, 300])
+    def test_enclose_digits_on_explicit_prefixes(self, monkeypatch, length, digits):
+        # Naturals and primes prefixes, some too short for the plan or for
+        # the terms the extension step adds.
+        naturals = SequenceSpec.explicit(range(2, 2 + length))
+        primes = SequenceSpec.explicit(SequenceSpec.primes().terms(length))
+        for spec in (naturals, primes):
+            new = outcome(enclose_digits, spec, digits)
+            monkeypatch.setattr(constant, "plan_terms", plan_terms_oracle)
+            old = outcome(enclose_digits, spec, digits)
+            monkeypatch.undo()
+            assert new == old
 
 
 class TestEulerCheck:

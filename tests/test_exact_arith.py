@@ -1,19 +1,65 @@
-"""Unit and property tests for rational intervals and decimal rendering."""
+"""Unit and property tests for rational intervals and decimal rendering.
 
+`str()` and int `//`, which rendered everything before the decimal
+converter took over large operands, are the oracles for the converter,
+the scaled floor and `to_decimal` (as `str_to_decimal`).
+"""
+
+import decimal
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from primeconst import exact_arith
+from primeconst.constant import enclose
 from primeconst.exact_arith import (
+    DecimalDigits,
     NonPositiveInterval,
     ParseError,
     RationalInterval,
+    decimal_length,
     format_rational,
     parse_decimal,
     parse_rational,
     to_decimal,
 )
+from primeconst.sequences import SequenceSpec
+
+SWITCH_BITS = exact_arith._DECIMAL_PATH_BITS
+
+
+def str_to_decimal(interval, max_digits):
+    """to_decimal as it was before the converter: int // and str() at every size."""
+    scale = 10**max_digits
+    lo_text = str(interval.lo.numerator * scale // interval.lo.denominator).zfill(max_digits + 1)
+    hi_text = str(interval.hi.numerator * scale // interval.hi.denominator).zfill(max_digits + 1)
+    integer_len = len(lo_text) - max_digits
+    if len(hi_text) != len(lo_text):
+        return DecimalDigits(lo_text[:integer_len], "", 0, True)
+    shared = 0
+    for a, b in zip(lo_text, hi_text):
+        if a != b:
+            break
+        shared += 1
+    if shared < integer_len:
+        return DecimalDigits(lo_text[:integer_len], "", 0, True)
+    return DecimalDigits(lo_text[:integer_len], lo_text[integer_len:shared], shared - integer_len, False)
+
+
+# Integers of 0 to 3 * SWITCH_BITS bits, so both sides of the switch are drawn.
+sized_ints = st.builds(
+    lambda bits, seed: random.Random(seed).getrandbits(bits),
+    st.integers(min_value=0, max_value=3 * SWITCH_BITS),
+    st.integers(min_value=0, max_value=2**32),
+)
+
+SPECIAL_INTS = [0, 1, 2, 9, 10, 11]
+for _k in (SWITCH_BITS - 1, SWITCH_BITS, SWITCH_BITS + 1, 2 * SWITCH_BITS, 100_003):
+    SPECIAL_INTS += [2**_k - 1, 2**_k, 2**_k + 1]
+for _k in (9_999, 10_000, 10_001, 30_000):
+    SPECIAL_INTS += [10**_k - 1, 10**_k, 10**_k + 1]
 
 
 def interval(lo, hi):
@@ -218,3 +264,104 @@ class TestRationalSerialization:
     def test_interval_pair_round_trip(self, lo, delta):
         iv = RationalInterval(lo, lo + delta)
         assert RationalInterval.from_pair(*iv.to_pair()) == iv
+
+
+class TestDecimalConverter:
+    """The converter and the scaled floor against str() and int //."""
+
+    @pytest.mark.parametrize("n", SPECIAL_INTS, ids=lambda n: f"{n.bit_length()}bits")
+    def test_special_values(self, n):
+        assert exact_arith._int_text(n) == str(n)
+        assert exact_arith._int_text(-n) == str(-n)
+        assert str(exact_arith._exact_decimal(n)) == str(n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=sized_ints)
+    def test_matches_str(self, n):
+        assert exact_arith._int_text(n) == str(n)
+        assert exact_arith._int_text(-n) == str(-n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(numerator=sized_ints, denominator=sized_ints, digits=st.integers(min_value=1, max_value=25_000))
+    def test_scaled_floor_matches_int_division(self, numerator, denominator, digits):
+        value = Fraction(numerator + 1, denominator + 1)
+        expected = str(value.numerator * 10**digits // value.denominator)
+        assert exact_arith._scaled_floor_text(value, digits) == expected
+
+    @pytest.mark.parametrize("digits", [1, 9_999, 10_000, 10_001, 12_000])
+    @pytest.mark.parametrize(
+        "value",
+        [Fraction(1), Fraction(1, 3), Fraction(10**5000 + 1, 7**5000), Fraction(2**40000 - 1, 2**39999)],
+    )
+    def test_scaled_floor_at_the_switch(self, value, digits):
+        expected = str(value.numerator * 10**digits // value.denominator)
+        assert exact_arith._scaled_floor_text(value, digits) == expected
+
+    def test_large_enclosure_renders_as_before(self):
+        # 5300 primes give a product of about 2.1 * 10^4 digits, past the switch.
+        enclosure = enclose(SequenceSpec.primes(), 5300, max_digits=10)
+        iv = enclosure.interval
+        assert iv.lo.denominator.bit_length() > 2 * SWITCH_BITS
+        for max_digits in (10, 19_999, 20_001, decimal_length(enclosure.product) + 5):
+            assert to_decimal(iv, max_digits) == str_to_decimal(iv, max_digits)
+        assert format_rational(iv.lo) == f"{iv.lo.numerator}/{iv.lo.denominator}"
+        assert format_rational(iv.hi) == f"{iv.hi.numerator}/{iv.hi.denominator}"
+
+    @given(
+        lo=st.fractions(min_value=Fraction(1, 1000), max_value=10**6),
+        delta=st.fractions(min_value=0, max_value=10**3),
+        max_digits=st.integers(min_value=1, max_value=30),
+    )
+    def test_small_intervals_render_as_before(self, lo, delta, max_digits):
+        iv = RationalInterval(lo, lo + delta)
+        assert to_decimal(iv, max_digits) == str_to_decimal(iv, max_digits)
+
+
+class TestDecimalLength:
+    @pytest.mark.parametrize("k", [1, 2, 3, 15, 16, 17, 22, 23, 100, 4_300, 10_000, 100_000])
+    def test_around_powers_of_ten(self, k):
+        for n in (10**k - 1, 10**k, 10**k + 1):
+            assert decimal_length(n) == len(str(n))
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 64, 1000, 332_193])
+    def test_around_powers_of_two(self, bits):
+        for n in (2**bits - 1, 2**bits, 2**bits + 1):
+            assert decimal_length(n) == len(str(n))
+
+    @given(n=sized_ints)
+    def test_matches_str(self, n):
+        assert decimal_length(n) == len(str(n))
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            decimal_length(-1)
+
+
+class TestExactnessGuard:
+    @staticmethod
+    def snapshot():
+        ctx = decimal.getcontext()
+        return ctx, (ctx.prec, ctx.rounding, ctx.Emin, ctx.Emax, ctx.capitals, ctx.clamp,
+                     dict(ctx.traps), dict(ctx.flags))
+
+    def test_rendering_leaves_the_current_context_alone(self):
+        before = self.snapshot()
+        value = Fraction(3**60000 + 1, 7**40000)
+        digits = to_decimal(RationalInterval(value, value + Fraction(1, 10**30000)), 25_000)
+        assert digits.verified > 20_000
+        assert format_rational(value).startswith(str(value.numerator)[:50])
+        after = self.snapshot()
+        assert after[0] is before[0]
+        assert after[1] == before[1]
+
+    def test_inexact_operations_raise(self):
+        # Operations that would round must raise in the library's context,
+        # never round; none of these needs memory for MAX_PREC digits.
+        context = exact_arith._EXACT
+        with pytest.raises(decimal.Inexact):
+            context.to_integral_exact(decimal.Decimal("2.5"))
+        with pytest.raises(decimal.Inexact):
+            context.quantize(decimal.Decimal("1.25"), decimal.Decimal("0.1"))
+        with pytest.raises(decimal.Rounded):
+            context.quantize(decimal.Decimal("1.20"), decimal.Decimal("0.1"))
+        assert context.divide_int(10**30 + 7, 3) == (10**30 + 7) // 3
