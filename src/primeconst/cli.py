@@ -224,9 +224,9 @@ def _cmd_constant(args: argparse.Namespace) -> _Output:
             enclosure.digits.text,
             f"sequence: {spec}",
             f"terms_used: {enclosure.terms_used}",
-            f"lo: {format_rational(enclosure.interval.lo)}",
-            f"hi: {format_rational(enclosure.interval.hi)}",
-            f"width: {format_rational(enclosure.width)}",
+            f"lo: {enclosure.lo_text}",
+            f"hi: {enclosure.hi_text}",
+            f"width: {enclosure.width_text}",
             f"verified_digits: {enclosure.digits.verified}",
             f"boundary: {str(enclosure.digits.boundary).lower()}",
         ]

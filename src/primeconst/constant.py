@@ -32,15 +32,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exact_arith import (
     DecimalDigits,
     InvalidArgument,
     RationalInterval,
+    _check_max_digits,
+    _EnclosureText,
     decimal_length,
-    format_rational,
     parse_rational,
-    to_decimal,
 )
 from .sequences import (
     ExplicitExhausted,
@@ -148,19 +149,37 @@ def partial_sum(terms) -> Fraction:
 
 @dataclass(frozen=True)
 class ConstantEnclosure:
-    """A certified enclosure of a sequence constant from finitely many terms.
+    """A certified enclosure [L/P, (L+1)/P] of a sequence constant from finitely many terms.
 
-    `interval` contains the limit; its width is exactly 1/product.
-    `digits` holds the decimal digits certified by the interval.
-    `series_numerator` is S with partial sum g_N = S / product.
+    `lo_numerator` is L and `product` is P = a_1 * ... * a_N, so the width
+    is exactly 1/P; `series_numerator` is S with partial sum g_N = S / P.
+    `digits` holds the decimal digits the interval certifies, rendered to
+    `max_digits` fractional places on first read.  The lowest-terms
+    `interval` and the text of its endpoints are derived from L and P.
     """
 
     sequence: SequenceSpec
     terms_used: int
     series_numerator: int
+    lo_numerator: int
     product: int
-    interval: RationalInterval
-    digits: DecimalDigits
+    max_digits: int
+
+    @cached_property
+    def _text(self) -> _EnclosureText:
+        return _EnclosureText(self.lo_numerator, self.product, self.max_digits)
+
+    @property
+    def digits(self) -> DecimalDigits:
+        return self._text.digits
+
+    @property
+    def interval(self) -> RationalInterval:
+        """[L/P, (L+1)/P] with endpoints in lowest terms; its two gcds are paid on each read."""
+        return RationalInterval(
+            Fraction(self.lo_numerator, self.product),
+            Fraction(self.lo_numerator + 1, self.product),
+        )
 
     @property
     def partial_sum(self) -> Fraction:
@@ -172,12 +191,27 @@ class ConstantEnclosure:
         """The interval's width 1/product, without subtracting the endpoints."""
         return Fraction(1, self.product)
 
+    @property
+    def lo_text(self) -> str:
+        """format_rational(interval.lo), rendered from L and P."""
+        return self._text.lo()
+
+    @property
+    def hi_text(self) -> str:
+        """format_rational(interval.hi), rendered from L and P."""
+        return self._text.hi()
+
+    @property
+    def width_text(self) -> str:
+        """format_rational(width), rendered from P."""
+        return self._text.width()
+
     def to_json_dict(self) -> dict:
         return {
             "sequence": self.sequence.label(),
             "terms_used": self.terms_used,
-            "lo": format_rational(self.interval.lo),
-            "hi": format_rational(self.interval.hi),
+            "lo": self.lo_text,
+            "hi": self.hi_text,
             "digits": self.digits.text,
             "verified_digits": self.digits.verified,
             "boundary": self.digits.boundary,
@@ -202,20 +236,16 @@ def enclose(spec: SequenceSpec, terms_used: int, max_digits: int | None = None) 
         ) from exc
     _check_terms(terms)
     running_product, numerator = _series(terms[:terms_used])
-    lo_numerator = numerator + terms[terms_used]
-    interval = RationalInterval(
-        Fraction(lo_numerator, running_product),
-        Fraction(lo_numerator + 1, running_product),
-    )
     if max_digits is None:
         max_digits = max(1, decimal_length(running_product))
+    _check_max_digits(max_digits)
     return ConstantEnclosure(
         sequence=spec,
         terms_used=terms_used,
         series_numerator=numerator,
+        lo_numerator=numerator + terms[terms_used],
         product=running_product,
-        interval=interval,
-        digits=to_decimal(interval, max_digits),
+        max_digits=max_digits,
     )
 
 
@@ -239,12 +269,19 @@ def _first_reaching(values: list[int], running: int, threshold: int) -> tuple[in
     if total < threshold:
         return None, total
     index = 0
+    threshold_bits = threshold.bit_length()
     for level in reversed(levels[:-1]):
         index *= 2
-        # The right child exists whenever the left one falls short.
-        if running * level[index] < threshold:
-            running *= level[index]
-            index += 1
+        node = level[index]
+        # With b the sum of the two bit lengths, running * node >= 2**(b - 2),
+        # which exceeds the threshold once b - 2 >= threshold_bits; only a
+        # product that may fall short is formed.  The right child exists
+        # whenever the left one falls short.
+        if running.bit_length() + node.bit_length() - 2 < threshold_bits:
+            extended = running * node
+            if extended < threshold:
+                running = extended
+                index += 1
     count = index * _TREE_THRESHOLD
     for value in values[count:]:
         count += 1

@@ -1,12 +1,14 @@
 """Exact rational intervals with verified decimal rendering.
 
-Every quantity in this package is a `fractions.Fraction` (arbitrary
+At the API edges every quantity is a `fractions.Fraction` (arbitrary
 precision, always in lowest terms with a positive denominator).  A
 `RationalInterval` is a closed interval with rational endpoints, used as a
 rigorous enclosure of a real number: each operation returns an interval
 that contains the image of every point of its operand, with no rounding
 anywhere.  Decimal output is by truncation, and only digits shared by the
-entire interval are reported as verified.
+entire interval are reported as verified.  An enclosure [L/P, (L+1)/P] of
+integers, the form `constant.enclose` builds, is rendered from L and P
+directly by `_EnclosureText`, without forming a `Fraction`.
 
 Rendering is exact at every size.  Small integers go through `str()` and
 int `//`, whose cost grows with the square of the digit count.  Above
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -301,25 +304,42 @@ def to_decimal(interval: RationalInterval, max_digits: int) -> DecimalDigits:
     the integer parts already disagree the result is flagged as a boundary
     case with zero verified digits.
     """
-    if not isinstance(max_digits, int) or isinstance(max_digits, bool):
-        raise TypeError("max_digits must be int")
-    if max_digits < 1:
-        raise InvalidArgument(f"max_digits must be >= 1, got {max_digits}")
+    _check_max_digits(max_digits)
     if interval.lo <= 0:
         raise NonPositiveInterval(
             f"decimal rendering requires a strictly positive interval, got lo={interval.lo}"
         )
-    lo_text = _scaled_floor_text(interval.lo, max_digits).zfill(max_digits + 1)
-    hi_text = _scaled_floor_text(interval.hi, max_digits).zfill(max_digits + 1)
+    return _shared_digits(
+        _scaled_floor_text(interval.lo, max_digits),
+        _scaled_floor_text(interval.hi, max_digits),
+        max_digits,
+    )
+
+
+def _check_max_digits(max_digits: int) -> None:
+    if not isinstance(max_digits, int) or isinstance(max_digits, bool):
+        raise TypeError("max_digits must be int")
+    if max_digits < 1:
+        raise InvalidArgument(f"max_digits must be >= 1, got {max_digits}")
+
+
+def _shared_digits(lo_text: str, hi_text: str, max_digits: int) -> DecimalDigits:
+    """The digits shared by two truncations, given as the text of floor(x * 10**max_digits)."""
+    lo_text = lo_text.zfill(max_digits + 1)
+    hi_text = hi_text.zfill(max_digits + 1)
     integer_len = len(lo_text) - max_digits
     if len(hi_text) != len(lo_text):
         # The magnitudes differ, so not even the integer part is shared.
         return DecimalDigits(lo_text[:integer_len], "", 0, True)
-    shared = 0
-    for a, b in zip(lo_text, hi_text):
-        if a != b:
-            break
-        shared += 1
+    # The longest shared prefix, by bisection on slice equality, which
+    # compares at C speed.
+    shared, differs = 0, len(lo_text) + 1
+    while differs - shared > 1:
+        middle = (shared + differs) // 2
+        if lo_text[:middle] == hi_text[:middle]:
+            shared = middle
+        else:
+            differs = middle
     if shared < integer_len:
         return DecimalDigits(lo_text[:integer_len], "", 0, True)
     return DecimalDigits(
@@ -328,6 +348,67 @@ def to_decimal(interval: RationalInterval, max_digits: int) -> DecimalDigits:
         shared - integer_len,
         False,
     )
+
+
+class _Ints:
+    """The `_EXACT` methods that `_EnclosureText` calls, on plain ints."""
+
+    add = staticmethod(operator.add)
+    divmod = staticmethod(divmod)
+    divide_int = staticmethod(operator.floordiv)
+
+    @staticmethod
+    def scaleb(n: int, digits: int) -> int:
+        return n * 10**digits
+
+
+class _EnclosureText:
+    """Decimal digits and text of the enclosure [L/P, (L+1)/P], for integers L, P >= 1.
+
+    L and P are converted once each.  When L or the scaled floor is wider
+    than `_DECIMAL_PATH_BITS`, they become Decimals by `_exact_decimal` and
+    every later operation runs in `_EXACT`; otherwise they stay ints and
+    `str()` renders them.  One divmod, q, r = divmod(L * 10**d, P), gives
+    both truncations, since floor((L + 1) * 10**d / P) = q + (r + 10**d) // P.
+    The lowest-terms endpoints divide the converted L, L + 1 and P exactly
+    by gcd(L, P) and gcd(L + 1, P); each gcd is computed when its endpoint
+    is asked for.
+    """
+
+    def __init__(self, lo_numerator: int, denominator: int, max_digits: int) -> None:
+        self._lo_numerator, self._denominator = lo_numerator, denominator
+        quotient_bits = lo_numerator.bit_length() - denominator.bit_length() + max_digits * _LOG2_10
+        if max(lo_numerator.bit_length(), quotient_bits) > _DECIMAL_PATH_BITS:
+            self._arith, self._convert = _EXACT, _exact_decimal
+        else:
+            self._arith, self._convert = _Ints, int
+        arith = self._arith
+        self._lo = self._convert(lo_numerator)
+        self._den = self._convert(denominator)
+        quotient, remainder = arith.divmod(arith.scaleb(self._lo, max_digits), self._den)
+        carry = arith.divide_int(arith.add(remainder, arith.scaleb(1, max_digits)), self._den)
+        self.digits = _shared_digits(str(quotient), str(arith.add(quotient, carry)), max_digits)
+
+    def lo(self) -> str:
+        """L/P in lowest terms, as `format_rational` renders it."""
+        return self._lowest_terms(self._lo, math.gcd(self._lo_numerator, self._denominator))
+
+    def hi(self) -> str:
+        """(L + 1)/P in lowest terms, as `format_rational` renders it."""
+        numerator = self._arith.add(self._lo, 1)
+        return self._lowest_terms(numerator, math.gcd(self._lo_numerator + 1, self._denominator))
+
+    def width(self) -> str:
+        """The width 1/P."""
+        return "1/" + str(self._den)
+
+    def _lowest_terms(self, numerator, divisor: int) -> str:
+        denominator = self._den
+        if divisor > 1:
+            divisor = self._convert(divisor)
+            numerator = self._arith.divide_int(numerator, divisor)
+            denominator = self._arith.divide_int(denominator, divisor)
+        return str(numerator) + "/" + str(denominator)
 
 
 _DECIMAL_RE = re.compile(r"^(\d+)(?:\.(\d+))?$")

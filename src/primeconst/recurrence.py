@@ -249,8 +249,8 @@ def residuals(spec: SequenceSpec, terms_used: int, count: int | None = None) -> 
     certifies raises PrecisionExhausted, since uncertified residuals would
     prove nothing.
     """
-    enclosure = enclose(spec, terms_used)
-    run = recover(enclosure.interval, max_terms=terms_used)
+    interval = enclose(spec, terms_used).interval
+    run = recover(interval, max_terms=terms_used)
     certified = len(run.recovered)
     if count is None:
         count = certified
@@ -262,7 +262,7 @@ def residuals(spec: SequenceSpec, terms_used: int, count: int | None = None) -> 
             f"residuals, {count} requested; increase terms_used"
         )
     if count < certified:
-        run = recover(enclosure.interval, max_terms=count)
+        run = recover(interval, max_terms=count)
     return ResidualReport(
         sequence=spec,
         terms_used=terms_used,
@@ -304,8 +304,8 @@ def roundtrip(spec: SequenceSpec, terms_used: int, max_terms: int | None = None)
     flags prefixes where every growth step beyond the first hits the
     upper bound, the shape for which recovery necessarily stops at once.
     """
-    enclosure = enclose(spec, terms_used)
-    run = recover(enclosure.interval, max_terms=terms_used if max_terms is None else max_terms)
+    interval = enclose(spec, terms_used).interval
+    run = recover(interval, max_terms=terms_used if max_terms is None else max_terms)
     expected = spec.terms(len(run.recovered))
     for step, (got, want) in enumerate(zip(run.recovered, expected), start=1):
         if got != want:

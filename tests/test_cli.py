@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from primeconst import cli
+from primeconst import cli, exact_arith, recurrence
 from primeconst.constant import ConstantEnclosure
 from primeconst.exact_arith import RationalInterval, parse_rational
 from primeconst.recurrence import RecoveryResult, ResidualReport
@@ -386,6 +386,31 @@ class TestOnlyTheRequestedFormat:
         monkeypatch.setattr(ResidualReport, "to_json_dict", self.refuse)
         assert run_cli(["residuals", "--terms", "50"], capsys) == expected
         assert expected[0] == 0
+
+
+class TestRecoveryRendersNoDigits:
+    """`roundtrip` and `residuals` recover from the interval and never render its decimal digits."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("decimal digits were rendered")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["roundtrip", "--terms", "2590"],
+            ["roundtrip", "--terms", "30", "--format", "json"],
+            ["residuals", "--terms", "905", "--count", "10"],
+            ["residuals", "--terms", "50", "--format", "json"],
+        ],
+    )
+    def test_digits_are_not_rendered(self, capsys, monkeypatch, argv):
+        expected = run_cli(argv, capsys)
+        assert expected[0] == 0
+        for module in (cli, exact_arith, recurrence):
+            monkeypatch.setattr(module, "to_decimal", self.refuse, raising=False)
+        monkeypatch.setattr(ConstantEnclosure, "digits", property(self.refuse))
+        assert run_cli(argv, capsys) == expected
 
 
 class TestErrorMapping:

@@ -1,0 +1,225 @@
+"""The enclosure renderer against the lowest-terms Fraction rendering it replaced.
+
+`fraction_rendering` is the oracle.  It forms both endpoints of
+[L/P, (L+1)/P] as `Fraction`s, as `enclose` did before it carried L and P
+to the output, and renders them with `to_decimal` and `format_rational`,
+the functions the CLI called then.  L and P come from a one-term-at-a-time
+loop, and the term count for `--digits` from the one-term planning loop
+and the extension rule of `enclose_digits`.  `constant` output is compared
+with it byte for byte in text and JSON.
+"""
+
+import decimal
+import json
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from primeconst import cli, exact_arith
+from primeconst.constant import enclose, enclose_digits
+from primeconst.exact_arith import RationalInterval, format_rational, to_decimal
+from primeconst.sequences import ExplicitExhausted, SequenceSpec
+
+SWITCH_BITS = exact_arith._DECIMAL_PATH_BITS
+
+ALL_BUILTINS = [
+    SequenceSpec.primes(),
+    SequenceSpec.naturals(),
+    SequenceSpec.doubling(),
+    SequenceSpec.boundary(),
+]
+
+
+def lo_numerator_and_product(terms):
+    """(L, P) of the enclosure from a_1..a_{N+1}: P = a_1 * ... * a_N, L / P = g_N + a_{N+1} / P."""
+    *head, lookahead = terms
+    numerator, denominator = 0, 1
+    for a in head:
+        numerator, denominator = (numerator + a - 1) * a, denominator * a
+    return numerator + lookahead, denominator
+
+
+def fraction_rendering(terms, max_digits):
+    """Digits and text of the enclosure from a_1..a_{N+1}, through lowest-terms Fractions."""
+    lo_numerator, denominator = lo_numerator_and_product(terms)
+    lo = Fraction(lo_numerator, denominator)
+    hi = Fraction(lo_numerator + 1, denominator)
+    interval = RationalInterval(lo, hi)
+    return {
+        "interval": interval,
+        "digits": to_decimal(interval, max_digits),
+        "lo": format_rational(lo),
+        "hi": format_rational(hi),
+        "width": format_rational(hi - lo),
+    }
+
+
+def oracle_terms_for_digits(spec, digits, cap):
+    """The term count `enclose_digits` settles on, planned and extended one term at a time."""
+    threshold = 10 ** (digits + 2)
+    count, running = 0, 1
+    while running < threshold:
+        count += 1
+        running *= spec.term(count)
+    while True:
+        shown = fraction_rendering(spec.terms(count + 1), cap)["digits"]
+        if shown.verified >= min(digits, cap) or shown.boundary:
+            return count
+        try:
+            spec.terms(count + 2)
+        except ExplicitExhausted:
+            return count
+        count += 1
+
+
+def fraction_constant_output(spec, argv_terms, digits, max_digits, output_format):
+    """stdout of `constant` as the Fraction rendering gives it."""
+    if digits is not None:
+        cap = digits if max_digits is None else max_digits
+        terms_used = oracle_terms_for_digits(spec, digits, cap)
+    else:
+        terms_used = argv_terms
+        cap = max_digits
+    terms = spec.terms(terms_used + 1)
+    if cap is None:
+        cap = max(1, len(str(lo_numerator_and_product(terms)[1])))
+    shown = fraction_rendering(terms, cap)
+    if output_format == "json":
+        document = {
+            "sequence": spec.label(),
+            "terms_used": terms_used,
+            "lo": shown["lo"],
+            "hi": shown["hi"],
+            "digits": shown["digits"].text,
+            "verified_digits": shown["digits"].verified,
+            "boundary": shown["digits"].boundary,
+        }
+        return json.dumps(document, indent=2) + "\n"
+    lines = [
+        shown["digits"].text,
+        f"sequence: {spec}",
+        f"terms_used: {terms_used}",
+        f"lo: {shown['lo']}",
+        f"hi: {shown['hi']}",
+        f"width: {shown['width']}",
+        f"verified_digits: {shown['digits'].verified}",
+        f"boundary: {str(shown['digits'].boundary).lower()}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def run_constant(capsys, spec_name, *, terms=None, digits=None, max_digits=None, output_format="text"):
+    argv = ["constant", "--sequence", spec_name, "--format", output_format]
+    argv += ["--terms", str(terms)] if terms is not None else ["--digits", str(digits)]
+    if max_digits is not None:
+        argv += ["--max-digits", str(max_digits)]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    return captured.out
+
+
+def assert_enclosure_matches(enclosure):
+    terms = enclosure.sequence.terms(enclosure.terms_used + 1)
+    expected = fraction_rendering(terms, enclosure.max_digits)
+    assert enclosure.interval == expected["interval"]
+    assert enclosure.digits == expected["digits"]
+    assert enclosure.lo_text == expected["lo"]
+    assert enclosure.hi_text == expected["hi"]
+    assert enclosure.width_text == expected["width"]
+
+
+class TestConstantOutput:
+    """`constant` text and JSON against the Fraction rendering."""
+
+    # 9000 digits put P below the decimal switch, 11000 above it.
+    @pytest.mark.parametrize("digits", [1, 2, 14, 100, 399, 9_000, 11_000])
+    @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=str)
+    @pytest.mark.parametrize("output_format", ["text", "json"])
+    def test_digits(self, capsys, spec, digits, output_format):
+        expected = fraction_constant_output(spec, None, digits, None, output_format)
+        assert run_constant(capsys, spec.label(), digits=digits, output_format=output_format) == expected
+
+    @pytest.mark.parametrize(
+        "terms, max_digits",
+        # Small P with a scaled floor past the switch, and the reverse.
+        [(1, None), (5, None), (40, 7), (5, 12_000), (3_000, 3), (3_000, None)],
+    )
+    @pytest.mark.parametrize("spec", ALL_BUILTINS[:2], ids=str)
+    @pytest.mark.parametrize("output_format", ["text", "json"])
+    def test_terms_and_caps(self, capsys, spec, terms, max_digits, output_format):
+        expected = fraction_constant_output(spec, terms, None, max_digits, output_format)
+        actual = run_constant(capsys, spec.label(), terms=terms, max_digits=max_digits, output_format=output_format)
+        assert actual == expected
+
+    @pytest.mark.parametrize("digits, max_digits", [(50, 10), (100, 20_000), (12_000, 60)])
+    def test_digits_with_a_cap(self, capsys, digits, max_digits):
+        expected = fraction_constant_output(SequenceSpec.primes(), None, digits, max_digits, "text")
+        assert run_constant(capsys, "primes", digits=digits, max_digits=max_digits) == expected
+
+    def test_sizes_cover_both_sides_of_the_switch(self):
+        bits = [enclose_digits(SequenceSpec.primes(), d).product.bit_length() for d in (9_000, 11_000)]
+        assert bits[0] < SWITCH_BITS < bits[1]
+
+
+class TestGcdCases:
+    """Endpoints whose lowest terms need a division, checked to be such cases first."""
+
+    @staticmethod
+    def gcds(enclosure):
+        lo_numerator, denominator = enclosure.lo_numerator, enclosure.product
+        return math.gcd(lo_numerator, denominator), math.gcd(lo_numerator + 1, denominator)
+
+    def test_both_gcds_above_one(self):
+        enclosure = enclose_digits(SequenceSpec.naturals(), 100)
+        assert self.gcds(enclosure) == (5, 946)
+        assert_enclosure_matches(enclosure)
+
+    @pytest.mark.parametrize("digits, gcd_digits", [(100, 16), (9_000, 147), (11_000, 163)])
+    def test_large_lo_gcd(self, digits, gcd_digits):
+        enclosure = enclose_digits(SequenceSpec.doubling(), digits)
+        assert len(str(self.gcds(enclosure)[0])) == gcd_digits
+        assert_enclosure_matches(enclosure)
+
+    @pytest.mark.parametrize("digits", [1, 100, 9_000, 11_000])
+    def test_hi_gcd_is_the_product(self, digits):
+        enclosure = enclose_digits(SequenceSpec.boundary(), digits)
+        assert self.gcds(enclosure)[1] == enclosure.product
+        assert enclosure.hi_text == "3/1"
+        assert_enclosure_matches(enclosure)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    start=st.integers(min_value=2, max_value=10**6),
+    seeds=st.lists(st.integers(min_value=0, max_value=2**64), min_size=1, max_size=60),
+    terms_used=st.integers(min_value=1, max_value=60),
+    max_digits=st.one_of(st.none(), st.integers(min_value=1, max_value=400)),
+)
+def test_explicit_sequences(start, seeds, terms_used, max_digits):
+    # Admissible: a_{k+1} is drawn from [a_k + 1, 2 * a_k - 1].
+    terms = [start]
+    for seed in seeds:
+        a = terms[-1]
+        terms.append(a + 1 + seed % (a - 1))
+    spec = SequenceSpec.explicit(terms)
+    assert_enclosure_matches(enclose(spec, min(terms_used, len(terms) - 1), max_digits))
+
+
+class TestExactness:
+    def test_output_ignores_the_current_decimal_context(self, capsys):
+        expected = fraction_constant_output(SequenceSpec.primes(), None, 20_000, None, "text")
+        with decimal.localcontext() as context:
+            context.prec = 5
+            context.clear_traps()
+            before = (context.prec, context.rounding, context.Emin, context.Emax,
+                      context.capitals, context.clamp, dict(context.traps), dict(context.flags))
+            actual = run_constant(capsys, "primes", digits=20_000)
+            assert decimal.getcontext() is context
+            after = (context.prec, context.rounding, context.Emin, context.Emax,
+                     context.capitals, context.clamp, dict(context.traps), dict(context.flags))
+        assert after == before
+        assert actual == expected
+        assert enclose_digits(SequenceSpec.primes(), 20_000).product.bit_length() > SWITCH_BITS
