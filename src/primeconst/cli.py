@@ -304,6 +304,7 @@ def _cmd_residuals(args: argparse.Namespace) -> _Output:
     report = residuals(spec, args.terms, count=args.count)
 
     def text() -> str:
+        rows = report.residual_texts()
         min_upper = (
             "none" if report.min_upper is None else format_rational(report.min_upper)
         )
@@ -311,12 +312,12 @@ def _cmd_residuals(args: argparse.Namespace) -> _Output:
             f"sequence: {spec}",
             f"terms_used: {report.terms_used}",
             f"certified: {report.certified}",
-            f"count: {len(report.residual_intervals)}",
+            f"count: {len(rows)}",
             f"min_upper: {min_upper}",
             f"denominator_bound: {report.denominator_bound}",
         ]
-        for step, residual in enumerate(report.residual_intervals, start=1):
-            lines.append(f"residual {step}: {residual!r}")
+        for step, (lo, hi) in enumerate(rows, start=1):
+            lines.append(f"residual {step}: [{lo}, {hi}]")
         return "\n".join(lines)
 
     return text, report.to_json_dict, 0

@@ -38,7 +38,7 @@ from .exact_arith import (
     DecimalDigits,
     InvalidArgument,
     RationalInterval,
-    _check_max_digits,
+    _check_int,
     _EnclosureText,
     decimal_length,
     parse_rational,
@@ -226,8 +226,7 @@ def enclose(spec: SequenceSpec, terms_used: int, max_digits: int | None = None) 
     sized to the product, which is always enough to expose every digit the
     interval can certify.
     """
-    if terms_used < 1:
-        raise InvalidArgument(f"terms_used must be >= 1, got {terms_used}")
+    _check_int(terms_used, "terms_used", 1)
     try:
         terms = spec.terms(terms_used + 1)
     except ExplicitExhausted as exc:
@@ -238,7 +237,7 @@ def enclose(spec: SequenceSpec, terms_used: int, max_digits: int | None = None) 
     running_product, numerator = _series(terms[:terms_used])
     if max_digits is None:
         max_digits = max(1, decimal_length(running_product))
-    _check_max_digits(max_digits)
+    _check_int(max_digits, "max_digits", 1)
     return ConstantEnclosure(
         sequence=spec,
         terms_used=terms_used,

@@ -8,7 +8,9 @@ that contains the image of every point of its operand, with no rounding
 anywhere.  Decimal output is by truncation, and only digits shared by the
 entire interval are reported as verified.  An enclosure [L/P, (L+1)/P] of
 integers, the form `constant.enclose` builds, is rendered from L and P
-directly by `_EnclosureText`, without forming a `Fraction`.
+directly by `_EnclosureText`, without forming a `Fraction`.  The rows the
+floor recurrence prints, one per step, are stepped and rendered in lowest
+terms by `_LowestTerms`, in time linear in their digits.
 
 Rendering is exact at every size.  Small integers go through `str()` and
 int `//`, whose cost grows with the square of the digit count.  Above
@@ -304,7 +306,7 @@ def to_decimal(interval: RationalInterval, max_digits: int) -> DecimalDigits:
     the integer parts already disagree the result is flagged as a boundary
     case with zero verified digits.
     """
-    _check_max_digits(max_digits)
+    _check_int(max_digits, "max_digits", 1)
     if interval.lo <= 0:
         raise NonPositiveInterval(
             f"decimal rendering requires a strictly positive interval, got lo={interval.lo}"
@@ -316,11 +318,12 @@ def to_decimal(interval: RationalInterval, max_digits: int) -> DecimalDigits:
     )
 
 
-def _check_max_digits(max_digits: int) -> None:
-    if not isinstance(max_digits, int) or isinstance(max_digits, bool):
-        raise TypeError("max_digits must be int")
-    if max_digits < 1:
-        raise InvalidArgument(f"max_digits must be >= 1, got {max_digits}")
+def _check_int(value: int, name: str, minimum: int) -> None:
+    """Refuse a bool, a float or any other non-int, then an int below `minimum`."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be int, got {type(value).__name__}")
+    if value < minimum:
+        raise InvalidArgument(f"{name} must be >= {minimum}, got {value}")
 
 
 def _shared_digits(lo_text: str, hi_text: str, max_digits: int) -> DecimalDigits:
@@ -409,6 +412,40 @@ class _EnclosureText:
             numerator = self._arith.divide_int(numerator, divisor)
             denominator = self._arith.divide_int(denominator, divisor)
         return str(numerator) + "/" + str(denominator)
+
+
+class _LowestTerms:
+    """A rational n/q in lowest terms, stepped and printed in time linear in its digits.
+
+    n and q are exact Decimals in `_EXACT`.  If n/q is in lowest terms, so
+    is (n + c*q)/q for any integer c, and m * n/q reduces only by
+    g = gcd(m, q mod m), a gcd of two small ints.  So `add` costs a multiply
+    by a small int and an addition, `scale` a multiply by a small int, one
+    remainder by m and one exact division by g, and `str` reads the digits
+    off the Decimals.  The same steps on a Fraction pay full-size gcds, and
+    `format_rational` converts both ints from binary again on every call.
+    """
+
+    __slots__ = ("_numerator", "_denominator")
+
+    def __init__(self, value: Fraction) -> None:
+        self._numerator = _exact_decimal(value.numerator)
+        self._denominator = _exact_decimal(value.denominator)
+
+    def add(self, c: int) -> None:
+        """n/q += c."""
+        self._numerator = _EXACT.add(self._numerator, _EXACT.multiply(self._denominator, c))
+
+    def scale(self, m: int) -> None:
+        """n/q *= m, for an int m >= 1."""
+        divisor = math.gcd(m, int(_EXACT.remainder(self._denominator, m)))
+        self._numerator = _EXACT.multiply(self._numerator, m // divisor)
+        if divisor > 1:
+            self._denominator = _EXACT.divide_int(self._denominator, divisor)
+
+    def __str__(self) -> str:
+        """The value as `format_rational` renders it."""
+        return f"{self._numerator}/{self._denominator}"
 
 
 _DECIMAL_RE = re.compile(r"^(\d+)(?:\.(\d+))?$")

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 
 from .constant import enclose
-from .exact_arith import InvalidArgument, RationalInterval, format_rational
+from .exact_arith import InvalidArgument, RationalInterval, _check_int, _LowestTerms, format_rational
 from .sequences import SequenceSpec, validate_bertrand
 
 __all__ = [
@@ -117,7 +117,9 @@ class RecoveryResult:
     Only the terms, the starting enclosure, the stop reason and the
     smallest residual upper bound are stored; the per-step intervals,
     widths and residuals are derived from them on demand, so the result
-    stays the size of one enclosure however many steps ran.
+    stays the size of one enclosure however many steps ran.  The rows that
+    are printed, the residuals and the widths, are rendered by stepping
+    `_LowestTerms`, in time linear in the digits per row.
     """
 
     recovered: tuple[int, ...]
@@ -152,6 +154,28 @@ class RecoveryResult:
         """Enclosures of f_n - a_n for each certified step."""
         return [RationalInterval(lo - m, hi - m) for m, lo, hi in self._replay()]
 
+    def _residual_texts(self) -> list[tuple[str, str]]:
+        """format_rational of the ends of each residual interval."""
+        return list(zip(self._residual_column(self.start.lo), self._residual_column(self.start.hi)))
+
+    def _residual_column(self, endpoint: Fraction):
+        """format_rational(x_k - a_k), where x_k is `endpoint` after k - 1 steps."""
+        x = _LowestTerms(endpoint)
+        for m in self.recovered:
+            x.add(-m)
+            yield str(x)
+            x.add(1)
+            x.scale(m)
+
+    def _width_texts(self) -> list[str]:
+        """format_rational of each step width."""
+        width = _LowestTerms(self.start.width)
+        texts = []
+        for m in self.recovered:
+            texts.append(str(width))
+            width.scale(m)
+        return texts
+
     @property
     def denominator_bound(self) -> int | None:
         """Certified lower bound on the denominator of any rational value.
@@ -168,10 +192,15 @@ class RecoveryResult:
     def to_json_dict(self) -> dict:
         return {
             "recovered": list(self.recovered),
-            "widths": [format_rational(w) for w in self.step_widths],
+            "widths": self._width_texts(),
             "stop": self.stop.to_json_dict(),
             "denominator_bound": self.denominator_bound,
         }
+
+
+def _check_max_terms(max_terms: int) -> None:
+    if not isinstance(max_terms, int) or isinstance(max_terms, bool) or max_terms < 0:
+        raise InvalidArgument(f"max_terms must be a nonnegative integer, got {max_terms!r}")
 
 
 def recover(start: RationalInterval, max_terms: int) -> RecoveryResult:
@@ -184,11 +213,26 @@ def recover(start: RationalInterval, max_terms: int) -> RecoveryResult:
     from a valid enclosure.  The loop runs on integer numerators over a
     common denominator that the step keeps fixed, so no step pays for a gcd.
     """
-    if not isinstance(max_terms, int) or isinstance(max_terms, bool) or max_terms < 0:
-        raise InvalidArgument(f"max_terms must be a nonnegative integer, got {max_terms!r}")
+    _check_max_terms(max_terms)
     denominator = lcm(start.lo.denominator, start.hi.denominator)
-    lo = start.lo.numerator * (denominator // start.lo.denominator)
-    hi = start.hi.numerator * (denominator // start.hi.denominator)
+    recovered, stop, min_upper = _recover_numerators(
+        start.lo.numerator * (denominator // start.lo.denominator),
+        start.hi.numerator * (denominator // start.hi.denominator),
+        denominator,
+        max_terms,
+    )
+    return RecoveryResult(
+        recovered,
+        start,
+        stop,
+        None if min_upper is None else Fraction(min_upper, denominator),
+    )
+
+
+def _recover_numerators(
+    lo: int, hi: int, denominator: int, max_terms: int
+) -> tuple[tuple[int, ...], StopReason, int | None]:
+    """`recover` on [lo/denominator, hi/denominator]: the terms, the stop and the smallest residual upper numerator."""
     recovered: list[int] = []
     min_upper: int | None = None
     while True:
@@ -210,32 +254,46 @@ def recover(start: RationalInterval, max_terms: int) -> RecoveryResult:
         if min_upper is None or upper < min_upper:
             min_upper = upper
         lo, hi = _step(lo, m, denominator), _step(hi, m, denominator)
-    return RecoveryResult(
-        tuple(recovered),
-        start,
-        stop,
-        None if min_upper is None else Fraction(min_upper, denominator),
-    )
+    return tuple(recovered), stop, min_upper
 
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Residual enclosures and the denominator bound they certify."""
+    """Residual enclosures and the denominator bound they certify.
+
+    `run` recovers exactly the reported rows; the residual enclosures, their
+    smallest upper end and the bound are derived from it when read.
+    """
 
     sequence: SequenceSpec
     terms_used: int
     certified: int
-    residual_intervals: tuple[RationalInterval, ...]
-    min_upper: Fraction | None
-    denominator_bound: int | None
+    run: RecoveryResult
+
+    @property
+    def residual_intervals(self) -> tuple[RationalInterval, ...]:
+        return tuple(self.run.residual_intervals)
+
+    @property
+    def min_upper(self) -> Fraction | None:
+        return self.run.min_residual_upper
+
+    @property
+    def denominator_bound(self) -> int | None:
+        return self.run.denominator_bound
+
+    def residual_texts(self) -> list[tuple[str, str]]:
+        """The ends of each residual enclosure, as `format_rational` renders them."""
+        return self.run._residual_texts()
 
     def to_json_dict(self) -> dict:
+        rows = self.residual_texts()
         return {
             "sequence": self.sequence.label(),
             "terms_used": self.terms_used,
             "certified": self.certified,
-            "count": len(self.residual_intervals),
-            "residuals": [list(r.to_pair()) for r in self.residual_intervals],
+            "count": len(rows),
+            "residuals": [list(row) for row in rows],
             "min_upper": None if self.min_upper is None else format_rational(self.min_upper),
             "denominator_bound": self.denominator_bound,
         }
@@ -250,12 +308,12 @@ def residuals(spec: SequenceSpec, terms_used: int, count: int | None = None) -> 
     prove nothing.
     """
     interval = enclose(spec, terms_used).interval
+    if count is not None:
+        _check_int(count, "count", 0)
     run = recover(interval, max_terms=terms_used)
     certified = len(run.recovered)
     if count is None:
         count = certified
-    if count < 0:
-        raise InvalidArgument(f"count must be >= 0, got {count}")
     if count > certified:
         raise PrecisionExhausted(
             f"enclosure from {terms_used} terms certifies only {certified} "
@@ -263,14 +321,7 @@ def residuals(spec: SequenceSpec, terms_used: int, count: int | None = None) -> 
         )
     if count < certified:
         run = recover(interval, max_terms=count)
-    return ResidualReport(
-        sequence=spec,
-        terms_used=terms_used,
-        certified=certified,
-        residual_intervals=tuple(run.residual_intervals),
-        min_upper=run.min_residual_upper,
-        denominator_bound=run.denominator_bound,
-    )
+    return ResidualReport(sequence=spec, terms_used=terms_used, certified=certified, run=run)
 
 
 @dataclass(frozen=True)
@@ -303,19 +354,25 @@ def roundtrip(spec: SequenceSpec, terms_used: int, max_terms: int | None = None)
     term; any disagreement raises MismatchDetected.  `degenerate_tail`
     flags prefixes where every growth step beyond the first hits the
     upper bound, the shape for which recovery necessarily stops at once.
+    The enclosure [L/P, (L+1)/P] goes to the recurrence as its integers,
+    with no gcd.
     """
-    interval = enclose(spec, terms_used).interval
-    run = recover(interval, max_terms=terms_used if max_terms is None else max_terms)
-    expected = spec.terms(len(run.recovered))
-    for step, (got, want) in enumerate(zip(run.recovered, expected), start=1):
+    enclosure = enclose(spec, terms_used)
+    if max_terms is None:
+        max_terms = terms_used
+    _check_max_terms(max_terms)
+    lo = enclosure.lo_numerator
+    recovered, stop, _ = _recover_numerators(lo, lo + 1, enclosure.product, max_terms)
+    expected = spec.terms(len(recovered))
+    for step, (got, want) in enumerate(zip(recovered, expected), start=1):
         if got != want:
             raise MismatchDetected(step, got, want)
     report = validate_bertrand(spec.terms(terms_used + 1))
     return RoundtripReport(
         sequence=spec,
         terms_used=terms_used,
-        recovered=run.recovered,
-        match_length=len(run.recovered),
-        stop=run.stop,
+        recovered=recovered,
+        match_length=len(recovered),
+        stop=stop,
         degenerate_tail=report.all_tail_equalities,
     )

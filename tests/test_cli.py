@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import decimal
 import json
 import math
 import re
@@ -411,6 +412,50 @@ class TestRecoveryRendersNoDigits:
             monkeypatch.setattr(module, "to_decimal", self.refuse, raising=False)
         monkeypatch.setattr(ConstantEnclosure, "digits", property(self.refuse))
         assert run_cli(argv, capsys) == expected
+
+
+class TestRowsSkipTheFractionReplay:
+    """Residual rows and step widths are printed from the stepper, never from the Fraction replay."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Fraction replay was used")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["residuals", "--terms", "50"],
+            ["residuals", "--terms", "50", "--format", "json"],
+            ["residuals", "--terms", "905", "--count", "10", "--format", "json"],
+            ["residuals", "--sequence", "naturals", "--terms", "20", "--count", "7"],
+            ["recover", "--value", "2.920050977316", "--format", "json"],
+            ["recover", "--value", "3.0", "--format", "json"],
+        ],
+    )
+    def test_rows_are_printed_without_the_replay(self, capsys, monkeypatch, argv):
+        expected = run_cli(argv, capsys)
+        assert expected[0] == 0
+        monkeypatch.setattr(RecoveryResult, "_replay", self.refuse)
+        for name in ("residual_intervals", "step_widths"):
+            monkeypatch.setattr(RecoveryResult, name, property(self.refuse))
+        assert run_cli(argv, capsys) == expected
+
+    def test_output_ignores_the_current_decimal_context(self, capsys):
+        argv = ["residuals", "--terms", "905", "--format", "json"]
+        expected = run_cli(argv, capsys)
+        assert expected[0] == 0
+        with decimal.localcontext() as context:
+            context.prec = 5
+            context.clear_traps()
+            before = (context.prec, context.rounding, context.Emin, context.Emax,
+                      context.capitals, context.clamp, dict(context.traps), dict(context.flags))
+            actual = run_cli(argv, capsys)
+            assert decimal.getcontext() is context
+            after = (context.prec, context.rounding, context.Emin, context.Emax,
+                     context.capitals, context.clamp, dict(context.traps), dict(context.flags))
+        assert after == before
+        assert actual == expected
+        assert len(json.loads(actual[1])["residuals"]) == 905
 
 
 class TestErrorMapping:

@@ -222,6 +222,13 @@ class TestEnclose:
         with pytest.raises(ValueError):
             enclose(SequenceSpec.primes(), 0)
 
+    @pytest.mark.parametrize("terms_used", [True, 3.0, 12.0, "3"])
+    def test_rejects_non_int_terms_used(self, terms_used):
+        # True would pass as a 1-term enclosure, and a float would fail
+        # later, slicing the term list.
+        with pytest.raises(TypeError, match="terms_used must be int"):
+            enclose(SequenceSpec.primes(), terms_used)
+
     def test_insufficient_terms(self):
         with pytest.raises(InsufficientTerms):
             enclose(SequenceSpec.explicit([2, 3]), 2)

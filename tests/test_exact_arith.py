@@ -337,6 +337,44 @@ class TestDecimalLength:
             decimal_length(-1)
 
 
+class TestLowestTerms:
+    """The row stepper against the same steps on a Fraction, printed by format_rational."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        start=st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**40),
+        steps=st.lists(
+            st.tuples(
+                st.integers(-(10**25), 10**25),
+                # Past 10**19, a term no longer fits one word of the decimal module.
+                st.one_of(st.integers(1, 60), st.integers(1, 10**30), st.sampled_from((10**19, 10**19 + 1, 2**64))),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_matches_fraction_steps(self, start, steps):
+        stepper, value = exact_arith._LowestTerms(start), start
+        assert str(stepper) == format_rational(value)
+        for c, m in steps:
+            stepper.add(c)
+            value += c
+            assert str(stepper) == format_rational(value)
+            stepper.scale(m)
+            value *= m
+            assert str(stepper) == format_rational(value)
+
+    def test_large_operands(self):
+        start = enclose(SequenceSpec.primes(), 5300).interval.lo
+        assert start.denominator.bit_length() > 2 * SWITCH_BITS
+        stepper, value = exact_arith._LowestTerms(start), start
+        for m in (2, 3, 6, 10**20 + 7, 7919):
+            stepper.add(-m)
+            value -= m
+            stepper.scale(m)
+            value *= m
+        assert str(stepper) == format_rational(value)
+
+
 class TestExactnessGuard:
     @staticmethod
     def snapshot():

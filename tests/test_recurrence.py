@@ -1,5 +1,6 @@
 """Tests for floor-recurrence recovery, residuals, and denominator bounds."""
 
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -7,8 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primeconst.constant import enclose, enclose_digits
-from primeconst.exact_arith import RationalInterval, parse_decimal
+from primeconst import cli
+from primeconst.constant import ConstantEnclosure, enclose, enclose_digits
+from primeconst.exact_arith import InvalidArgument, RationalInterval, format_rational, parse_decimal
 from primeconst.recurrence import (
     FloorBelowTwo,
     PrecisionExhausted,
@@ -71,7 +73,21 @@ def fraction_recover(start, max_terms):
     }
 
 
+def oracle_row_texts(expected):
+    """The rows `residuals` and `recover --format json` print, rendered the direct way.
+
+    `expected` is a `fraction_recover` result: each residual interval and
+    width is a lowest-terms Fraction from the replay, printed by
+    `format_rational`.
+    """
+    return (
+        [(format_rational(r.lo), format_rational(r.hi)) for r in expected["residual_intervals"]],
+        [format_rational(w) for w in expected["step_widths"]],
+    )
+
+
 def assert_matches_oracle(start, max_terms):
+    """Every RecoveryResult field, and the row and width texts, against `fraction_recover`."""
     try:
         expected = fraction_recover(start, max_terms)
     except FloorBelowTwo as oracle_error:
@@ -84,6 +100,9 @@ def assert_matches_oracle(start, max_terms):
         return None
     run = recover(start, max_terms)
     assert {name: getattr(run, name) for name in expected} == expected
+    residual_rows, widths = oracle_row_texts(expected)
+    assert run._residual_texts() == residual_rows
+    assert run.to_json_dict()["widths"] == widths
     return run
 
 
@@ -205,11 +224,42 @@ def start_intervals(draw):
     return RationalInterval(lo, lo + draw(st.fractions(min_value=0, max_value=3, max_denominator=10**6)))
 
 
+@st.composite
+def lowest_terms_edge_intervals(draw):
+    """Intervals whose rows test the lowest-terms stepper: integer endpoints
+    (rows 0/1), points, and endpoints a +- 1/q or a over q = 10^k - 1, 10^k,
+    10^k + 1, which run many steps before the width reaches 1."""
+    a = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        width = draw(st.sampled_from((Fraction(0), Fraction(1, draw(st.integers(1, 10**30))))))
+        return draw(st.sampled_from((RationalInterval(a, a + width), RationalInterval(a - width, a))))
+    k = draw(st.integers(1, 60))
+
+    def endpoint():
+        denominator = 10**k + draw(st.integers(-1, 1))
+        return Fraction(a * denominator + draw(st.integers(-1, 1)), denominator)
+
+    lo, hi = sorted((endpoint(), endpoint()))
+    return RationalInterval(lo, hi)
+
+
 class TestAgainstFractionOracle:
     @settings(max_examples=300, deadline=None)
     @given(start=start_intervals(), max_terms=st.integers(min_value=0, max_value=80))
     def test_random_intervals(self, start, max_terms):
         assert_matches_oracle(start, max_terms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(start=lowest_terms_edge_intervals(), max_terms=st.integers(min_value=0, max_value=80))
+    def test_lowest_terms_edge_intervals(self, start, max_terms):
+        assert_matches_oracle(start, max_terms)
+
+    def test_integer_point_rows(self):
+        run = assert_matches_oracle(iv(3, 3), 2)
+        assert run._residual_texts() == [("0/1", "0/1"), ("0/1", "0/1")]
+        assert run.to_json_dict()["widths"] == ["0/1", "0/1"]
+        run = assert_matches_oracle(parse_decimal("3.0"), 10)
+        assert run._residual_texts() == [("0/1", "1/10"), ("0/1", "3/10"), ("0/1", "9/10")]
 
     def test_stop_kinds_each_reached(self):
         assert_matches_oracle(iv((5, 2), 3), 10)
@@ -283,6 +333,17 @@ class TestResiduals:
         with pytest.raises(PrecisionExhausted):
             residuals(SequenceSpec.primes(), 15, count=16)
 
+    @pytest.mark.parametrize("count", [12.0, True, False, "3"])
+    def test_rejects_non_int_count(self, count):
+        # 12.0 and True would pass every comparison with an int count.
+        with pytest.raises(TypeError, match="count must be int"):
+            residuals(SequenceSpec.primes(), 12, count=count)
+
+    @pytest.mark.parametrize("terms_used", [12.0, True])
+    def test_rejects_non_int_terms_used(self, terms_used):
+        with pytest.raises(TypeError, match="terms_used must be int"):
+            residuals(SequenceSpec.primes(), terms_used)
+
     def test_boundary_certifies_nothing(self):
         report = residuals(SequenceSpec.boundary(), 10)
         assert report.certified == 0
@@ -327,6 +388,35 @@ class TestRoundtrip:
         assert report.match_length == 4
         assert report.stop.kind == "max_terms"
 
+    @pytest.mark.parametrize("terms_used", [12.0, True])
+    def test_rejects_non_int_terms_used(self, terms_used):
+        with pytest.raises(TypeError, match="terms_used must be int"):
+            roundtrip(SequenceSpec.primes(), terms_used)
+
+    @pytest.mark.parametrize("max_terms", [4.0, True, -1])
+    def test_rejects_bad_max_terms(self, max_terms):
+        with pytest.raises(InvalidArgument, match="max_terms must be a nonnegative integer"):
+            roundtrip(SequenceSpec.primes(), 10, max_terms=max_terms)
+
+    @pytest.mark.parametrize(
+        "spec", [SequenceSpec.primes(), SequenceSpec.naturals(), SequenceSpec.doubling(), SequenceSpec.boundary()], ids=str
+    )
+    @pytest.mark.parametrize("terms_used", [1, 2, 7, 60])
+    @pytest.mark.parametrize("max_terms", [None, 0, 3])
+    def test_integer_enclosure_recovers_as_the_interval(self, spec, terms_used, max_terms, monkeypatch):
+        interval = enclose(spec, terms_used).interval
+        run = recover(interval, terms_used if max_terms is None else max_terms)
+        # The integers L, L + 1 and P go to the recurrence: no lowest-terms
+        # interval is formed and `recover`, its API edge, is not called.
+        monkeypatch.setattr(ConstantEnclosure, "interval", property(self.refuse))
+        monkeypatch.setattr("primeconst.recurrence.recover", self.refuse)
+        report = roundtrip(spec, terms_used, max_terms=max_terms)
+        assert (report.recovered, report.stop) == (run.recovered, run.stop)
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("roundtrip went through the lowest-terms interval")
+
     def test_boundary_stops_degenerately(self):
         report = roundtrip(SequenceSpec.boundary(), 10)
         assert report.match_length == 0
@@ -341,6 +431,55 @@ class TestRoundtrip:
         assert doc["mismatches"] == 0
         assert doc["degenerate_tail"] is False
         assert doc["stop"]["kind"] == "max_terms"
+
+
+SEQUENCE_FILE_TERMS = [2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584]
+
+
+class TestPrintedRows:
+    """`residuals` rows in text and JSON against the Fraction replay, on every kind of sequence."""
+
+    @pytest.fixture
+    def sequence_flags(self, request, tmp_path):
+        if request.param != "file":
+            return ["--sequence", request.param], SequenceSpec.from_name(request.param)
+        path = tmp_path / "seq.txt"
+        path.write_text("# Fibonacci from 2\n" + "\n".join(map(str, SEQUENCE_FILE_TERMS)) + "\n")
+        return ["--sequence-file", str(path)], SequenceSpec.explicit(SEQUENCE_FILE_TERMS)
+
+    @pytest.mark.parametrize(
+        "sequence_flags", ["primes", "naturals", "doubling", "boundary", "file"], indirect=True
+    )
+    @pytest.mark.parametrize("terms_used", [1, 2, 5, 14])
+    @pytest.mark.parametrize("count", [None, 0, 1, 3])
+    def test_rows_match_the_fraction_replay(self, capsys, sequence_flags, terms_used, count):
+        flags, spec = sequence_flags
+        expected = fraction_recover(enclose(spec, terms_used).interval, terms_used)
+        rows, _ = oracle_row_texts(expected)
+        if count is not None:
+            if count > len(rows):
+                return
+            rows = rows[:count]
+        argv = ["residuals", *flags, "--terms", str(terms_used)]
+        if count is not None:
+            argv += ["--count", str(count)]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"count: {len(rows)}" in lines
+        assert [line for line in lines if line.startswith("residual ")] == [
+            f"residual {step}: [{lo}, {hi}]" for step, (lo, hi) in enumerate(rows, start=1)
+        ]
+        assert cli.main(argv + ["--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["count"], doc["residuals"]) == (len(rows), [list(row) for row in rows])
+
+    def test_count_prefixes_of_nine_hundred_rows(self):
+        expected = fraction_recover(enclose(SequenceSpec.primes(), 905).interval, 905)
+        rows, _ = oracle_row_texts(expected)
+        for count in (0, 1, 2, 10, 450, 904, 905):
+            report = residuals(SequenceSpec.primes(), 905, count=count)
+            assert report.residual_texts() == rows[:count]
+            assert report.residual_intervals == tuple(expected["residual_intervals"][:count])
 
 
 @settings(max_examples=30, deadline=None)
