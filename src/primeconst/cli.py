@@ -445,7 +445,19 @@ def main(argv: list[str] | None = None) -> int:
     handler = _HANDLERS[args.command]
     try:
         text, doc, code = handler(args)
-        payload = json.dumps(doc(), indent=2) if args.format == "json" else text()
+        # A recovered term, a denominator bound, a straddled floor and an
+        # explicit term can be longer than the interpreter's int-to-text
+        # limit (4300 digits by default), and json.dumps writes an int only
+        # through int.__repr__, which obeys it.  So the limit is lifted only
+        # while the payload is rendered.  Python 3.10 before 3.10.7 has none.
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            payload = json.dumps(doc(), indent=2) if args.format == "json" else text()
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
         if args.out:
             Path(args.out).write_text(payload + "\n", encoding="utf-8")
         else:

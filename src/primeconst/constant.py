@@ -36,7 +36,6 @@ from functools import cached_property
 
 from .exact_arith import (
     DecimalDigits,
-    InvalidArgument,
     RationalInterval,
     _check_int,
     _EnclosureText,
@@ -305,8 +304,7 @@ def plan_terms(spec: SequenceSpec, digits: int) -> int:
     product carries P past the threshold.  An explicit sequence that runs
     out first raises ExplicitExhausted for the term after its last.
     """
-    if digits < 1:
-        raise InvalidArgument(f"digits must be >= 1, got {digits}")
+    _check_int(digits, "digits", 1)
     threshold = 10 ** (digits + 2)
     available = len(spec.explicit_terms) if spec.kind is SequenceKind.EXPLICIT else None
     running, start, size = 1, 0, _TREE_THRESHOLD

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_arith import InvalidArgument
+from .exact_arith import InvalidArgument, _check_int
 from .sequences import _SHARED_SIEVE, smallest_nondividing_prime
 
 __all__ = [
@@ -72,8 +72,7 @@ class NonDivisorDistribution:
 
 def nondivisor_distribution(rows: int) -> NonDivisorDistribution:
     """Exact distribution rows for the first `rows` primes."""
-    if rows < 1:
-        raise ValueError(f"rows must be >= 1, got {rows}")
+    _check_int(rows, "rows", 1)
     primes = _SHARED_SIEVE.first(rows)
     out: list[DistributionRow] = []
     running_product = 1
@@ -149,8 +148,7 @@ def alpha_decode(alpha: Fraction, index: int) -> int:
     """
     if not isinstance(alpha, Fraction):
         raise TypeError(f"alpha must be a Fraction, got {type(alpha).__name__}")
-    if index < 1:
-        raise ValueError(f"index must be >= 1, got {index}")
+    _check_int(index, "index", 1)
     wide = 10 ** (2 ** (index + 1))
     narrow = 10 ** (2**index)
     whole_window = alpha.numerator * wide // alpha.denominator

@@ -12,16 +12,17 @@ directly by `_EnclosureText`, without forming a `Fraction`.  The rows the
 floor recurrence prints, one per step, are stepped and rendered in lowest
 terms by `_LowestTerms`, in time linear in their digits.
 
-Rendering is exact at every size.  Small integers go through `str()` and
-int `//`, whose cost grows with the square of the digit count.  Above
-`_DECIMAL_PATH_BITS` (about 10^4 digits, the measured crossover) one
-converter takes over: it splits an integer on bits, converts the halves,
-and joins them with powers of two in the `decimal` module, whose large
-multiplications and divisions are subquadratic.  Every such operation runs
-in the private context `_EXACT`, with the largest precision and with
-`Inexact` and `Rounded` trapped, so a result that would need rounding
-raises instead.  Methods of that context are called directly, so the
-interpreter's current decimal context is never changed.
+Conversion between integers and text is exact and subquadratic at every
+size.  `_exact_decimal` renders every integer: it splits it on bits and
+joins the converted halves with powers of two in the `decimal` module.
+`_parse_int` parses every digit string: it joins its halves with a power
+of ten.  Neither hands `int()` more than 640 digits, the lowest int-to-text
+limit CPython accepts, so the library works under any limit and never
+reads or sets it.  Every decimal operation runs in the private context
+`_EXACT`, with the largest precision and with `Inexact` and `Rounded`
+trapped, so a result that would need rounding raises instead.  Its methods
+are called directly, so the interpreter's current decimal context is never
+changed.
 
 Floats are rejected on sight.  Allowing even one float into the pipeline
 would silently break the exactness guarantee, so constructors raise
@@ -32,9 +33,7 @@ from __future__ import annotations
 
 import decimal
 import math
-import operator
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,14 +50,6 @@ __all__ = [
     "to_decimal",
 ]
 
-# CPython caps int-to-str conversion length by default (sys.set_int_max_str_digits,
-# default 4300).  Rendering enclosures to tens of thousands of digits needs
-# string forms of much larger integers, so raise the cap once at import.
-_INT_STR_DIGIT_CAP = 2_000_000
-if hasattr(sys, "get_int_max_str_digits"):
-    if 0 < sys.get_int_max_str_digits() < _INT_STR_DIGIT_CAP:
-        sys.set_int_max_str_digits(_INT_STR_DIGIT_CAP)
-
 
 class InvalidArgument(ValueError):
     """Raised when a count, size or limit argument is missing or out of its range."""
@@ -72,16 +63,12 @@ class NonPositiveInterval(ValueError):
     """Raised when decimal rendering is asked for an interval not strictly above zero."""
 
 
-# Integers wider than this (about 10^4 digits) go through the decimal
-# converter, and so do floors whose quotient is.  Best of 7, Python 3.11.7 on
-# a shared 2-vCPU host, str() against the converter: 1.03 / 0.95 ms at 8000
-# digits, 2.23 / 1.28 ms at 12000, 179 / 29 ms at 10^5.  floor(a * 10**d / b)
-# with d-digit a and b, int // and str() against the decimal path: 2.56 /
-# 3.46 ms at d = 8000, 4.08 / 4.23 ms at 10^4, 5.75 / 5.70 ms at 12000.
-_DECIMAL_PATH_BITS = 33_000
 # Pieces this narrow are handed to Decimal(int) whole.
 _LEAF_BITS = 2048
-_LOG2_10 = math.log2(10)
+# Digit strings this short are handed to int() whole.  CPython accepts no
+# int-to-text limit below 640 digits other than none at all, so int() takes
+# them whatever limit the caller has set.
+_LEAF_DIGITS = 640
 
 _EXACT = decimal.Context(
     prec=decimal.MAX_PREC,
@@ -129,21 +116,32 @@ def _exact_decimal(n: int) -> decimal.Decimal:
 
 def _int_text(n: int) -> str:
     """Decimal text of an integer, as str(n) gives it."""
-    if n.bit_length() <= _DECIMAL_PATH_BITS:
-        return str(n)
     if n < 0:
         return "-" + str(_exact_decimal(-n))
     return str(_exact_decimal(n))
 
 
+def _parse_int(digits: str, powers: dict[int, int] | None = None) -> int:
+    """int(digits) for a digit string that the caller's regex has checked.
+
+    Longer than `_LEAF_DIGITS`, it is split in half and joined as
+    high * 10**k + low (Brent and Zimmermann, *Modern Computer Arithmetic*,
+    §1.7); `powers` keeps each 10**k for the rest of the recursion.
+    """
+    if len(digits) <= _LEAF_DIGITS:
+        return int(digits)
+    if powers is None:
+        powers = {}
+    k = len(digits) // 2
+    if k not in powers:
+        powers[k] = 10**k
+    return _parse_int(digits[:-k], powers) * powers[k] + _parse_int(digits[-k:], powers)
+
+
 def _scaled_floor_text(value: Fraction, digits: int) -> str:
     """Decimal text of floor(value * 10**digits) for value > 0."""
-    numerator, denominator = value.numerator, value.denominator
-    quotient_bits = numerator.bit_length() - denominator.bit_length() + digits * _LOG2_10
-    if quotient_bits <= _DECIMAL_PATH_BITS:
-        return str(numerator * 10**digits // denominator)
-    scaled = _EXACT.scaleb(_exact_decimal(numerator), digits)
-    return str(_EXACT.divide_int(scaled, _exact_decimal(denominator)))
+    scaled = _EXACT.scaleb(_exact_decimal(value.numerator), digits)
+    return str(_EXACT.divide_int(scaled, _exact_decimal(value.denominator)))
 
 
 def decimal_length(n: int) -> int:
@@ -156,8 +154,7 @@ def decimal_length(n: int) -> int:
     2 * 10**7 digits) no (b-1) * log10(2) lies within 5.7e-9 of an integer
     (the continued fraction of log10(2) shows it), so the floor is exact.
     """
-    if n < 0:
-        raise InvalidArgument(f"n must be >= 0, got {n}")
+    _check_int(n, "n", 0)
     length = int((n.bit_length() - 1) * math.log10(2)) + 1
     return length + 1 if n >= 10**length else length
 
@@ -216,7 +213,9 @@ class RationalInterval:
         lo = _as_fraction(lo, "lo")
         hi = _as_fraction(hi, "hi")
         if lo > hi:
-            raise ValueError(f"interval endpoints out of order: lo={lo} > hi={hi}")
+            raise ValueError(
+                f"interval endpoints out of order: lo={_fraction_text(lo)} > hi={_fraction_text(hi)}"
+            )
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_hi", hi)
 
@@ -253,14 +252,6 @@ class RationalInterval:
         """True when `other` lies entirely within this interval."""
         return self._lo <= other._lo and other._hi <= self._hi
 
-    def to_pair(self) -> tuple[str, str]:
-        """Serialize as a pair of "numerator/denominator" strings."""
-        return (format_rational(self._lo), format_rational(self._hi))
-
-    @classmethod
-    def from_pair(cls, lo: str, hi: str) -> "RationalInterval":
-        return cls(parse_rational(lo), parse_rational(hi))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalInterval):
             return NotImplemented
@@ -278,7 +269,12 @@ def format_rational(value: Fraction) -> str:
     return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+def _fraction_text(value: Fraction) -> str:
+    """The value as str(value) gives it: no denominator when it is 1."""
+    return format_rational(value).removesuffix("/1")
+
+
+_RATIONAL_RE = re.compile(r"^([+-]?)(\d+)(?:/(\d+))?$")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -288,13 +284,15 @@ def parse_rational(text: str) -> Fraction:
     """
     if not isinstance(text, str):
         raise ParseError(f"expected a string, got {type(text).__name__}")
-    cleaned = text.strip()
-    if not _RATIONAL_RE.match(cleaned):
+    match = _RATIONAL_RE.match(text.strip())
+    if not match:
         raise ParseError(f"not a rational literal: {text!r}")
-    try:
-        return Fraction(cleaned)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {text!r}") from None
+    sign, numerator, denominator = match.groups()
+    denominator = 1 if denominator is None else _parse_int(denominator)
+    if denominator == 0:
+        raise ParseError(f"zero denominator in {text!r}")
+    numerator = _parse_int(numerator)
+    return Fraction(-numerator if sign == "-" else numerator, denominator)
 
 
 def to_decimal(interval: RationalInterval, max_digits: int) -> DecimalDigits:
@@ -309,13 +307,13 @@ def to_decimal(interval: RationalInterval, max_digits: int) -> DecimalDigits:
     _check_int(max_digits, "max_digits", 1)
     if interval.lo <= 0:
         raise NonPositiveInterval(
-            f"decimal rendering requires a strictly positive interval, got lo={interval.lo}"
+            "decimal rendering requires a strictly positive interval, "
+            f"got lo={_fraction_text(interval.lo)}"
         )
-    return _shared_digits(
-        _scaled_floor_text(interval.lo, max_digits),
-        _scaled_floor_text(interval.hi, max_digits),
-        max_digits,
-    )
+    lo_text = _scaled_floor_text(interval.lo, max_digits)
+    # A point, such as each value the CLI previews, needs one floor.
+    hi_text = lo_text if interval.hi == interval.lo else _scaled_floor_text(interval.hi, max_digits)
+    return _shared_digits(lo_text, hi_text, max_digits)
 
 
 def _check_int(value: int, name: str, minimum: int) -> None:
@@ -323,7 +321,7 @@ def _check_int(value: int, name: str, minimum: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be int, got {type(value).__name__}")
     if value < minimum:
-        raise InvalidArgument(f"{name} must be >= {minimum}, got {value}")
+        raise InvalidArgument(f"{name} must be >= {minimum}, got {_int_text(value)}")
 
 
 def _shared_digits(lo_text: str, hi_text: str, max_digits: int) -> DecimalDigits:
@@ -353,44 +351,24 @@ def _shared_digits(lo_text: str, hi_text: str, max_digits: int) -> DecimalDigits
     )
 
 
-class _Ints:
-    """The `_EXACT` methods that `_EnclosureText` calls, on plain ints."""
-
-    add = staticmethod(operator.add)
-    divmod = staticmethod(divmod)
-    divide_int = staticmethod(operator.floordiv)
-
-    @staticmethod
-    def scaleb(n: int, digits: int) -> int:
-        return n * 10**digits
-
-
 class _EnclosureText:
     """Decimal digits and text of the enclosure [L/P, (L+1)/P], for integers L, P >= 1.
 
-    L and P are converted once each.  When L or the scaled floor is wider
-    than `_DECIMAL_PATH_BITS`, they become Decimals by `_exact_decimal` and
-    every later operation runs in `_EXACT`; otherwise they stay ints and
-    `str()` renders them.  One divmod, q, r = divmod(L * 10**d, P), gives
-    both truncations, since floor((L + 1) * 10**d / P) = q + (r + 10**d) // P.
-    The lowest-terms endpoints divide the converted L, L + 1 and P exactly
-    by gcd(L, P) and gcd(L + 1, P); each gcd is computed when its endpoint
-    is asked for.
+    L and P become Decimals once each, by `_exact_decimal`, and every later
+    operation runs in `_EXACT`.  One divmod, q, r = divmod(L * 10**d, P),
+    gives both truncations, since
+    floor((L + 1) * 10**d / P) = q + (r + 10**d) // P.  The lowest-terms
+    endpoints divide the converted L, L + 1 and P exactly by gcd(L, P) and
+    gcd(L + 1, P); each gcd is computed when its endpoint is asked for.
     """
 
     def __init__(self, lo_numerator: int, denominator: int, max_digits: int) -> None:
         self._lo_numerator, self._denominator = lo_numerator, denominator
-        quotient_bits = lo_numerator.bit_length() - denominator.bit_length() + max_digits * _LOG2_10
-        if max(lo_numerator.bit_length(), quotient_bits) > _DECIMAL_PATH_BITS:
-            self._arith, self._convert = _EXACT, _exact_decimal
-        else:
-            self._arith, self._convert = _Ints, int
-        arith = self._arith
-        self._lo = self._convert(lo_numerator)
-        self._den = self._convert(denominator)
-        quotient, remainder = arith.divmod(arith.scaleb(self._lo, max_digits), self._den)
-        carry = arith.divide_int(arith.add(remainder, arith.scaleb(1, max_digits)), self._den)
-        self.digits = _shared_digits(str(quotient), str(arith.add(quotient, carry)), max_digits)
+        self._lo = _exact_decimal(lo_numerator)
+        self._den = _exact_decimal(denominator)
+        quotient, remainder = _EXACT.divmod(_EXACT.scaleb(self._lo, max_digits), self._den)
+        carry = _EXACT.divide_int(_EXACT.add(remainder, _EXACT.scaleb(1, max_digits)), self._den)
+        self.digits = _shared_digits(str(quotient), str(_EXACT.add(quotient, carry)), max_digits)
 
     def lo(self) -> str:
         """L/P in lowest terms, as `format_rational` renders it."""
@@ -398,20 +376,20 @@ class _EnclosureText:
 
     def hi(self) -> str:
         """(L + 1)/P in lowest terms, as `format_rational` renders it."""
-        numerator = self._arith.add(self._lo, 1)
+        numerator = _EXACT.add(self._lo, 1)
         return self._lowest_terms(numerator, math.gcd(self._lo_numerator + 1, self._denominator))
 
     def width(self) -> str:
         """The width 1/P."""
         return "1/" + str(self._den)
 
-    def _lowest_terms(self, numerator, divisor: int) -> str:
+    def _lowest_terms(self, numerator: decimal.Decimal, divisor: int) -> str:
         denominator = self._den
         if divisor > 1:
-            divisor = self._convert(divisor)
-            numerator = self._arith.divide_int(numerator, divisor)
-            denominator = self._arith.divide_int(denominator, divisor)
-        return str(numerator) + "/" + str(denominator)
+            divisor = _exact_decimal(divisor)
+            numerator = _EXACT.divide_int(numerator, divisor)
+            denominator = _EXACT.divide_int(denominator, divisor)
+        return f"{numerator}/{denominator}"
 
 
 class _LowestTerms:
@@ -465,5 +443,5 @@ def parse_decimal(text: str) -> RationalInterval:
         raise ParseError(f"not a plain decimal literal: {text!r}")
     integer_part, fraction_part = match.group(1), match.group(2) or ""
     scale = 10 ** len(fraction_part)
-    value = Fraction(int(integer_part + fraction_part), scale)
+    value = Fraction(_parse_int(integer_part + fraction_part), scale)
     return RationalInterval(value, value + Fraction(1, scale))

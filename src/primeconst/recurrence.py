@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 
 from .constant import enclose
-from .exact_arith import InvalidArgument, RationalInterval, _check_int, _LowestTerms, format_rational
+from .exact_arith import InvalidArgument, RationalInterval, _check_int, _int_text, _LowestTerms, format_rational
 from .sequences import SequenceSpec, validate_bertrand
 
 __all__ = [
@@ -55,7 +55,7 @@ class FloorBelowTwo(ValueError):
         self.floor_value = floor_value
         self.step = step
         super().__init__(
-            f"certified floor {floor_value} < 2 at step {step}; "
+            f"certified floor {_int_text(floor_value)} < 2 at step {step}; "
             "input is not an enclosure of an admissible constant"
         )
 
@@ -76,7 +76,7 @@ class MismatchDetected(RuntimeError):
         self.recovered = recovered
         self.expected = expected
         super().__init__(
-            f"step {step}: recovered {recovered} but the sequence says {expected}"
+            f"step {step}: recovered {_int_text(recovered)} but the sequence says {_int_text(expected)}"
         )
 
 

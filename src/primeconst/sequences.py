@@ -16,12 +16,13 @@ re-sieve from scratch.
 from __future__ import annotations
 
 import math
+import re
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .exact_arith import InvalidArgument, ParseError
+from .exact_arith import InvalidArgument, ParseError, _check_int, _int_text, _parse_int
 
 __all__ = [
     "ExplicitExhausted",
@@ -89,15 +90,13 @@ class PrimeSieve:
 
     def first(self, count: int) -> list[int]:
         """The first `count` primes, in order."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+        _check_int(count, "count", 0)
         self._ensure(count)
         return self._primes[:count]
 
     def nth(self, index: int) -> int:
         """The index-th prime, 1-based: nth(1) == 2."""
-        if index < 1:
-            raise ValueError(f"index must be >= 1, got {index}")
+        _check_int(index, "index", 1)
         self._ensure(index)
         return self._primes[index - 1]
 
@@ -182,28 +181,30 @@ class SequenceSpec:
 
     def term(self, index: int) -> int:
         """The index-th term, 1-based."""
-        if index < 1:
-            raise ValueError(f"index must be >= 1, got {index}")
+        _check_int(index, "index", 1)
         if self.kind is SequenceKind.PRIMES:
             return _SHARED_SIEVE.nth(index)
+        if self.kind is SequenceKind.EXPLICIT:
+            assert self.explicit_terms is not None
+            if index > len(self.explicit_terms):
+                raise ExplicitExhausted(
+                    f"explicit sequence has {len(self.explicit_terms)} terms, "
+                    f"term {index} requested"
+                )
+            return self.explicit_terms[index - 1]
+        return self._formula_term(index)
+
+    def _formula_term(self, index: int) -> int:
+        """The index-th term of the naturals, doubling or boundary sequence, for an index already checked."""
         if self.kind is SequenceKind.NATURALS:
             return index + 1
         if self.kind is SequenceKind.DOUBLING:
             return 2 ** (index - 1) + 2
-        if self.kind is SequenceKind.BOUNDARY:
-            return 2 ** (index - 1) + 1
-        assert self.explicit_terms is not None
-        if index > len(self.explicit_terms):
-            raise ExplicitExhausted(
-                f"explicit sequence has {len(self.explicit_terms)} terms, "
-                f"term {index} requested"
-            )
-        return self.explicit_terms[index - 1]
+        return 2 ** (index - 1) + 1
 
     def terms(self, count: int) -> list[int]:
         """The first `count` terms, in order."""
-        if count < 0:
-            raise InvalidArgument(f"count must be >= 0, got {count}")
+        _check_int(count, "count", 0)
         if self.kind is SequenceKind.PRIMES:
             return _SHARED_SIEVE.first(count)
         if self.kind is SequenceKind.EXPLICIT:
@@ -214,7 +215,7 @@ class SequenceSpec:
                     f"{count} requested"
                 )
             return list(self.explicit_terms[:count])
-        return [self.term(k) for k in range(1, count + 1)]
+        return [self._formula_term(k) for k in range(1, count + 1)]
 
     def label(self) -> str | list[int]:
         """JSON-friendly identity: the kind name, or the inline term list."""
@@ -226,7 +227,7 @@ class SequenceSpec:
     def __str__(self) -> str:
         if self.kind is SequenceKind.EXPLICIT:
             assert self.explicit_terms is not None
-            preview = ",".join(str(t) for t in self.explicit_terms[:6])
+            preview = ",".join(_int_text(t) for t in self.explicit_terms[:6])
             if len(self.explicit_terms) > 6:
                 preview += ",..."
             return f"explicit[{preview}]"
@@ -336,6 +337,11 @@ def smallest_nondividing_prime(value: int) -> int:
     raise AssertionError("unreachable: some prime always fails to divide")
 
 
+# What int() accepts in base 10, once the line is stripped: a sign, then
+# digits with single underscores between them.
+_INT_LINE_RE = re.compile(r"([+-]?)(\d+(?:_\d+)*)")
+
+
 def load_sequence_file(path) -> list[int]:
     """Read one positive integer per line; '#' starts a comment, blanks skipped.
 
@@ -347,11 +353,13 @@ def load_sequence_file(path) -> list[int]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        try:
-            value = int(line)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: not an integer: {line!r}") from None
+        match = _INT_LINE_RE.fullmatch(line)
+        if match is None:
+            raise ParseError(f"{path}:{lineno}: not an integer: {line!r}")
+        value = _parse_int(match[2].replace("_", ""))
+        if match[1] == "-":
+            value = -value
         if value < 1:
-            raise ParseError(f"{path}:{lineno}: not a positive integer: {value}")
+            raise ParseError(f"{path}:{lineno}: not a positive integer: {_int_text(value)}")
         terms.append(value)
     return terms

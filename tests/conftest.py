@@ -3,9 +3,46 @@
 After the run, prints one line per acceptance criterion recorded by
 tests/test_acceptance.py, so the pass/fail status of the acceptance gate
 is visible in any pytest invocation, not only with -s.
+
+The whole session runs under CPython's default limit on int-to-text
+conversion, 4300 digits, whatever the environment sets (for example
+PYTHONINTMAXSTRDIGITS=0), so a library `str()` or `int()` of a big integer
+fails here as it would for a user.  A test whose own oracle converts a big
+integer wraps only that expression in `int_text_unlimited()`.
 """
 
+import contextlib
 import sys
+
+import pytest
+
+DEFAULT_INT_MAX_STR_DIGITS = 4300
+_SAVED_LIMIT = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    if hasattr(sys, "set_int_max_str_digits"):
+        config.stash[_SAVED_LIMIT] = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(DEFAULT_INT_MAX_STR_DIGITS)
+
+
+def pytest_unconfigure(config):
+    if _SAVED_LIMIT in config.stash:
+        sys.set_int_max_str_digits(config.stash[_SAVED_LIMIT])
+
+
+@contextlib.contextmanager
+def int_text_unlimited():
+    """Lift the int-to-text limit for a test oracle's own conversions, and restore it after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

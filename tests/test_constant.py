@@ -311,6 +311,11 @@ class TestPlanTerms:
         with pytest.raises(ValueError):
             plan_terms(SequenceSpec.primes(), 0)
 
+    @pytest.mark.parametrize("bad", [True, False, 12.0])
+    def test_rejects_bools_and_floats(self, bad):
+        with pytest.raises(TypeError):
+            plan_terms(SequenceSpec.primes(), bad)
+
     def test_explicit_exhaustion_propagates(self):
         with pytest.raises(ExplicitExhausted):
             plan_terms(SequenceSpec.explicit([2, 3]), 12)

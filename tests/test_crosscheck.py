@@ -45,6 +45,11 @@ class TestDistribution:
         with pytest.raises(ValueError):
             nondivisor_distribution(0)
 
+    @pytest.mark.parametrize("bad", [True, False, 3.0])
+    def test_rejects_bools_and_floats(self, bad):
+        with pytest.raises(TypeError):
+            nondivisor_distribution(bad)
+
 
 class TestNondivisorMean:
     def test_block_of_eight(self):
@@ -109,3 +114,8 @@ class TestAlpha:
             alpha_decode(0.5, 1)
         with pytest.raises(ValueError):
             alpha_decode(alpha_build(1), 0)
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0])
+    def test_decode_rejects_bools_and_floats(self, bad):
+        with pytest.raises(TypeError):
+            alpha_decode(alpha_build(2), bad)

@@ -1,8 +1,10 @@
 """Unit and property tests for rational intervals and decimal rendering.
 
-`str()` and int `//`, which rendered everything before the decimal
-converter took over large operands, are the oracles for the converter,
-the scaled floor and `to_decimal` (as `str_to_decimal`).
+`str()` and int `//`, which rendered everything below a size switch of
+33 000 bits before the decimal converter took over at every size, are the
+oracles for the converter, the scaled floor and `to_decimal` (as
+`str_to_decimal`).  They run inside `int_text_unlimited()`, and the library
+calls beside them under the default int-to-text limit.
 """
 
 import decimal
@@ -12,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import int_text_unlimited
 from primeconst import exact_arith
 from primeconst.constant import enclose
 from primeconst.exact_arith import (
@@ -27,14 +30,17 @@ from primeconst.exact_arith import (
 )
 from primeconst.sequences import SequenceSpec
 
-SWITCH_BITS = exact_arith._DECIMAL_PATH_BITS
+# The former crossover between str() and the decimal converter; sizes
+# around it are still drawn, since both sides once took different paths.
+OLD_SWITCH_BITS = 33_000
 
 
 def str_to_decimal(interval, max_digits):
     """to_decimal as it was before the converter: int // and str() at every size."""
     scale = 10**max_digits
-    lo_text = str(interval.lo.numerator * scale // interval.lo.denominator).zfill(max_digits + 1)
-    hi_text = str(interval.hi.numerator * scale // interval.hi.denominator).zfill(max_digits + 1)
+    with int_text_unlimited():
+        lo_text = str(interval.lo.numerator * scale // interval.lo.denominator).zfill(max_digits + 1)
+        hi_text = str(interval.hi.numerator * scale // interval.hi.denominator).zfill(max_digits + 1)
     integer_len = len(lo_text) - max_digits
     if len(hi_text) != len(lo_text):
         return DecimalDigits(lo_text[:integer_len], "", 0, True)
@@ -48,15 +54,15 @@ def str_to_decimal(interval, max_digits):
     return DecimalDigits(lo_text[:integer_len], lo_text[integer_len:shared], shared - integer_len, False)
 
 
-# Integers of 0 to 3 * SWITCH_BITS bits, so both sides of the switch are drawn.
+# Integers of 0 to 3 * OLD_SWITCH_BITS bits, so both sides of the switch are drawn.
 sized_ints = st.builds(
     lambda bits, seed: random.Random(seed).getrandbits(bits),
-    st.integers(min_value=0, max_value=3 * SWITCH_BITS),
+    st.integers(min_value=0, max_value=3 * OLD_SWITCH_BITS),
     st.integers(min_value=0, max_value=2**32),
 )
 
 SPECIAL_INTS = [0, 1, 2, 9, 10, 11]
-for _k in (SWITCH_BITS - 1, SWITCH_BITS, SWITCH_BITS + 1, 2 * SWITCH_BITS, 100_003):
+for _k in (OLD_SWITCH_BITS - 1, OLD_SWITCH_BITS, OLD_SWITCH_BITS + 1, 2 * OLD_SWITCH_BITS, 100_003):
     SPECIAL_INTS += [2**_k - 1, 2**_k, 2**_k + 1]
 for _k in (9_999, 10_000, 10_001, 30_000):
     SPECIAL_INTS += [10**_k - 1, 10**_k, 10**_k + 1]
@@ -257,35 +263,31 @@ class TestRationalSerialization:
     def test_round_trip(self, q):
         assert parse_rational(format_rational(q)) == q
 
-    @given(
-        lo=st.fractions(min_value=-100, max_value=100),
-        delta=st.fractions(min_value=0, max_value=100),
-    )
-    def test_interval_pair_round_trip(self, lo, delta):
-        iv = RationalInterval(lo, lo + delta)
-        assert RationalInterval.from_pair(*iv.to_pair()) == iv
-
 
 class TestDecimalConverter:
     """The converter and the scaled floor against str() and int //."""
 
     @pytest.mark.parametrize("n", SPECIAL_INTS, ids=lambda n: f"{n.bit_length()}bits")
     def test_special_values(self, n):
-        assert exact_arith._int_text(n) == str(n)
-        assert exact_arith._int_text(-n) == str(-n)
-        assert str(exact_arith._exact_decimal(n)) == str(n)
+        with int_text_unlimited():
+            expected, negated = str(n), str(-n)
+        assert exact_arith._int_text(n) == expected
+        assert exact_arith._int_text(-n) == negated
+        assert str(exact_arith._exact_decimal(n)) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(n=sized_ints)
     def test_matches_str(self, n):
-        assert exact_arith._int_text(n) == str(n)
-        assert exact_arith._int_text(-n) == str(-n)
+        with int_text_unlimited():
+            expected = str(n), str(-n)
+        assert (exact_arith._int_text(n), exact_arith._int_text(-n)) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(numerator=sized_ints, denominator=sized_ints, digits=st.integers(min_value=1, max_value=25_000))
     def test_scaled_floor_matches_int_division(self, numerator, denominator, digits):
         value = Fraction(numerator + 1, denominator + 1)
-        expected = str(value.numerator * 10**digits // value.denominator)
+        with int_text_unlimited():
+            expected = str(value.numerator * 10**digits // value.denominator)
         assert exact_arith._scaled_floor_text(value, digits) == expected
 
     @pytest.mark.parametrize("digits", [1, 9_999, 10_000, 10_001, 12_000])
@@ -294,18 +296,20 @@ class TestDecimalConverter:
         [Fraction(1), Fraction(1, 3), Fraction(10**5000 + 1, 7**5000), Fraction(2**40000 - 1, 2**39999)],
     )
     def test_scaled_floor_at_the_switch(self, value, digits):
-        expected = str(value.numerator * 10**digits // value.denominator)
+        with int_text_unlimited():
+            expected = str(value.numerator * 10**digits // value.denominator)
         assert exact_arith._scaled_floor_text(value, digits) == expected
 
     def test_large_enclosure_renders_as_before(self):
         # 5300 primes give a product of about 2.1 * 10^4 digits, past the switch.
         enclosure = enclose(SequenceSpec.primes(), 5300, max_digits=10)
         iv = enclosure.interval
-        assert iv.lo.denominator.bit_length() > 2 * SWITCH_BITS
+        assert iv.lo.denominator.bit_length() > 2 * OLD_SWITCH_BITS
         for max_digits in (10, 19_999, 20_001, decimal_length(enclosure.product) + 5):
             assert to_decimal(iv, max_digits) == str_to_decimal(iv, max_digits)
-        assert format_rational(iv.lo) == f"{iv.lo.numerator}/{iv.lo.denominator}"
-        assert format_rational(iv.hi) == f"{iv.hi.numerator}/{iv.hi.denominator}"
+        with int_text_unlimited():
+            expected = [f"{q.numerator}/{q.denominator}" for q in (iv.lo, iv.hi)]
+        assert [format_rational(iv.lo), format_rational(iv.hi)] == expected
 
     @given(
         lo=st.fractions(min_value=Fraction(1, 1000), max_value=10**6),
@@ -321,20 +325,31 @@ class TestDecimalLength:
     @pytest.mark.parametrize("k", [1, 2, 3, 15, 16, 17, 22, 23, 100, 4_300, 10_000, 100_000])
     def test_around_powers_of_ten(self, k):
         for n in (10**k - 1, 10**k, 10**k + 1):
-            assert decimal_length(n) == len(str(n))
+            with int_text_unlimited():
+                expected = len(str(n))
+            assert decimal_length(n) == expected
 
     @pytest.mark.parametrize("bits", [1, 2, 3, 4, 64, 1000, 332_193])
     def test_around_powers_of_two(self, bits):
         for n in (2**bits - 1, 2**bits, 2**bits + 1):
-            assert decimal_length(n) == len(str(n))
+            with int_text_unlimited():
+                expected = len(str(n))
+            assert decimal_length(n) == expected
 
     @given(n=sized_ints)
     def test_matches_str(self, n):
-        assert decimal_length(n) == len(str(n))
+        with int_text_unlimited():
+            expected = len(str(n))
+        assert decimal_length(n) == expected
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             decimal_length(-1)
+
+    @pytest.mark.parametrize("bad", [True, False, 12.0])
+    def test_rejects_bools_and_floats(self, bad):
+        with pytest.raises(TypeError):
+            decimal_length(bad)
 
 
 class TestLowestTerms:
@@ -365,7 +380,7 @@ class TestLowestTerms:
 
     def test_large_operands(self):
         start = enclose(SequenceSpec.primes(), 5300).interval.lo
-        assert start.denominator.bit_length() > 2 * SWITCH_BITS
+        assert start.denominator.bit_length() > 2 * OLD_SWITCH_BITS
         stepper, value = exact_arith._LowestTerms(start), start
         for m in (2, 3, 6, 10**20 + 7, 7919):
             stepper.add(-m)
@@ -387,7 +402,9 @@ class TestExactnessGuard:
         value = Fraction(3**60000 + 1, 7**40000)
         digits = to_decimal(RationalInterval(value, value + Fraction(1, 10**30000)), 25_000)
         assert digits.verified > 20_000
-        assert format_rational(value).startswith(str(value.numerator)[:50])
+        with int_text_unlimited():
+            expected = str(value.numerator)[:50]
+        assert format_rational(value).startswith(expected)
         after = self.snapshot()
         assert after[0] is before[0]
         assert after[1] == before[1]

@@ -17,12 +17,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primeconst import cli, exact_arith
+from conftest import int_text_unlimited
+from primeconst import cli
 from primeconst.constant import enclose, enclose_digits
 from primeconst.exact_arith import RationalInterval, format_rational, to_decimal
 from primeconst.sequences import ExplicitExhausted, SequenceSpec
 
-SWITCH_BITS = exact_arith._DECIMAL_PATH_BITS
+# The former crossover between str() and the decimal converter; sizes
+# around it are still drawn, since both sides once took different paths.
+OLD_SWITCH_BITS = 33_000
 
 ALL_BUILTINS = [
     SequenceSpec.primes(),
@@ -84,7 +87,8 @@ def fraction_constant_output(spec, argv_terms, digits, max_digits, output_format
         cap = max_digits
     terms = spec.terms(terms_used + 1)
     if cap is None:
-        cap = max(1, len(str(lo_numerator_and_product(terms)[1])))
+        with int_text_unlimited():
+            cap = max(1, len(str(lo_numerator_and_product(terms)[1])))
     shown = fraction_rendering(terms, cap)
     if output_format == "json":
         document = {
@@ -161,7 +165,7 @@ class TestConstantOutput:
 
     def test_sizes_cover_both_sides_of_the_switch(self):
         bits = [enclose_digits(SequenceSpec.primes(), d).product.bit_length() for d in (9_000, 11_000)]
-        assert bits[0] < SWITCH_BITS < bits[1]
+        assert bits[0] < OLD_SWITCH_BITS < bits[1]
 
 
 class TestGcdCases:
@@ -222,4 +226,4 @@ class TestExactness:
                      context.capitals, context.clamp, dict(context.traps), dict(context.flags))
         assert after == before
         assert actual == expected
-        assert enclose_digits(SequenceSpec.primes(), 20_000).product.bit_length() > SWITCH_BITS
+        assert enclose_digits(SequenceSpec.primes(), 20_000).product.bit_length() > OLD_SWITCH_BITS

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from primeconst.exact_arith import ParseError
+from primeconst import sequences
+from primeconst.exact_arith import InvalidArgument, ParseError
 from primeconst.sequences import (
     ExplicitExhausted,
     PrimeSieve,
@@ -53,6 +54,12 @@ class TestPrimeSieve:
         with pytest.raises(ValueError):
             sieve.nth(0)
 
+    @pytest.mark.parametrize("method", ["first", "nth"])
+    @pytest.mark.parametrize("bad", [True, False, 3.0])
+    def test_rejects_bools_and_floats(self, method, bad):
+        with pytest.raises(TypeError):
+            getattr(PrimeSieve(), method)(bad)
+
     def test_strictly_increasing_and_gapless(self):
         primes = PrimeSieve().first(500)
         assert all(a < b for a, b in zip(primes, primes[1:]))
@@ -78,6 +85,36 @@ class TestBuiltinSequences:
         spec = SequenceSpec.from_name(name)
         listed = spec.terms(12)
         assert [spec.term(k) for k in range(1, 13)] == listed
+
+    @pytest.mark.parametrize("method", ["term", "terms"])
+    @pytest.mark.parametrize("bad", [True, False, 3.0])
+    @pytest.mark.parametrize("name", ["primes", "naturals", "doubling", "boundary"])
+    def test_rejects_bools_and_floats(self, name, method, bad):
+        with pytest.raises(TypeError):
+            getattr(SequenceSpec.from_name(name), method)(bad)
+
+    @pytest.mark.parametrize(
+        "method, value, message",
+        [("term", 0, "index must be >= 1, got 0"), ("terms", -1, "count must be >= 0, got -1")],
+    )
+    def test_range_messages(self, method, value, message):
+        for spec in (SequenceSpec.primes(), SequenceSpec.naturals(), SequenceSpec.explicit([2, 3])):
+            with pytest.raises(InvalidArgument) as excinfo:
+                getattr(spec, method)(value)
+            assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("name", ["naturals", "doubling", "boundary"])
+    def test_terms_checks_its_count_once(self, name, monkeypatch):
+        spec, checked, check = SequenceSpec.from_name(name), [], sequences._check_int
+
+        def counting_check(*args):
+            checked.append(args)
+            check(*args)
+
+        expected = [spec.term(k) for k in range(1, 51)]
+        monkeypatch.setattr(sequences, "_check_int", counting_check)
+        assert spec.terms(50) == expected
+        assert checked == [(50, "count", 0)]
 
     def test_from_name_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -259,6 +296,26 @@ class TestSequenceFile:
         path.write_text("3\n0\n")
         with pytest.raises(ParseError):
             load_sequence_file(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["7", "+7", "007", "1_000", "+1_2_3", "\u0663", "-7", "-0", "0", "1__0", "_1", "1_",
+         "+-1", "- 1", "1 2", "0x10", "1.0", "1e3", "seven"],
+    )
+    def test_lines_parse_as_int_does(self, tmp_path, line):
+        path = tmp_path / "seq.txt"
+        path.write_text(f"2\n{line}\n", encoding="utf-8")
+        try:
+            expected = int(line)
+        except ValueError:
+            with pytest.raises(ParseError, match=":2: not an integer"):
+                load_sequence_file(path)
+            return
+        if expected < 1:
+            with pytest.raises(ParseError, match=f":2: not a positive integer: {expected}$"):
+                load_sequence_file(path)
+        else:
+            assert load_sequence_file(path) == [2, expected]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
