@@ -33,6 +33,7 @@ from .exact_arith import (
     NonPositiveInterval,
     ParseError,
     RationalInterval,
+    _parse_int_literal,
     decimal_length,
     format_rational,
     parse_decimal,
@@ -207,6 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_output_flags(p)
 
+    # int() refuses digit strings past the int-to-text limit; this parses
+    # any length.  Registered under int, argparse still says "invalid int value".
+    for p in sub.choices.values():
+        p.register("type", int, _parse_int_literal)
     return parser
 
 
@@ -246,7 +251,7 @@ def _interval_from_value(value: str) -> RationalInterval:
             f"--value is neither a decimal literal nor an existing file: {value!r}"
         )
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"), parse_int=_parse_int_literal)
         return interval_from_enclosure_json(doc)
     except (json.JSONDecodeError, ValueError) as exc:
         raise ParseError(f"{value}: not a valid enclosure document: {exc}") from None

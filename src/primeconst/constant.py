@@ -39,6 +39,7 @@ from .exact_arith import (
     RationalInterval,
     _check_int,
     _EnclosureText,
+    _int_text,
     decimal_length,
     parse_rational,
 )
@@ -230,7 +231,7 @@ def enclose(spec: SequenceSpec, terms_used: int, max_digits: int | None = None) 
         terms = spec.terms(terms_used + 1)
     except ExplicitExhausted as exc:
         raise InsufficientTerms(
-            f"need {terms_used + 1} terms of {spec} for a {terms_used}-term enclosure"
+            f"need {_int_text(terms_used + 1)} terms of {spec} for a {_int_text(terms_used)}-term enclosure"
         ) from exc
     _check_terms(terms)
     running_product, numerator = _series(terms[:terms_used])

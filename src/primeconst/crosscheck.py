@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_arith import InvalidArgument, _check_int
+from .exact_arith import InvalidArgument, _arg_text, _check_int, _int_text
 from .sequences import _SHARED_SIEVE, smallest_nondividing_prime
 
 __all__ = [
@@ -103,7 +103,7 @@ def nondivisor_mean(limit: int) -> Fraction:
     elementwise average but runs in O(log limit) divisions.
     """
     if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
-        raise InvalidArgument(f"limit must be a positive integer, got {limit!r}")
+        raise InvalidArgument(f"limit must be a positive integer, got {_arg_text(limit)}")
     total = 0
     running_product = 1
     k = 0
@@ -125,10 +125,10 @@ def alpha_build(terms: int) -> Fraction:
     with every term, so the count is capped at 12 (about 8000 digits).
     """
     if not isinstance(terms, int) or isinstance(terms, bool) or terms < 1:
-        raise InvalidArgument(f"terms must be a positive integer, got {terms!r}")
+        raise InvalidArgument(f"terms must be a positive integer, got {_arg_text(terms)}")
     if terms > _ALPHA_TERM_CAP:
         raise TermLimitExceeded(
-            f"alpha with {terms} terms needs 10**{2 ** (terms + 1)} as a denominator; "
+            f"alpha with {terms} terms needs 10**{_int_text(2 ** (terms + 1))} as a denominator; "
             f"the cap is {_ALPHA_TERM_CAP} terms"
         )
     top_exponent = 2 ** (terms + 1)

@@ -16,7 +16,8 @@ Conversion between integers and text is exact and subquadratic at every
 size.  `_exact_decimal` renders every integer: it splits it on bits and
 joins the converted halves with powers of two in the `decimal` module.
 `_parse_int` parses every digit string: it joins its halves with a power
-of ten.  Neither hands `int()` more than 640 digits, the lowest int-to-text
+of ten; `_parse_int_literal` adds the sign and underscores int() takes.
+Neither hands `int()` more than 640 digits, the lowest int-to-text
 limit CPython accepts, so the library works under any limit and never
 reads or sets it.  Every decimal operation runs in the private context
 `_EXACT`, with the largest precision and with `Inexact` and `Rounded`
@@ -86,6 +87,8 @@ _EXACT = decimal.Context(
 
 def _exact_decimal(n: int) -> decimal.Decimal:
     """The integer n >= 0 as a Decimal, by splitting on bits and joining with powers of two."""
+    if n.bit_length() <= _LEAF_BITS:
+        return decimal.Decimal(n)
     powers: dict[int, decimal.Decimal] = {}
 
     def power_of_two(bits: int) -> decimal.Decimal:
@@ -136,6 +139,22 @@ def _parse_int(digits: str, powers: dict[int, int] | None = None) -> int:
     if k not in powers:
         powers[k] = 10**k
     return _parse_int(digits[:-k], powers) * powers[k] + _parse_int(digits[-k:], powers)
+
+
+# What int() accepts in base 10, once stripped: a sign, then digits with
+# single underscores between them.
+_INT_RE = re.compile(r"([+-]?)(\d+(?:_\d+)*)")
+
+
+def _parse_int_literal(text: str) -> int:
+    """int(text) in base 10 at any length; ParseError where int() would refuse the text."""
+    if text.isdecimal():
+        return _parse_int(text)
+    match = _INT_RE.fullmatch(text.strip())
+    if match is None:
+        raise ParseError(f"not an integer: {text!r}")
+    value = _parse_int(match[2].replace("_", ""))
+    return -value if match[1] == "-" else value
 
 
 def _scaled_floor_text(value: Fraction, digits: int) -> str:
@@ -322,6 +341,11 @@ def _check_int(value: int, name: str, minimum: int) -> None:
         raise TypeError(f"{name} must be int, got {type(value).__name__}")
     if value < minimum:
         raise InvalidArgument(f"{name} must be >= {minimum}, got {_int_text(value)}")
+
+
+def _arg_text(value: object) -> str:
+    """repr(value), with an int of any size rendered through `_int_text`."""
+    return _int_text(value) if type(value) is int else repr(value)
 
 
 def _shared_digits(lo_text: str, hi_text: str, max_digits: int) -> DecimalDigits:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 
 from .constant import enclose
-from .exact_arith import InvalidArgument, RationalInterval, _check_int, _int_text, _LowestTerms, format_rational
+from .exact_arith import InvalidArgument, RationalInterval, _arg_text, _check_int, _int_text, _LowestTerms, format_rational
 from .sequences import SequenceSpec, validate_bertrand
 
 __all__ = [
@@ -200,7 +200,7 @@ class RecoveryResult:
 
 def _check_max_terms(max_terms: int) -> None:
     if not isinstance(max_terms, int) or isinstance(max_terms, bool) or max_terms < 0:
-        raise InvalidArgument(f"max_terms must be a nonnegative integer, got {max_terms!r}")
+        raise InvalidArgument(f"max_terms must be a nonnegative integer, got {_arg_text(max_terms)}")
 
 
 def recover(start: RationalInterval, max_terms: int) -> RecoveryResult:
@@ -317,7 +317,7 @@ def residuals(spec: SequenceSpec, terms_used: int, count: int | None = None) -> 
     if count > certified:
         raise PrecisionExhausted(
             f"enclosure from {terms_used} terms certifies only {certified} "
-            f"residuals, {count} requested; increase terms_used"
+            f"residuals, {_int_text(count)} requested; increase terms_used"
         )
     if count < certified:
         run = recover(interval, max_terms=count)

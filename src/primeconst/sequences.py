@@ -16,13 +16,12 @@ re-sieve from scratch.
 from __future__ import annotations
 
 import math
-import re
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .exact_arith import InvalidArgument, ParseError, _check_int, _int_text, _parse_int
+from .exact_arith import InvalidArgument, ParseError, _arg_text, _check_int, _int_text, _parse_int_literal
 
 __all__ = [
     "ExplicitExhausted",
@@ -189,7 +188,7 @@ class SequenceSpec:
             if index > len(self.explicit_terms):
                 raise ExplicitExhausted(
                     f"explicit sequence has {len(self.explicit_terms)} terms, "
-                    f"term {index} requested"
+                    f"term {_int_text(index)} requested"
                 )
             return self.explicit_terms[index - 1]
         return self._formula_term(index)
@@ -212,7 +211,7 @@ class SequenceSpec:
             if count > len(self.explicit_terms):
                 raise ExplicitExhausted(
                     f"explicit sequence has {len(self.explicit_terms)} terms, "
-                    f"{count} requested"
+                    f"{_int_text(count)} requested"
                 )
             return list(self.explicit_terms[:count])
         return [self._formula_term(k) for k in range(1, count + 1)]
@@ -330,16 +329,11 @@ def smallest_nondividing_prime(value: int) -> int:
     product of the first k primes divides `value`.
     """
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"value must be a positive integer, got {value!r}")
+        raise ValueError(f"value must be a positive integer, got {_arg_text(value)}")
     for p in _SHARED_SIEVE.iter_primes():
         if value % p:
             return p
     raise AssertionError("unreachable: some prime always fails to divide")
-
-
-# What int() accepts in base 10, once the line is stripped: a sign, then
-# digits with single underscores between them.
-_INT_LINE_RE = re.compile(r"([+-]?)(\d+(?:_\d+)*)")
 
 
 def load_sequence_file(path) -> list[int]:
@@ -353,12 +347,10 @@ def load_sequence_file(path) -> list[int]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        match = _INT_LINE_RE.fullmatch(line)
-        if match is None:
-            raise ParseError(f"{path}:{lineno}: not an integer: {line!r}")
-        value = _parse_int(match[2].replace("_", ""))
-        if match[1] == "-":
-            value = -value
+        try:
+            value = _parse_int_literal(line)
+        except ParseError:
+            raise ParseError(f"{path}:{lineno}: not an integer: {line!r}") from None
         if value < 1:
             raise ParseError(f"{path}:{lineno}: not a positive integer: {_int_text(value)}")
         terms.append(value)

@@ -22,10 +22,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import DEFAULT_INT_MAX_STR_DIGITS, int_text_unlimited
 from primeconst import cli, exact_arith
 from primeconst.constant import enclose, enclose_digits
-from primeconst.crosscheck import alpha_build
+from primeconst.crosscheck import alpha_build, nondivisor_mean
 from primeconst.exact_arith import RationalInterval, format_rational, parse_decimal, parse_rational, to_decimal
-from primeconst.recurrence import recover
-from primeconst.sequences import SequenceSpec, load_sequence_file
+from primeconst.recurrence import recover, residuals
+from primeconst.sequences import SequenceSpec, load_sequence_file, smallest_nondividing_prime
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # Terms of an admissible sequence file, each about 10^5000.
@@ -129,14 +129,32 @@ class TestLibrary:
             lambda: to_decimal(RationalInterval(-(10**5000), 1), 3),
             lambda: exact_arith._check_int(-(10**5000), "count", 0),
             lambda: SequenceSpec.primes().terms(-(10**5000)),
+            lambda: recover(parse_decimal("2.9"), -(10**5000)),
+            lambda: nondivisor_mean(-(10**5000)),
+            lambda: alpha_build(-(10**5000)),
+            lambda: smallest_nondividing_prime(-(10**5000)),
+            lambda: SequenceSpec.explicit(HUGE_TERMS).term(10**5000),
+            lambda: SequenceSpec.explicit(HUGE_TERMS).terms(10**5000),
+            lambda: enclose(SequenceSpec.explicit(HUGE_TERMS), 10**5000),
+            lambda: residuals(SequenceSpec.primes(), 5, count=10**5000),
         ],
-        ids=["interval order", "nonpositive interval", "check_int", "terms count"],
+        ids=["interval order", "nonpositive interval", "check_int", "terms count",
+             "max_terms", "mean limit", "alpha terms", "nondividing prime",
+             "explicit term", "explicit terms", "insufficient terms", "residual count"],
     )
     def test_error_messages(self, call):
         with pytest.raises(ValueError) as excinfo:
             call()
         assert "1" + "0" * 5000 in str(excinfo.value)
         assert sys.get_int_max_str_digits() == DEFAULT_INT_MAX_STR_DIGITS
+
+    def test_alpha_over_the_cap(self):
+        # 2**20001, the exponent the message names, has 6022 digits.
+        with int_text_unlimited():
+            expected = f"needs 10**{2**20001} as a denominator"
+        with pytest.raises(ValueError) as excinfo:
+            alpha_build(20_000)
+        assert expected in str(excinfo.value)
 
     def test_sequence_text(self):
         spec = SequenceSpec.explicit(HUGE_TERMS)
@@ -166,6 +184,29 @@ class TestParseInt:
         with int_text_unlimited():
             expected = int(digits)
         assert exact_arith._parse_int(digits) == expected
+
+
+class TestParseIntLiteral:
+    """`_parse_int_literal` accepts and refuses what int() does in base 10, at any length."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0", "7", " 12 ", "+5", "-5", "-0", "1_000", "٣", "\t-9\n", "0" * 9000 + "1",
+         "-" + "9" * 5000, "1_" + "2" * 5000, "x", "", " ", "1__0", "_1", "1_", "0x10",
+         "1.0", "+-1", "- 1", "1 2", "1e3"],
+        ids=lambda text: repr(text) if len(text) < 20 else f"{text[:3]!r}...{len(text)} chars",
+    )
+    def test_matches_int(self, text):
+        with int_text_unlimited():
+            try:
+                expected = int(text)
+            except ValueError:
+                expected = None
+        if expected is None:
+            with pytest.raises(exact_arith.ParseError):
+                exact_arith._parse_int_literal(text)
+        else:
+            assert exact_arith._parse_int_literal(text) == expected
 
 
 def run_cli(argv, capsys):
@@ -238,6 +279,50 @@ class TestCli:
             assert len(json_document(out)["recovered"]) == 1404
         else:
             assert "count: 1404" in out.splitlines()
+
+    def test_enclosure_of_huge_terms_round_trip(self, capsys, huge_sequence_file, tmp_path):
+        # The document's "sequence" field lists the terms as JSON numbers past the limit.
+        path = tmp_path / "enclosure.json"
+        argv = ["constant", "--sequence-file", huge_sequence_file, "--terms", "2", "--format", "json"]
+        code, _, err = run_cli([*argv, "--out", str(path)], capsys)
+        assert (code, err) == (0, "")
+        assert json_document(path.read_text(encoding="utf-8"))["sequence"] == HUGE_TERMS
+        code, out, err = run_cli(["recover", "--value", str(path), "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        assert json_document(out)["recovered"] == HUGE_TERMS[:2]
+
+    @pytest.mark.parametrize("value", ["1" + "0" * 5000, "1_" + "0" * 5000], ids=["digits", "underscore"])
+    def test_option_past_the_limit(self, capsys, value):
+        code, out, err = run_cli(["recover", "--value", "2.92005", "--max-terms", value], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == ["recovered: 2 3 5 7 11 13 17", "count: 7"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--sequence-file", "HUGE", "--terms", "BIG"],
+            ["constant", "--sequence-file", "HUGE", "--terms", "BIG"],
+            ["residuals", "--terms", "5", "--count", "BIG"],
+            ["alpha", "--terms", "20000"],
+        ],
+        ids=["validate", "constant", "residuals", "alpha"],
+    )
+    def test_error_past_the_limit(self, capsys, huge_sequence_file, argv):
+        values = {"HUGE": huge_sequence_file, "BIG": "1" + "0" * 5000}
+        code, out, err = run_cli([values.get(arg, arg) for arg in argv], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    def test_negative_option_past_the_limit(self, capsys):
+        code, out, err = run_cli(["mean", "--limit=-" + "9" * 5000], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: limit must be a positive integer, got -" + "9" * 5000 + "\n"
+
+    def test_invalid_option(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["mean", "--limit", "1__0"])
+        assert excinfo.value.code == 2
+        assert "argument --limit: invalid int value: '1__0'" in capsys.readouterr().err
 
     def test_too_few_huge_terms(self, capsys, huge_sequence_file):
         code, out, err = run_cli(["constant", "--sequence-file", huge_sequence_file, "--terms", "5"], capsys)
