@@ -22,112 +22,9 @@ Modules:
 * `cli`: the `primeconst` command.
 """
 
-from .constant import (
-    ConstantEnclosure,
-    InsufficientTerms,
-    ValidationFailed,
-    enclose,
-    enclose_digits,
-    euler_check,
-    interval_from_enclosure_json,
-    partial_sum,
-    plan_terms,
-    product,
-)
-from .crosscheck import (
-    DistributionRow,
-    NonDivisorDistribution,
-    TermLimitExceeded,
-    alpha_build,
-    alpha_decode,
-    nondivisor_distribution,
-    nondivisor_mean,
-)
-from .exact_arith import (
-    DecimalDigits,
-    InvalidArgument,
-    NonPositiveInterval,
-    ParseError,
-    RationalInterval,
-    format_rational,
-    parse_decimal,
-    parse_rational,
-    to_decimal,
-)
-from .recurrence import (
-    FloorBelowTwo,
-    MismatchDetected,
-    PrecisionExhausted,
-    RecoveryResult,
-    ResidualReport,
-    RoundtripReport,
-    StopReason,
-    recover,
-    residuals,
-    roundtrip,
-)
-from .sequences import (
-    ExplicitExhausted,
-    PrimeSieve,
-    SequenceKind,
-    SequenceSpec,
-    TooShort,
-    ValidationReport,
-    Violation,
-    ViolationKind,
-    load_sequence_file,
-    smallest_nondividing_prime,
-    validate_bertrand,
-)
+from .constant import enclose, enclose_digits, plan_terms
+from .exact_arith import parse_decimal
+from .recurrence import recover
+from .sequences import SequenceSpec
 
-__version__ = "1.0.0"
-
-__all__ = [
-    "ConstantEnclosure",
-    "DecimalDigits",
-    "DistributionRow",
-    "ExplicitExhausted",
-    "FloorBelowTwo",
-    "InsufficientTerms",
-    "InvalidArgument",
-    "MismatchDetected",
-    "NonDivisorDistribution",
-    "NonPositiveInterval",
-    "ParseError",
-    "PrecisionExhausted",
-    "PrimeSieve",
-    "RationalInterval",
-    "RecoveryResult",
-    "ResidualReport",
-    "RoundtripReport",
-    "SequenceKind",
-    "SequenceSpec",
-    "StopReason",
-    "TermLimitExceeded",
-    "TooShort",
-    "ValidationFailed",
-    "ValidationReport",
-    "Violation",
-    "ViolationKind",
-    "alpha_build",
-    "alpha_decode",
-    "enclose",
-    "enclose_digits",
-    "euler_check",
-    "format_rational",
-    "interval_from_enclosure_json",
-    "load_sequence_file",
-    "nondivisor_distribution",
-    "nondivisor_mean",
-    "parse_decimal",
-    "parse_rational",
-    "partial_sum",
-    "plan_terms",
-    "product",
-    "recover",
-    "residuals",
-    "roundtrip",
-    "smallest_nondividing_prime",
-    "to_decimal",
-    "validate_bertrand",
-]
+__all__ = ["SequenceSpec", "enclose", "enclose_digits", "parse_decimal", "plan_terms", "recover"]

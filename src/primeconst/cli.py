@@ -253,7 +253,7 @@ def _interval_from_value(value: str) -> RationalInterval:
     try:
         doc = json.loads(path.read_text(encoding="utf-8"), parse_int=_parse_int_literal)
         return interval_from_enclosure_json(doc)
-    except (json.JSONDecodeError, ValueError) as exc:
+    except (json.JSONDecodeError, ValueError, RecursionError) as exc:
         raise ParseError(f"{value}: not a valid enclosure document: {exc}") from None
 
 

@@ -48,8 +48,6 @@ from .sequences import (
     SequenceKind,
     SequenceSpec,
     ValidationReport,
-    Violation,
-    ViolationKind,
     validate_bertrand,
 )
 
@@ -59,11 +57,8 @@ __all__ = [
     "ValidationFailed",
     "enclose",
     "enclose_digits",
-    "euler_check",
     "interval_from_enclosure_json",
-    "partial_sum",
     "plan_terms",
-    "product",
 ]
 
 _TREE_THRESHOLD = 64
@@ -82,16 +77,6 @@ class ValidationFailed(ValueError):
         super().__init__(f"sequence is not admissible: {details}")
 
 
-def product(values) -> int:
-    """Exact product of integers, balanced-tree above 64 values.
-
-    The tree keeps multiplicand sizes comparable, which matters once
-    products reach thousands of digits; short inputs use a plain fold.
-    """
-    items = list(values)
-    return _product_levels(items)[-1][0] if items else 1
-
-
 def _product_levels(values: list[int]) -> list[list[int]]:
     """Product tree, bottom-up: level 0 multiplies runs of _TREE_THRESHOLD values, the last is the root."""
     level = [math.prod(values[i : i + _TREE_THRESHOLD]) for i in range(0, len(values), _TREE_THRESHOLD)]
@@ -100,26 +85,6 @@ def _product_levels(values: list[int]) -> list[list[int]]:
         level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
         levels.append(level)
     return levels
-
-
-def _check_terms(terms: list[int]) -> None:
-    """Reject inadmissible input; a single term only needs to be an integer >= 2."""
-    if not terms:
-        raise ValueError("at least one term is required")
-    if len(terms) == 1:
-        value = terms[0]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 2:
-            raise ValidationFailed(
-                ValidationReport(
-                    terms_checked=1,
-                    pairs_checked=0,
-                    violations=(Violation(1, ViolationKind.NOT_INTEGER_GE2),),
-                )
-            )
-        return
-    report = validate_bertrand(terms)
-    if not report.ok:
-        raise ValidationFailed(report)
 
 
 def _series(terms: list[int]) -> tuple[int, int]:
@@ -137,14 +102,6 @@ def _series(terms: list[int]) -> tuple[int, int]:
         return p1 * p2, s1 * p2 + s2
 
     return _run(0, len(terms))
-
-
-def partial_sum(terms) -> Fraction:
-    """Exact partial sum g_N of the defining series for the given terms."""
-    terms = list(terms)
-    _check_terms(terms)
-    p, s = _series(terms)
-    return Fraction(s, p)
 
 
 @dataclass(frozen=True)
@@ -187,11 +144,6 @@ class ConstantEnclosure:
         return Fraction(self.series_numerator, self.product)
 
     @property
-    def width(self) -> Fraction:
-        """The interval's width 1/product, without subtracting the endpoints."""
-        return Fraction(1, self.product)
-
-    @property
     def lo_text(self) -> str:
         """format_rational(interval.lo), rendered from L and P."""
         return self._text.lo()
@@ -203,7 +155,7 @@ class ConstantEnclosure:
 
     @property
     def width_text(self) -> str:
-        """format_rational(width), rendered from P."""
+        """format_rational(interval.width), rendered from P."""
         return self._text.width()
 
     def to_json_dict(self) -> dict:
@@ -233,7 +185,9 @@ def enclose(spec: SequenceSpec, terms_used: int, max_digits: int | None = None) 
         raise InsufficientTerms(
             f"need {_int_text(terms_used + 1)} terms of {spec} for a {_int_text(terms_used)}-term enclosure"
         ) from exc
-    _check_terms(terms)
+    report = validate_bertrand(terms)
+    if not report.ok:
+        raise ValidationFailed(report)
     running_product, numerator = _series(terms[:terms_used])
     if max_digits is None:
         max_digits = max(1, decimal_length(running_product))
@@ -336,11 +290,6 @@ def enclose_digits(spec: SequenceSpec, digits: int, max_digits: int | None = Non
         except InsufficientTerms:
             break
     return enclosure
-
-
-def euler_check(terms_used: int, max_digits: int | None = None) -> ConstantEnclosure:
-    """Enclosure of the naturals-sequence constant, which is Euler's number e."""
-    return enclose(SequenceSpec.naturals(), terms_used, max_digits)
 
 
 def interval_from_enclosure_json(doc: dict) -> RationalInterval:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_arith import InvalidArgument, _arg_text, _check_int, _int_text
-from .sequences import _SHARED_SIEVE, smallest_nondividing_prime
+from .sequences import _SHARED_SIEVE
 
 __all__ = [
     "DistributionRow",
@@ -128,7 +128,7 @@ def alpha_build(terms: int) -> Fraction:
         raise InvalidArgument(f"terms must be a positive integer, got {_arg_text(terms)}")
     if terms > _ALPHA_TERM_CAP:
         raise TermLimitExceeded(
-            f"alpha with {terms} terms needs 10**{_int_text(2 ** (terms + 1))} as a denominator; "
+            f"alpha with {_int_text(terms)} terms needs 10**(2**{_int_text(terms + 1)}) as a denominator; "
             f"the cap is {_ALPHA_TERM_CAP} terms"
         )
     top_exponent = 2 ** (terms + 1)

@@ -3,10 +3,9 @@
 At the API edges every quantity is a `fractions.Fraction` (arbitrary
 precision, always in lowest terms with a positive denominator).  A
 `RationalInterval` is a closed interval with rational endpoints, used as a
-rigorous enclosure of a real number: each operation returns an interval
-that contains the image of every point of its operand, with no rounding
-anywhere.  Decimal output is by truncation, and only digits shared by the
-entire interval are reported as verified.  An enclosure [L/P, (L+1)/P] of
+rigorous enclosure of a real number, with no rounding anywhere.  Decimal
+output is by truncation, and only digits shared by the entire interval are
+reported as verified.  An enclosure [L/P, (L+1)/P] of
 integers, the form `constant.enclose` builds, is rendered from L and P
 directly by `_EnclosureText`, without forming a `Fraction`.  The rows the
 floor recurrence prints, one per step, are stepped and rendered in lowest
@@ -221,9 +220,7 @@ def _as_fraction(value: Fraction | int, what: str = "value") -> Fraction:
 class RationalInterval:
     """Closed interval [lo, hi] with exact rational endpoints.
 
-    Instances are immutable.  All arithmetic is exact, so the inclusion
-    property is strict: for any point x in the interval, the image of x
-    under an operation lies in the returned interval.
+    Instances are immutable, and the endpoints are never rounded.
     """
 
     __slots__ = ("_lo", "_hi")
@@ -254,22 +251,9 @@ class RationalInterval:
         """Exact width hi - lo."""
         return self._hi - self._lo
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self._lo + self._hi) / 2
-
-    def add_scalar(self, value: Fraction | int) -> "RationalInterval":
-        """Translate both endpoints by an exact scalar."""
-        q = _as_fraction(value)
-        return RationalInterval(self._lo + q, self._hi + q)
-
     def contains(self, value: Fraction | int) -> bool:
         q = _as_fraction(value)
         return self._lo <= q <= self._hi
-
-    def contains_interval(self, other: "RationalInterval") -> bool:
-        """True when `other` lies entirely within this interval."""
-        return self._lo <= other._lo and other._hi <= self._hi
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalInterval):

@@ -45,6 +45,11 @@ def int_text_unlimited():
         sys.set_int_max_str_digits(limit)
 
 
+def midpoint(interval):
+    """The centre of a `RationalInterval`, exactly."""
+    return (interval.lo + interval.hi) / 2
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     module = sys.modules.get("test_acceptance")
     results = getattr(module, "CRITERION_RESULTS", None)

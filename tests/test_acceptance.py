@@ -19,10 +19,9 @@ import math
 import time
 from fractions import Fraction
 
-import pytest
-
+from conftest import midpoint
 from primeconst import cli
-from primeconst.constant import enclose, partial_sum
+from primeconst.constant import enclose
 from primeconst.crosscheck import alpha_build, alpha_decode, nondivisor_distribution, nondivisor_mean
 from primeconst.recurrence import recover, residuals, roundtrip
 from primeconst.sequences import SequenceSpec, validate_bertrand
@@ -222,7 +221,7 @@ def test_criterion_07_residuals_and_bound():
 def test_criterion_08_expectation_identity():
     for k in range(1, 51):
         distribution = nondivisor_distribution(k)
-        assert distribution.contribution_total == partial_sum(PRIMES.terms(k))
+        assert distribution.contribution_total == enclose(PRIMES, k).partial_sum
     return "sum of p*(1-1/p)/product == partial sum, exact for K <= 50"
 
 
@@ -230,9 +229,9 @@ def test_criterion_08_expectation_identity():
 def test_criterion_09_empirical_mean():
     started = time.perf_counter()
     mean = nondivisor_mean(10**6)
-    midpoint = enclose(PRIMES, 13).interval.midpoint
+    centre = midpoint(enclose(PRIMES, 13).interval)
     elapsed = time.perf_counter() - started
-    difference = abs(mean - midpoint)
+    difference = abs(mean - centre)
     assert difference < Fraction(1, 100)
     assert elapsed < 5.0, f"took {elapsed:.3f}s, bound is 5s"
     return f"mean {mean} within {float(difference):.2e} of midpoint, {elapsed * 1000:.0f} ms"

@@ -7,7 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
-from fractions import Fraction
+import time
 from pathlib import Path
 
 import pytest
@@ -210,6 +210,14 @@ class TestRecoverCommand:
         code, _, err = run_cli(["recover", "--value", str(path)], capsys)
         assert code == 2
 
+    def test_deeply_nested_enclosure_file(self, capsys, tmp_path):
+        # The JSON decoder runs out of stack before it sees malformed input.
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000)
+        code, out, err = run_cli(["recover", "--value", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert "not a valid enclosure document" in err
+
     def test_below_two_value_is_user_error(self, capsys):
         code, _, err = run_cli(["recover", "--value", "1.5"], capsys)
         assert code == 2
@@ -332,7 +340,23 @@ class TestAlphaCommand:
     def test_over_cap(self, capsys):
         code, _, err = run_cli(["alpha", "--terms", "13"], capsys)
         assert code == 2
-        assert "error:" in err
+        assert err == "error: alpha with 13 terms needs 10**(2**14) as a denominator; the cap is 12 terms\n"
+
+    @pytest.mark.parametrize("digits", [30, 5000])
+    def test_huge_count_fails_fast(self, capsys, digits):
+        # The message names 2**(terms + 1) by its exponent: besides the
+        # digits of the count and of count + 1, it has fewer than 200 characters.
+        count = "1" + "0" * digits
+        count_plus_one = count[:-1] + "1"
+        started = time.perf_counter()
+        code, out, err = run_cli(["alpha", "--terms", count], capsys)
+        elapsed = time.perf_counter() - started
+        assert (code, out) == (2, "")
+        assert elapsed < 1.0
+        assert err == (
+            f"error: alpha with {count} terms needs 10**(2**{count_plus_one}) as a denominator; the cap is 12 terms\n"
+        )
+        assert len(err) - 2 * len(count) < 200
 
 
 class TestBenchCommand:

@@ -15,14 +15,13 @@ from primeconst import constant
 from primeconst.constant import (
     InsufficientTerms,
     ValidationFailed,
+    _product_levels,
     enclose,
     enclose_digits,
-    euler_check,
     interval_from_enclosure_json,
-    partial_sum,
     plan_terms,
-    product,
 )
+from primeconst.exact_arith import InvalidArgument
 from primeconst.sequences import ExplicitExhausted, SequenceSpec
 
 ALL_BUILTINS = [
@@ -73,60 +72,63 @@ def outcome(fn, *args):
 
 
 class TestProduct:
+    """The root of the product tree that `plan_terms` descends."""
+
     def test_empty_and_single(self):
-        assert product([]) == 1
-        assert product([7]) == 7
+        assert _product_levels([7]) == [[7]]
+        assert _product_levels([]) == [[]]
 
     @pytest.mark.parametrize("size", [2, 63, 64, 65, 130, 400])
     def test_matches_math_prod_across_tree_threshold(self, size):
         values = [(3 * i + 1) for i in range(size)]
-        assert product(values) == math.prod(values)
+        assert _product_levels(values)[-1] == [math.prod(values)]
 
-    @given(values=st.lists(st.integers(min_value=-50, max_value=10**6), max_size=200))
+    @given(values=st.lists(st.integers(min_value=-50, max_value=10**6), min_size=1, max_size=200))
     def test_matches_math_prod_random(self, values):
-        assert product(values) == math.prod(values)
+        assert _product_levels(values)[-1] == [math.prod(values)]
 
 
 class TestPartialSum:
+    """`ConstantEnclosure.partial_sum`, the partial sum g_N of the defining series."""
+
     def test_single_term(self):
-        assert partial_sum([2]) == 1
+        assert enclose(SequenceSpec.primes(), 1).partial_sum == 1
 
     def test_primes_three_terms(self):
-        assert partial_sum([2, 3, 5]) == Fraction(8, 3)
+        assert enclose(SequenceSpec.primes(), 3).partial_sum == Fraction(8, 3)
 
     def test_naturals_four_terms(self):
-        assert partial_sum([2, 3, 4, 5]) == Fraction(8, 3)
+        assert enclose(SequenceSpec.naturals(), 4).partial_sum == Fraction(8, 3)
 
     @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=str)
     def test_matches_series_oracle(self, spec):
         for n in range(1, 41):
-            terms = spec.terms(n)
-            assert partial_sum(terms) == series_sum_oracle(terms)
+            assert enclose(spec, n).partial_sum == series_sum_oracle(spec.terms(n))
 
     def test_naturals_equals_factorial_series(self):
         # With terms 2, 3, ..., N+1 the k-th series term is 1/(k-1)!, so the
         # partial sum equals sum_{j=0}^{N-1} 1/j!.
         for n in range(1, 30):
             factorial_sum = sum(Fraction(1, math.factorial(j)) for j in range(n))
-            assert partial_sum(SequenceSpec.naturals().terms(n)) == factorial_sum
+            assert enclose(SequenceSpec.naturals(), n).partial_sum == factorial_sum
 
     def test_rejects_inadmissible(self):
         with pytest.raises(ValidationFailed):
-            partial_sum([2, 5])
+            enclose(SequenceSpec.explicit([2, 5]), 1)
         with pytest.raises(ValidationFailed):
-            partial_sum([1])
-        with pytest.raises(ValueError):
-            partial_sum([])
+            enclose(SequenceSpec.explicit([1, 2]), 1)
+        with pytest.raises(InvalidArgument, match="at least one term"):
+            SequenceSpec.explicit([])
 
 
 class TestBinarySplitting:
-    """The (P, S) split against the Horner numerator and `product`."""
+    """The (P, S) split against the Horner numerator and `math.prod`."""
 
     @given(terms=st.lists(st.integers(min_value=-5, max_value=10**30), min_size=1, max_size=300))
     def test_matches_horner_and_product(self, terms):
         # Any integers: the identity is algebraic, admissibility plays no part.
         p, s = constant._series(terms)
-        assert p == product(terms)
+        assert p == math.prod(terms)
         assert s == horner_numerator(terms) * terms[-1]
 
     @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=str)
@@ -134,19 +136,18 @@ class TestBinarySplitting:
     def test_enclosure_matches_horner(self, spec, n):
         terms = spec.terms(n + 1)
         numerator = horner_numerator(terms[:n]) * terms[n - 1] + terms[n]
-        denominator = product(terms[:n])
+        denominator = math.prod(terms[:n])
         enclosure = enclose(spec, n, max_digits=30)
         assert enclosure.interval.lo == Fraction(numerator, denominator)
         assert enclosure.interval.hi == Fraction(numerator + 1, denominator)
         assert enclosure.product == denominator
-        assert enclosure.partial_sum == Fraction(horner_numerator(terms[:n]), product(terms[: n - 1]))
-        assert enclosure.width == enclosure.interval.width
+        assert enclosure.partial_sum == Fraction(horner_numerator(terms[:n]), math.prod(terms[: n - 1]))
 
     def test_hundred_thousand_digit_primes_enclosure(self):
         # The 20488 terms that 10^5 digits plan for.
         terms = SequenceSpec.primes().terms(20488)
         p, s = constant._series(terms)
-        assert p == product(terms)
+        assert p == math.prod(terms)
         assert s == horner_numerator(terms) * terms[-1]
 
 
@@ -179,7 +180,7 @@ class TestEnclose:
         outer = enclose(spec, 5).interval
         for extra in range(1, 11):
             inner = enclose(spec, 5 + extra).interval
-            assert outer.contains_interval(inner)
+            assert outer.lo <= inner.lo and inner.hi <= outer.hi
 
     @pytest.mark.parametrize("spec", ALL_BUILTINS[:3], ids=str)
     def test_partial_sums_enter_the_enclosure_after_one_step(self, spec):
@@ -187,10 +188,10 @@ class TestEnclose:
         # and every later partial sum lands inside it.
         for n in (3, 7, 13):
             enclosure = enclose(spec, n)
-            g_next = partial_sum(spec.terms(n + 1))
+            g_next = enclose(spec, n + 1).partial_sum
             assert enclosure.interval.lo - g_next == Fraction(1, enclosure.product)
             for extra in range(2, 16):
-                assert enclosure.interval.contains(partial_sum(spec.terms(n + extra)))
+                assert enclosure.interval.contains(enclose(spec, n + extra).partial_sum)
 
     def test_primes_published_digits(self):
         enclosure = enclose(SequenceSpec.primes(), 13, max_digits=12)
@@ -382,17 +383,17 @@ class TestPlanTermsAgainstLoop:
 
 
 class TestEulerCheck:
+    """The naturals constant is Euler's number e."""
+
     def test_is_the_naturals_enclosure(self):
-        direct = enclose(SequenceSpec.naturals(), 18, max_digits=15)
-        via_check = euler_check(18, max_digits=15)
-        assert via_check.interval == direct.interval
-        assert via_check.digits.text == "2.718281828459045"
+        enclosure = enclose(SequenceSpec.naturals(), 18, max_digits=15)
+        assert enclosure.digits.text == "2.718281828459045"
 
     def test_brackets_factorial_series(self):
         # Independent bracket: S_M < e < S_M + 1/(M! * M).
         m = 25
         s = sum(Fraction(1, math.factorial(j)) for j in range(m + 1))
-        enclosure = euler_check(20)
+        enclosure = enclose(SequenceSpec.naturals(), 20)
         assert enclosure.interval.lo < s + Fraction(1, math.factorial(m) * m)
         assert enclosure.interval.hi > s
 
@@ -410,4 +411,4 @@ def test_enclosure_contains_deep_partial_sums_generated(start, seeds):
     spec = SequenceSpec.explicit(terms)
     depth = len(terms) - 1
     enclosure = enclose(spec, max(1, depth - 3))
-    assert enclosure.interval.contains(partial_sum(terms))
+    assert enclosure.interval.contains(series_sum_oracle(terms))

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from primeconst.constant import enclose, partial_sum
+from conftest import midpoint
+from primeconst.constant import enclose
 from primeconst.crosscheck import (
     TermLimitExceeded,
     alpha_build,
@@ -39,7 +40,7 @@ class TestDistribution:
     def test_contribution_total_equals_partial_sum(self):
         for k in range(1, 51):
             result = nondivisor_distribution(k)
-            assert result.contribution_total == partial_sum(SequenceSpec.primes().terms(k))
+            assert result.contribution_total == enclose(SequenceSpec.primes(), k).partial_sum
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -68,9 +69,9 @@ class TestNondivisorMean:
         assert nondivisor_mean(10**6) == Fraction(73001, 25000)
 
     def test_converges_to_the_primes_constant(self):
-        midpoint = enclose(SequenceSpec.primes(), 13).interval.midpoint
+        centre = midpoint(enclose(SequenceSpec.primes(), 13).interval)
         for exponent in range(3, 7):
-            difference = abs(nondivisor_mean(10**exponent) - midpoint)
+            difference = abs(nondivisor_mean(10**exponent) - centre)
             assert difference <= Fraction(5, 10 ** (exponent - 2))
 
     def test_input_validation(self):

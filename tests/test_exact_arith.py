@@ -106,25 +106,15 @@ class TestConstruction:
 
 
 class TestArithmetic:
-    def test_add_scalar_exact(self):
-        iv = interval((87, 30), (88, 30)).add_scalar(-2)
-        assert iv == interval((27, 30), (28, 30))
-
-    def test_add_scalar_rejects_float(self):
-        with pytest.raises(TypeError):
-            interval(1, 2).add_scalar(0.5)
-
     @given(
         lo=st.fractions(min_value=-1000, max_value=1000),
         delta=st.fractions(min_value=0, max_value=1000),
-        shift=st.fractions(min_value=-1000, max_value=1000),
         point=st.fractions(min_value=0, max_value=1),
     )
-    def test_inclusion_isotonic(self, lo, delta, shift, point):
+    def test_inclusion_isotonic(self, lo, delta, point):
         iv = RationalInterval(lo, lo + delta)
         x = lo + point * delta
         assert iv.contains(x)
-        assert iv.add_scalar(shift).contains(x + shift)
 
 
 class TestToDecimal:
@@ -179,7 +169,8 @@ class TestToDecimal:
         if digits.boundary:
             assert digits.verified == 0
             return
-        assert parse_decimal(digits.text).contains_interval(iv)
+        enclosure = parse_decimal(digits.text)
+        assert enclosure.lo <= iv.lo and iv.hi <= enclosure.hi
 
     @given(
         value=st.fractions(min_value=Fraction(1, 10**6), max_value=10**6),

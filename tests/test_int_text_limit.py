@@ -149,12 +149,13 @@ class TestLibrary:
         assert sys.get_int_max_str_digits() == DEFAULT_INT_MAX_STR_DIGITS
 
     def test_alpha_over_the_cap(self):
-        # 2**20001, the exponent the message names, has 6022 digits.
+        # The message names the count and the exponent 2**(count + 1) by their digits.
+        terms = 10**5000
         with int_text_unlimited():
-            expected = f"needs 10**{2**20001} as a denominator"
+            expected = f"alpha with {terms} terms needs 10**(2**{terms + 1}) as a denominator; the cap is 12 terms"
         with pytest.raises(ValueError) as excinfo:
-            alpha_build(20_000)
-        assert expected in str(excinfo.value)
+            alpha_build(terms)
+        assert str(excinfo.value) == expected
 
     def test_sequence_text(self):
         spec = SequenceSpec.explicit(HUGE_TERMS)

@@ -359,7 +359,8 @@ class TestResiduals:
         # routes must agree on a common point.
         report = residuals(SequenceSpec.naturals(), 18, count=5)
         shifted = SequenceSpec.explicit(list(range(4, 26)))
-        other = enclose(shifted, 20).interval.add_scalar(-4)
+        shifted_interval = enclose(shifted, 20).interval
+        other = RationalInterval(shifted_interval.lo - 4, shifted_interval.hi - 4)
         direct = report.residual_intervals[2]
         assert max(direct.lo, other.lo) <= min(direct.hi, other.hi)
 
