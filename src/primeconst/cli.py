@@ -313,13 +313,14 @@ def _cmd_residuals(args: argparse.Namespace) -> _Output:
         min_upper = (
             "none" if report.min_upper is None else format_rational(report.min_upper)
         )
+        bound = "none" if report.denominator_bound is None else str(report.denominator_bound)
         lines = [
             f"sequence: {spec}",
             f"terms_used: {report.terms_used}",
             f"certified: {report.certified}",
             f"count: {len(rows)}",
             f"min_upper: {min_upper}",
-            f"denominator_bound: {report.denominator_bound}",
+            f"denominator_bound: {bound}",
         ]
         for step, (lo, hi) in enumerate(rows, start=1):
             lines.append(f"residual {step}: [{lo}, {hi}]")

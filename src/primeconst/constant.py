@@ -38,8 +38,8 @@ from .exact_arith import (
     DecimalDigits,
     RationalInterval,
     _check_int,
-    _EnclosureText,
     _int_text,
+    _IntervalText,
     decimal_length,
     parse_rational,
 )
@@ -123,8 +123,8 @@ class ConstantEnclosure:
     max_digits: int
 
     @cached_property
-    def _text(self) -> _EnclosureText:
-        return _EnclosureText(self.lo_numerator, self.product, self.max_digits)
+    def _text(self) -> _IntervalText:
+        return _IntervalText(self.lo_numerator, self.lo_numerator + 1, self.product, self.max_digits)
 
     @property
     def digits(self) -> DecimalDigits:

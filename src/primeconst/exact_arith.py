@@ -5,11 +5,11 @@ precision, always in lowest terms with a positive denominator).  A
 `RationalInterval` is a closed interval with rational endpoints, used as a
 rigorous enclosure of a real number, with no rounding anywhere.  Decimal
 output is by truncation, and only digits shared by the entire interval are
-reported as verified.  An enclosure [L/P, (L+1)/P] of
-integers, the form `constant.enclose` builds, is rendered from L and P
-directly by `_EnclosureText`, without forming a `Fraction`.  The rows the
-floor recurrence prints, one per step, are stepped and rendered in lowest
-terms by `_LowestTerms`, in time linear in their digits.
+reported as verified.  Inside the package an enclosure is carried as
+integer numerators over one denominator, [lo/D, hi/D], and `_IntervalText`
+renders any interval from those integers without forming a `Fraction`.
+The rows the floor recurrence prints, one per step, are stepped and
+rendered in lowest terms by `_LowestTerms`, in time linear in their digits.
 
 Conversion between integers and text is exact and subquadratic at every
 size.  `_exact_decimal` renders every integer: it splits it on bits and
@@ -156,12 +156,6 @@ def _parse_int_literal(text: str) -> int:
     return -value if match[1] == "-" else value
 
 
-def _scaled_floor_text(value: Fraction, digits: int) -> str:
-    """Decimal text of floor(value * 10**digits) for value > 0."""
-    scaled = _EXACT.scaleb(_exact_decimal(value.numerator), digits)
-    return str(_EXACT.divide_int(scaled, _exact_decimal(value.denominator)))
-
-
 def decimal_length(n: int) -> int:
     """Number of decimal digits of an integer n >= 0, as len(str(n)), from its bit length.
 
@@ -217,54 +211,46 @@ def _as_fraction(value: Fraction | int, what: str = "value") -> Fraction:
     raise TypeError(f"{what} must be a Fraction or int, got {type(value).__name__}")
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class RationalInterval:
     """Closed interval [lo, hi] with exact rational endpoints.
 
     Instances are immutable, and the endpoints are never rounded.
     """
 
-    __slots__ = ("_lo", "_hi")
+    lo: Fraction
+    hi: Fraction
 
-    def __init__(self, lo: Fraction | int, hi: Fraction | int) -> None:
-        lo = _as_fraction(lo, "lo")
-        hi = _as_fraction(hi, "hi")
+    def __post_init__(self) -> None:
+        lo = _as_fraction(self.lo, "lo")
+        hi = _as_fraction(self.hi, "hi")
         if lo > hi:
             raise ValueError(
                 f"interval endpoints out of order: lo={_fraction_text(lo)} > hi={_fraction_text(hi)}"
             )
-        object.__setattr__(self, "_lo", lo)
-        object.__setattr__(self, "_hi", hi)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RationalInterval is immutable")
-
-    @property
-    def lo(self) -> Fraction:
-        return self._lo
-
-    @property
-    def hi(self) -> Fraction:
-        return self._hi
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def width(self) -> Fraction:
         """Exact width hi - lo."""
-        return self._hi - self._lo
+        return self.hi - self.lo
 
     def contains(self, value: Fraction | int) -> bool:
         q = _as_fraction(value)
-        return self._lo <= q <= self._hi
+        return self.lo <= q <= self.hi
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalInterval):
-            return NotImplemented
-        return self._lo == other._lo and self._hi == other._hi
-
-    def __hash__(self) -> int:
-        return hash((self._lo, self._hi))
+    def _lcm_numerators(self) -> tuple[int, int, int]:
+        """(lo, hi, D) with this interval = [lo/D, hi/D], for D the lcm of its two denominators."""
+        denominator = math.lcm(self.lo.denominator, self.hi.denominator)
+        return (
+            self.lo.numerator * (denominator // self.lo.denominator),
+            self.hi.numerator * (denominator // self.hi.denominator),
+            denominator,
+        )
 
     def __repr__(self) -> str:
-        return f"[{format_rational(self._lo)}, {format_rational(self._hi)}]"
+        return f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"
 
 
 def format_rational(value: Fraction) -> str:
@@ -313,10 +299,7 @@ def to_decimal(interval: RationalInterval, max_digits: int) -> DecimalDigits:
             "decimal rendering requires a strictly positive interval, "
             f"got lo={_fraction_text(interval.lo)}"
         )
-    lo_text = _scaled_floor_text(interval.lo, max_digits)
-    # A point, such as each value the CLI previews, needs one floor.
-    hi_text = lo_text if interval.hi == interval.lo else _scaled_floor_text(interval.hi, max_digits)
-    return _shared_digits(lo_text, hi_text, max_digits)
+    return _IntervalText(*interval._lcm_numerators(), max_digits).digits
 
 
 def _check_int(value: int, name: str, minimum: int) -> None:
@@ -359,45 +342,47 @@ def _shared_digits(lo_text: str, hi_text: str, max_digits: int) -> DecimalDigits
     )
 
 
-class _EnclosureText:
-    """Decimal digits and text of the enclosure [L/P, (L+1)/P], for integers L, P >= 1.
+class _IntervalText:
+    """Decimal digits and text of the interval [lo/D, hi/D], for integers 0 <= lo <= hi and D >= 1.
 
-    L and P become Decimals once each, by `_exact_decimal`, and every later
-    operation runs in `_EXACT`.  One divmod, q, r = divmod(L * 10**d, P),
-    gives both truncations, since
-    floor((L + 1) * 10**d / P) = q + (r + 10**d) // P.  The lowest-terms
-    endpoints divide the converted L, L + 1 and P exactly by gcd(L, P) and
-    gcd(L + 1, P); each gcd is computed when its endpoint is asked for.
+    lo, the width w = hi - lo and D become Decimals once each, by
+    `_exact_decimal`, and every later operation runs in `_EXACT`.  One
+    divmod, q, r = divmod(lo * 10**d, D), gives both truncations, since
+    floor(hi * 10**d / D) = q + (r + w * 10**d) // D.  Each lowest-terms
+    text divides its converted numerator and D exactly by their gcd, which
+    is computed when the text is asked for.
     """
 
-    def __init__(self, lo_numerator: int, denominator: int, max_digits: int) -> None:
-        self._lo_numerator, self._denominator = lo_numerator, denominator
-        self._lo = _exact_decimal(lo_numerator)
+    def __init__(self, lo: int, hi: int, denominator: int, max_digits: int) -> None:
+        self._lo_numerator, self._hi_numerator, self._denominator = lo, hi, denominator
+        self._lo = _exact_decimal(lo)
+        self._width = _exact_decimal(hi - lo)
         self._den = _exact_decimal(denominator)
         quotient, remainder = _EXACT.divmod(_EXACT.scaleb(self._lo, max_digits), self._den)
-        carry = _EXACT.divide_int(_EXACT.add(remainder, _EXACT.scaleb(1, max_digits)), self._den)
+        carry = _EXACT.divide_int(_EXACT.add(remainder, _EXACT.scaleb(self._width, max_digits)), self._den)
         self.digits = _shared_digits(str(quotient), str(_EXACT.add(quotient, carry)), max_digits)
 
     def lo(self) -> str:
-        """L/P in lowest terms, as `format_rational` renders it."""
-        return self._lowest_terms(self._lo, math.gcd(self._lo_numerator, self._denominator))
+        """lo/D in lowest terms, as `format_rational` renders it."""
+        return self._lowest_terms(self._lo_numerator, self._lo)
 
     def hi(self) -> str:
-        """(L + 1)/P in lowest terms, as `format_rational` renders it."""
-        numerator = _EXACT.add(self._lo, 1)
-        return self._lowest_terms(numerator, math.gcd(self._lo_numerator + 1, self._denominator))
+        """hi/D in lowest terms, as `format_rational` renders it."""
+        return self._lowest_terms(self._hi_numerator, _EXACT.add(self._lo, self._width))
 
     def width(self) -> str:
-        """The width 1/P."""
-        return "1/" + str(self._den)
+        """w/D in lowest terms, as `format_rational` renders it."""
+        return self._lowest_terms(self._hi_numerator - self._lo_numerator, self._width)
 
-    def _lowest_terms(self, numerator: decimal.Decimal, divisor: int) -> str:
+    def _lowest_terms(self, numerator: int, converted: decimal.Decimal) -> str:
+        """`converted`, the Decimal of `numerator`, over D, both divided by their gcd."""
+        divisor = math.gcd(numerator, self._denominator)
         denominator = self._den
         if divisor > 1:
             divisor = _exact_decimal(divisor)
-            numerator = _EXACT.divide_int(numerator, divisor)
+            converted = _EXACT.divide_int(converted, divisor)
             denominator = _EXACT.divide_int(denominator, divisor)
-        return f"{numerator}/{denominator}"
+        return f"{converted}/{denominator}"
 
 
 class _LowestTerms:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .constant import enclose
 from .exact_arith import InvalidArgument, RationalInterval, _arg_text, _check_int, _int_text, _LowestTerms, format_rational
@@ -112,24 +111,33 @@ def _step(x, m: int, denominator: int):
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    """Certified terms from iterating the floor recurrence on `start`.
+    """Certified terms from iterating the floor recurrence on [lo/D, hi/D].
 
-    Only the terms, the starting enclosure, the stop reason and the
-    smallest residual upper bound are stored; the per-step intervals,
+    Only the terms, the stop reason, and lo, hi and the smallest residual
+    upper bound as numerators over D are stored; the per-step intervals,
     widths and residuals are derived from them on demand, so the result
-    stays the size of one enclosure however many steps ran.  The rows that
-    are printed, the residuals and the widths, are rendered by stepping
+    stays the size of one enclosure however many steps ran.  The printed
+    rows, the residuals and the widths, are rendered by stepping
     `_LowestTerms`, in time linear in the digits per row.
     """
 
     recovered: tuple[int, ...]
-    start: RationalInterval
     stop: StopReason
-    min_residual_upper: Fraction | None
+    lo_numerator: int
+    hi_numerator: int
+    denominator: int
+    min_upper_numerator: int | None
+
+    @property
+    def min_residual_upper(self) -> Fraction | None:
+        """The smallest certified residual upper bound, in lowest terms; its gcd is paid on each read."""
+        upper = self.min_upper_numerator
+        return None if upper is None else Fraction(upper, self.denominator)
 
     def _replay(self):
-        """(a_k, lo_k, hi_k) for each certified step, replayed from `start`."""
-        lo, hi = self.start.lo, self.start.hi
+        """(a_k, lo_k, hi_k) for each certified step, replayed from the start."""
+        lo = Fraction(self.lo_numerator, self.denominator)
+        hi = Fraction(self.hi_numerator, self.denominator)
         for m in self.recovered:
             yield m, lo, hi
             lo, hi = _step(lo, m, 1), _step(hi, m, 1)
@@ -143,7 +151,7 @@ class RecoveryResult:
     def step_widths(self) -> list[Fraction]:
         """Width of the interval entering each step; grows by the term extracted."""
         widths = []
-        width = self.start.width
+        width = Fraction(self.hi_numerator - self.lo_numerator, self.denominator)
         for m in self.recovered:
             widths.append(width)
             width *= m
@@ -156,11 +164,11 @@ class RecoveryResult:
 
     def _residual_texts(self) -> list[tuple[str, str]]:
         """format_rational of the ends of each residual interval."""
-        return list(zip(self._residual_column(self.start.lo), self._residual_column(self.start.hi)))
+        return list(zip(self._residual_column(self.lo_numerator), self._residual_column(self.hi_numerator)))
 
-    def _residual_column(self, endpoint: Fraction):
-        """format_rational(x_k - a_k), where x_k is `endpoint` after k - 1 steps."""
-        x = _LowestTerms(endpoint)
+    def _residual_column(self, numerator: int):
+        """format_rational(x_k - a_k), where x_k is numerator/D after k - 1 steps."""
+        x = _LowestTerms(Fraction(numerator, self.denominator))
         for m in self.recovered:
             x.add(-m)
             yield str(x)
@@ -169,7 +177,7 @@ class RecoveryResult:
 
     def _width_texts(self) -> list[str]:
         """format_rational of each step width."""
-        width = _LowestTerms(self.start.width)
+        width = _LowestTerms(Fraction(self.hi_numerator - self.lo_numerator, self.denominator))
         texts = []
         for m in self.recovered:
             texts.append(str(width))
@@ -182,12 +190,13 @@ class RecoveryResult:
 
         A rational constant a/b forces every residual to be >= 1/b, so b
         must be at least 1/u for the smallest certified residual upper
-        bound u.  None when no step was certified or u is not positive.
+        bound u = min_upper_numerator / D; as an integer, b >= D // min_upper_numerator.
+        None when no step was certified or u is not positive.
         """
-        upper = self.min_residual_upper
+        upper = self.min_upper_numerator
         if upper is None or upper <= 0:
             return None
-        return upper.denominator // upper.numerator
+        return self.denominator // upper
 
     def to_json_dict(self) -> dict:
         return {
@@ -214,47 +223,34 @@ def recover(start: RationalInterval, max_terms: int) -> RecoveryResult:
     common denominator that the step keeps fixed, so no step pays for a gcd.
     """
     _check_max_terms(max_terms)
-    denominator = lcm(start.lo.denominator, start.hi.denominator)
-    recovered, stop, min_upper = _recover_numerators(
-        start.lo.numerator * (denominator // start.lo.denominator),
-        start.hi.numerator * (denominator // start.hi.denominator),
-        denominator,
-        max_terms,
-    )
-    return RecoveryResult(
-        recovered,
-        start,
-        stop,
-        None if min_upper is None else Fraction(min_upper, denominator),
-    )
+    return _recover(*start._lcm_numerators(), max_terms)
 
 
-def _recover_numerators(
-    lo: int, hi: int, denominator: int, max_terms: int
-) -> tuple[tuple[int, ...], StopReason, int | None]:
-    """`recover` on [lo/denominator, hi/denominator]: the terms, the stop and the smallest residual upper numerator."""
+def _recover(lo: int, hi: int, denominator: int, max_terms: int) -> RecoveryResult:
+    """`recover` on [lo/denominator, hi/denominator]."""
     recovered: list[int] = []
     min_upper: int | None = None
+    x, y = lo, hi
     while True:
         step = len(recovered) + 1
         if len(recovered) >= max_terms:
             stop = StopReason("max_terms")
             break
-        if hi - lo >= denominator:
+        if y - x >= denominator:
             stop = StopReason("width_exceeds_one", step=step)
             break
-        m = lo // denominator
-        if hi >= (m + 1) * denominator:
+        m = x // denominator
+        if y >= (m + 1) * denominator:
             stop = StopReason("ambiguous_floor", step=step, straddled=m + 1)
             break
         if m < 2:
             raise FloorBelowTwo(m, step=step)
         recovered.append(m)
-        upper = hi - m * denominator
+        upper = y - m * denominator
         if min_upper is None or upper < min_upper:
             min_upper = upper
-        lo, hi = _step(lo, m, denominator), _step(hi, m, denominator)
-    return tuple(recovered), stop, min_upper
+        x, y = _step(x, m, denominator), _step(y, m, denominator)
+    return RecoveryResult(tuple(recovered), stop, lo, hi, denominator, min_upper)
 
 
 @dataclass(frozen=True)
@@ -307,10 +303,11 @@ def residuals(spec: SequenceSpec, terms_used: int, count: int | None = None) -> 
     certifies raises PrecisionExhausted, since uncertified residuals would
     prove nothing.
     """
-    interval = enclose(spec, terms_used).interval
+    enclosure = enclose(spec, terms_used)
     if count is not None:
         _check_int(count, "count", 0)
-    run = recover(interval, max_terms=terms_used)
+    lo = enclosure.lo_numerator
+    run = _recover(lo, lo + 1, enclosure.product, terms_used)
     certified = len(run.recovered)
     if count is None:
         count = certified
@@ -320,7 +317,7 @@ def residuals(spec: SequenceSpec, terms_used: int, count: int | None = None) -> 
             f"residuals, {_int_text(count)} requested; increase terms_used"
         )
     if count < certified:
-        run = recover(interval, max_terms=count)
+        run = _recover(lo, lo + 1, enclosure.product, count)
     return ResidualReport(sequence=spec, terms_used=terms_used, certified=certified, run=run)
 
 
@@ -362,17 +359,17 @@ def roundtrip(spec: SequenceSpec, terms_used: int, max_terms: int | None = None)
         max_terms = terms_used
     _check_max_terms(max_terms)
     lo = enclosure.lo_numerator
-    recovered, stop, _ = _recover_numerators(lo, lo + 1, enclosure.product, max_terms)
-    expected = spec.terms(len(recovered))
-    for step, (got, want) in enumerate(zip(recovered, expected), start=1):
+    run = _recover(lo, lo + 1, enclosure.product, max_terms)
+    expected = spec.terms(len(run.recovered))
+    for step, (got, want) in enumerate(zip(run.recovered, expected), start=1):
         if got != want:
             raise MismatchDetected(step, got, want)
     report = validate_bertrand(spec.terms(terms_used + 1))
     return RoundtripReport(
         sequence=spec,
         terms_used=terms_used,
-        recovered=recovered,
-        match_length=len(recovered),
-        stop=stop,
+        recovered=run.recovered,
+        match_length=len(run.recovered),
+        stop=run.stop,
         degenerate_tail=report.all_tail_equalities,
     )

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from primeconst import cli, exact_arith, recurrence
-from primeconst.constant import ConstantEnclosure
+from primeconst.constant import ConstantEnclosure, enclose_digits
 from primeconst.exact_arith import RationalInterval, parse_rational
 from primeconst.recurrence import RecoveryResult, ResidualReport
 from primeconst.sequences import SequenceSpec
@@ -267,6 +267,15 @@ class TestResidualsCommand:
         assert doc["residuals"] == []
         assert doc["denominator_bound"] is None
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--terms", "1"], ["--sequence", "boundary", "--terms", "5"], ["--terms", "50", "--count", "0"]],
+    )
+    def test_no_bound_prints_none(self, capsys, argv):
+        code, out, err = run_cli(["residuals", *argv], capsys)
+        assert (code, err) == (0, "")
+        assert {"min_upper: none", "denominator_bound: none"} <= set(out.splitlines())
+
 
 class TestValidateCommand:
     def test_primes_ok(self, capsys):
@@ -480,6 +489,28 @@ class TestRowsSkipTheFractionReplay:
         assert after == before
         assert actual == expected
         assert len(json.loads(actual[1])["residuals"]) == 905
+
+
+class TestBoundFormsNoFraction:
+    """The denominator bound is printed from integer numerators, never from the lowest-terms minimum."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("the smallest residual upper bound was formed as a Fraction")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_recover_of_a_long_decimal(self, capsys, monkeypatch, fmt):
+        value = enclose_digits(SequenceSpec.primes(), 4000).digits.text
+        self.check(["recover", "--value", value, "--format", fmt], capsys, monkeypatch)
+
+    def test_roundtrip(self, capsys, monkeypatch):
+        self.check(["roundtrip", "--terms", "2590"], capsys, monkeypatch)
+
+    def check(self, argv, capsys, monkeypatch):
+        expected = run_cli(argv, capsys)
+        assert expected[0] == 0
+        monkeypatch.setattr(RecoveryResult, "min_residual_upper", property(self.refuse))
+        assert run_cli(argv, capsys) == expected
 
 
 class TestErrorMapping:

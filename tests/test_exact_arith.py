@@ -2,8 +2,8 @@
 
 `str()` and int `//`, which rendered everything below a size switch of
 33 000 bits before the decimal converter took over at every size, are the
-oracles for the converter, the scaled floor and `to_decimal` (as
-`str_to_decimal`).  They run inside `int_text_unlimited()`, and the library
+oracles for the converter, the interval renderer and `to_decimal` (as
+`str_to_decimal` and `point_digits`).  They run inside `int_text_unlimited()`, and the library
 calls beside them under the default int-to-text limit.
 """
 
@@ -52,6 +52,13 @@ def str_to_decimal(interval, max_digits):
     if shared < integer_len:
         return DecimalDigits(lo_text[:integer_len], "", 0, True)
     return DecimalDigits(lo_text[:integer_len], lo_text[integer_len:shared], shared - integer_len, False)
+
+
+def point_digits(value, max_digits):
+    """to_decimal of the point [value, value] by int // and str(): every digit is verified."""
+    with int_text_unlimited():
+        text = str(value.numerator * 10**max_digits // value.denominator).zfill(max_digits + 1)
+    return DecimalDigits(text[:-max_digits], text[-max_digits:], max_digits, False)
 
 
 # Integers of 0 to 3 * OLD_SWITCH_BITS bits, so both sides of the switch are drawn.
@@ -277,9 +284,7 @@ class TestDecimalConverter:
     @given(numerator=sized_ints, denominator=sized_ints, digits=st.integers(min_value=1, max_value=25_000))
     def test_scaled_floor_matches_int_division(self, numerator, denominator, digits):
         value = Fraction(numerator + 1, denominator + 1)
-        with int_text_unlimited():
-            expected = str(value.numerator * 10**digits // value.denominator)
-        assert exact_arith._scaled_floor_text(value, digits) == expected
+        assert to_decimal(RationalInterval(value, value), digits) == point_digits(value, digits)
 
     @pytest.mark.parametrize("digits", [1, 9_999, 10_000, 10_001, 12_000])
     @pytest.mark.parametrize(
@@ -287,9 +292,47 @@ class TestDecimalConverter:
         [Fraction(1), Fraction(1, 3), Fraction(10**5000 + 1, 7**5000), Fraction(2**40000 - 1, 2**39999)],
     )
     def test_scaled_floor_at_the_switch(self, value, digits):
+        assert to_decimal(RationalInterval(value, value), digits) == point_digits(value, digits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lo=sized_ints,
+        denominator=sized_ints,
+        # hi = lo + whole * D + (part mod D): points, narrow intervals and widths of D or more.
+        whole=st.integers(min_value=0, max_value=2),
+        part=st.one_of(st.just(0), st.integers(min_value=1, max_value=10**6), sized_ints),
+        digits=st.integers(min_value=1, max_value=25_000),
+    )
+    def test_interval_text_matches_two_floors(self, lo, denominator, whole, part, digits):
+        denominator += 1
+        hi = lo + whole * denominator + part % denominator
+        self.check_interval_text(lo, hi, denominator, digits)
+
+    @pytest.mark.parametrize(
+        "lo, hi, denominator, digits",
+        [
+            (0, 0, 1, 3),
+            (6, 6, 2, 4),
+            (14, 21, 7, 2),
+            (2999, 3001, 1000, 3),
+            (99, 101, 10, 2),
+            (87, 88, 30, 12),
+            (10**5000 + 1, 10**5000 + 2, 7**5000, 10_001),
+        ],
+        ids=["zero", "integer-point", "unit-width", "straddles", "longer-integer", "narrow", "large"],
+    )
+    def test_interval_text_special_cases(self, lo, hi, denominator, digits):
+        self.check_interval_text(lo, hi, denominator, digits)
+
+    @staticmethod
+    def check_interval_text(lo, hi, denominator, digits):
+        text = exact_arith._IntervalText(lo, hi, denominator, digits)
         with int_text_unlimited():
-            expected = str(value.numerator * 10**digits // value.denominator)
-        assert exact_arith._scaled_floor_text(value, digits) == expected
+            floors = str(lo * 10**digits // denominator), str(hi * 10**digits // denominator)
+        assert text.digits == exact_arith._shared_digits(*floors, digits)
+        assert text.lo() == format_rational(Fraction(lo, denominator))
+        assert text.hi() == format_rational(Fraction(hi, denominator))
+        assert text.width() == format_rational(Fraction(hi - lo, denominator))
 
     def test_large_enclosure_renders_as_before(self):
         # 5300 primes give a product of about 2.1 * 10^4 digits, past the switch.

@@ -1,9 +1,10 @@
 """The package's public surface, read from the source with `ast`.
 
 The package root exports exactly the names README's Library section
-imports; every name a submodule lists in `__all__` is defined in it; and
-no source or test file imports a name it never uses, where a name listed
-in `__all__` counts as used.
+imports; every name a submodule lists in `__all__` is defined in it; no
+source or test file imports a name it never uses, where a name listed in
+`__all__` counts as used; and every function, method and attribute that
+the traced benchmark (`perfbench/worker.py`) wraps or reads still exists.
 """
 
 import ast
@@ -16,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "primeconst"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+WORKER = ROOT / "perfbench" / "worker.py"
 
 
 def parse(path):
@@ -82,3 +84,94 @@ def test_no_unused_imports(path):
         for name in imported_names(node)
     }
     assert sorted(imported - used) == []
+
+
+def functions_of(tree):
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def class_members(module, name):
+    """The fields and methods a class of `primeconst.<module>` defines, by name."""
+    for node in parse(PACKAGE / f"{module}.py").body:
+        if isinstance(node, ast.ClassDef) and node.name == name:
+            members = {}
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign):
+                    members[item.target.id] = item
+                elif isinstance(item, ast.FunctionDef):
+                    members[item.name] = item
+            return members
+    raise AssertionError(f"primeconst.{module} defines no class {name}")
+
+
+def is_property(node):
+    return isinstance(node, ast.FunctionDef) and any(
+        isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list
+    )
+
+
+def dotted(node):
+    """'a.b.c' for the expression a.b.c."""
+    if isinstance(node, ast.Attribute):
+        return f"{dotted(node.value)}.{node.attr}"
+    return node.id
+
+
+INSTALL = functions_of(parse(WORKER))["install"]
+
+
+def wrapped_functions():
+    """(module, function) for each entry of the `functions` list in `install`."""
+    for node in INSTALL.body:
+        if isinstance(node, ast.Assign) and dotted(node.targets[0]) == "functions":
+            return [(entry.elts[1].id, ast.literal_eval(entry.elts[2])) for entry in node.value.elts]
+    raise AssertionError("install has no `functions` list")
+
+
+def wrapped_members():
+    """(module, class, name, must be a property) for each method or property `install` replaces."""
+    result_class = None
+    members = []
+    for node in INSTALL.body:
+        if isinstance(node, ast.Assign) and dotted(node.targets[0]) == "result_type":
+            result_class = dotted(node.value).split(".")
+        elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Attribute):
+            members.append((*dotted(node.targets[0]).split("."), False))
+        elif isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple):
+            members += [(*result_class, ast.literal_eval(name), True) for name in node.iter.elts]
+    return members
+
+
+# Attributes `worker.py` reads from results: (module, class, attribute).
+READ_ATTRIBUTES = [
+    ("constant", "ConstantEnclosure", "product"),
+    ("recurrence", "RecoveryResult", "recovered"),
+    ("recurrence", "RecoveryResult", "intervals"),
+    ("exact_arith", "RationalInterval", "lo"),
+    ("exact_arith", "RationalInterval", "hi"),
+]
+
+
+@pytest.mark.parametrize("module, name", wrapped_functions(), ids=lambda value: value)
+def test_traced_functions_exist(module, name):
+    assert name in functions_of(parse(PACKAGE / f"{module}.py"))
+
+
+def test_traced_to_decimal_keeps_max_digits():
+    # worker.py binds to_decimal's arguments and reads `max_digits` by name.
+    to_decimal = functions_of(parse(PACKAGE / "exact_arith.py"))["to_decimal"]
+    assert "max_digits" in [arg.arg for arg in to_decimal.args.args]
+
+
+@pytest.mark.parametrize("module, cls, name, needs_property", wrapped_members(), ids=lambda value: str(value))
+def test_traced_members_exist(module, cls, name, needs_property):
+    member = class_members(module, cls).get(name)
+    assert member is not None
+    assert is_property(member) or not needs_property
+
+
+@pytest.mark.parametrize("module, cls, name", READ_ATTRIBUTES, ids=lambda value: value)
+def test_attributes_the_worker_reads_exist(module, cls, name):
+    read = {node.attr for node in ast.walk(parse(WORKER)) if isinstance(node, ast.Attribute)}
+    assert name in read
+    assert name in class_members(module, cls)

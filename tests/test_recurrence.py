@@ -407,16 +407,28 @@ class TestRoundtrip:
     def test_integer_enclosure_recovers_as_the_interval(self, spec, terms_used, max_terms, monkeypatch):
         interval = enclose(spec, terms_used).interval
         run = recover(interval, terms_used if max_terms is None else max_terms)
+        expected_residuals = self.residual_outcome(spec, terms_used, max_terms)
         # The integers L, L + 1 and P go to the recurrence: no lowest-terms
         # interval is formed and `recover`, its API edge, is not called.
         monkeypatch.setattr(ConstantEnclosure, "interval", property(self.refuse))
         monkeypatch.setattr("primeconst.recurrence.recover", self.refuse)
         report = roundtrip(spec, terms_used, max_terms=max_terms)
         assert (report.recovered, report.stop) == (run.recovered, run.stop)
+        # `residuals` takes the same path, with max_terms as its count.
+        assert self.residual_outcome(spec, terms_used, max_terms) == expected_residuals
+
+    @staticmethod
+    def residual_outcome(spec, terms_used, count):
+        """The rows, smallest upper end and bound `residuals` reports, or the message it refuses with."""
+        try:
+            report = residuals(spec, terms_used, count=count)
+        except PrecisionExhausted as exc:
+            return str(exc)
+        return report.residual_texts(), report.min_upper, report.denominator_bound
 
     @staticmethod
     def refuse(*args, **kwargs):
-        raise AssertionError("roundtrip went through the lowest-terms interval")
+        raise AssertionError("the recurrence went through the lowest-terms interval")
 
     def test_boundary_stops_degenerately(self):
         report = roundtrip(SequenceSpec.boundary(), 10)
