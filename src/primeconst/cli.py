@@ -14,6 +14,7 @@ invocation except `bench` timings, which live under a "timing" key.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -269,12 +270,12 @@ def _cmd_recover(args: argparse.Namespace) -> _Output:
 
     def text() -> str:
         recovered_text = " ".join(str(t) for t in run.recovered) or "(none)"
-        bound = "none" if run.denominator_bound is None else str(run.denominator_bound)
+        bound = run.denominator_bound
         lines = [
             f"recovered: {recovered_text}",
             f"count: {len(run.recovered)}",
             f"stop: {_stop_text(run.stop)}",
-            f"denominator_bound: {bound}",
+            f"denominator_bound: {'none' if bound is None else bound}",
         ]
         lines.extend(f"warning: {w}" for w in warnings)
         return "\n".join(lines)
@@ -313,14 +314,14 @@ def _cmd_residuals(args: argparse.Namespace) -> _Output:
         min_upper = (
             "none" if report.min_upper is None else format_rational(report.min_upper)
         )
-        bound = "none" if report.denominator_bound is None else str(report.denominator_bound)
+        bound = report.denominator_bound
         lines = [
             f"sequence: {spec}",
             f"terms_used: {report.terms_used}",
             f"certified: {report.certified}",
             f"count: {len(rows)}",
             f"min_upper: {min_upper}",
-            f"denominator_bound: {bound}",
+            f"denominator_bound: {'none' if bound is None else bound}",
         ]
         for step, (lo, hi) in enumerate(rows, start=1):
             lines.append(f"residual {step}: [{lo}, {hi}]")
@@ -445,9 +446,14 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser for every call of `main` in this process, built on first use."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
         text, doc, code = handler(args)

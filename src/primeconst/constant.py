@@ -77,9 +77,14 @@ class ValidationFailed(ValueError):
         super().__init__(f"sequence is not admissible: {details}")
 
 
+def _run_products(values: list[int]) -> list[int]:
+    """The products of the runs of _TREE_THRESHOLD values, in order."""
+    return [math.prod(values[i : i + _TREE_THRESHOLD]) for i in range(0, len(values), _TREE_THRESHOLD)]
+
+
 def _product_levels(values: list[int]) -> list[list[int]]:
     """Product tree, bottom-up: level 0 multiplies runs of _TREE_THRESHOLD values, the last is the root."""
-    level = [math.prod(values[i : i + _TREE_THRESHOLD]) for i in range(0, len(values), _TREE_THRESHOLD)]
+    level = _run_products(values)
     levels = [level]
     while len(level) > 1:
         level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
@@ -110,9 +115,13 @@ class ConstantEnclosure:
 
     `lo_numerator` is L and `product` is P = a_1 * ... * a_N, so the width
     is exactly 1/P; `series_numerator` is S with partial sum g_N = S / P.
-    `digits` holds the decimal digits the interval certifies, rendered to
-    `max_digits` fractional places on first read.  The lowest-terms
-    `interval` and the text of its endpoints are derived from L and P.
+    `run_products` are the products of the runs of 64 terms of a_1..a_N,
+    whose product is P.  `digits` holds the decimal digits the interval
+    certifies, rendered to `max_digits` fractional places on first read.
+    The lowest-terms `interval` is derived from L and P.  The text of its
+    endpoints is rendered from L and the run products, whose product tree
+    gives P, and whose remainder tree gives gcd(L, P) and gcd(L + 1, P)
+    without a full-size gcd (see `exact_arith._IntervalText`).
     """
 
     sequence: SequenceSpec
@@ -121,10 +130,11 @@ class ConstantEnclosure:
     lo_numerator: int
     product: int
     max_digits: int
+    run_products: tuple[int, ...]
 
     @cached_property
     def _text(self) -> _IntervalText:
-        return _IntervalText(self.lo_numerator, self.lo_numerator + 1, self.product, self.max_digits)
+        return _IntervalText(self.lo_numerator, self.lo_numerator + 1, self.run_products, self.max_digits)
 
     @property
     def digits(self) -> DecimalDigits:
@@ -199,6 +209,7 @@ def enclose(spec: SequenceSpec, terms_used: int, max_digits: int | None = None) 
         lo_numerator=numerator + terms[terms_used],
         product=running_product,
         max_digits=max_digits,
+        run_products=tuple(_run_products(terms[:terms_used])),
     )
 
 

@@ -34,8 +34,10 @@ from __future__ import annotations
 import decimal
 import math
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 __all__ = [
     "DecimalDigits",
@@ -299,7 +301,8 @@ def to_decimal(interval: RationalInterval, max_digits: int) -> DecimalDigits:
             "decimal rendering requires a strictly positive interval, "
             f"got lo={_fraction_text(interval.lo)}"
         )
-    return _IntervalText(*interval._lcm_numerators(), max_digits).digits
+    lo, hi, denominator = interval._lcm_numerators()
+    return _IntervalText(lo, hi, (denominator,), max_digits).digits
 
 
 def _check_int(value: int, name: str, minimum: int) -> None:
@@ -342,41 +345,120 @@ def _shared_digits(lo_text: str, hi_text: str, max_digits: int) -> DecimalDigits
     )
 
 
-class _IntervalText:
-    """Decimal digits and text of the interval [lo/D, hi/D], for integers 0 <= lo <= hi and D >= 1.
+def _low_digits(value: decimal.Decimal, count: int) -> decimal.Decimal:
+    """value mod 10**count, for an integral Decimal value >= 0 with exponent 0."""
+    return _EXACT.subtract(value, _EXACT.scaleb(_EXACT.shift(value, -count), count))
 
-    lo, the width w = hi - lo and D become Decimals once each, by
-    `_exact_decimal`, and every later operation runs in `_EXACT`.  One
+
+class _IntervalText:
+    """Decimal digits and text of [lo/D, hi/D], for integers 0 <= lo <= hi and D = prod B_j >= 1.
+
+    lo, the width w = hi - lo and each factor become Decimals once each, by
+    `_exact_decimal`, and every later operation runs in `_EXACT`.  The
+    factors' product tree is multiplied there, and its root is D.  One
     divmod, q, r = divmod(lo * 10**d, D), gives both truncations, since
-    floor(hi * 10**d / D) = q + (r + w * 10**d) // D.  Each lowest-terms
-    text divides its converted numerator and D exactly by their gcd, which
-    is computed when the text is asked for.
+    floor(hi * 10**d / D) = q + (r + w * 10**d) // D.
+
+    Each lowest-terms text divides its converted numerator x and D exactly
+    by gcd(x, D), found without a full-size gcd when a text is first asked
+    for.  A scaled remainder tree (Bernstein, "Scaled remainder trees",
+    2004) runs lo down the product tree to the leaf remainders
+    r_j = lo mod B_j, with multiplications only: for a node c with sibling
+    s under p = c * s, frac(lo / c) = frac(frac(lo / p) * s), so each
+    node's fraction, kept to a fixed number of digits, is its parent's
+    times its sibling, less the integer part and the digits its smaller
+    size no longer needs.  The root's fraction comes from q and r, and
+    r_j = round(frac(lo / B_j) * B_j) at the leaves.  Then
+    gcd(x, D) = gcd(x, G) for G = prod gcd(x mod B_j, B_j), with x mod B_j
+    equal to r_j for lo and to r_j + w for hi: G divides D, and gcd(x, D)
+    divides G, since each prime's exponent in it is at most the sum of its
+    exponents in the gcd(x, B_j).  So the factors need not be coprime.  The
+    gcds left are of small leaves, and of x with G, which is small unless x
+    shares a large part of D.  The tree is freed as it is descended.
     """
 
-    def __init__(self, lo: int, hi: int, denominator: int, max_digits: int) -> None:
-        self._lo_numerator, self._hi_numerator, self._denominator = lo, hi, denominator
+    def __init__(self, lo: int, hi: int, factors: Sequence[int], max_digits: int) -> None:
+        self._lo_numerator, self._hi_numerator, self._factors = lo, hi, factors
         self._lo = _exact_decimal(lo)
         self._width = _exact_decimal(hi - lo)
-        self._den = _exact_decimal(denominator)
+        level = [_exact_decimal(factor) for factor in factors]
+        self._tree = [level]
+        while len(level) > 1:
+            pairs = [level[i : i + 2] for i in range(0, len(level), 2)]
+            level = [_EXACT.multiply(*pair) if len(pair) == 2 else pair[0] for pair in pairs]
+            self._tree.append(level)
+        self._den = level[0]
         quotient, remainder = _EXACT.divmod(_EXACT.scaleb(self._lo, max_digits), self._den)
         carry = _EXACT.divide_int(_EXACT.add(remainder, _EXACT.scaleb(self._width, max_digits)), self._den)
         self.digits = _shared_digits(str(quotient), str(_EXACT.add(quotient, carry)), max_digits)
+        # Kept for the root of the remainder tree: lo * 10**d = q * D + r.
+        self._scaled_lo = (max_digits, quotient, remainder)
 
     def lo(self) -> str:
         """lo/D in lowest terms, as `format_rational` renders it."""
-        return self._lowest_terms(self._lo_numerator, self._lo)
+        return self._lowest_terms(self._endpoint_divisors[0], self._lo)
 
     def hi(self) -> str:
         """hi/D in lowest terms, as `format_rational` renders it."""
-        return self._lowest_terms(self._hi_numerator, _EXACT.add(self._lo, self._width))
+        return self._lowest_terms(self._endpoint_divisors[1], _EXACT.add(self._lo, self._width))
 
     def width(self) -> str:
         """w/D in lowest terms, as `format_rational` renders it."""
-        return self._lowest_terms(self._hi_numerator - self._lo_numerator, self._width)
+        width = self._hi_numerator - self._lo_numerator
+        return self._lowest_terms(self._gcd(width, [width] * len(self._factors)), self._width)
 
-    def _lowest_terms(self, numerator: int, converted: decimal.Decimal) -> str:
-        """`converted`, the Decimal of `numerator`, over D, both divided by their gcd."""
-        divisor = math.gcd(numerator, self._denominator)
+    def _gcd(self, numerator: int, residues: Iterable[int]) -> int:
+        """gcd(numerator, D), from residues congruent to the numerator modulo each factor."""
+        return math.gcd(numerator, math.prod(map(math.gcd, residues, self._factors)))
+
+    @cached_property
+    def _endpoint_divisors(self) -> tuple[int, int]:
+        """(gcd(lo, D), gcd(hi, D)), from the leaf remainders of lo's scaled remainder tree."""
+        remainders = self._leaf_remainders()
+        width = self._hi_numerator - self._lo_numerator
+        return (
+            self._gcd(self._lo_numerator, remainders),
+            self._gcd(self._hi_numerator, [r + width for r in remainders]),
+        )
+
+    def _leaf_remainders(self) -> list[int]:
+        """lo mod B_j for each factor B_j, by the scaled remainder tree; frees the tree."""
+        tree, self._tree = self._tree, None
+        # Each fraction is a pair (y, h) with y = floor(frac(lo / node) * 10**h),
+        # up to an error of e units.  A child keeps h minus its sibling's
+        # digit count, which is at most one digit fewer past its own digit
+        # count than its parent kept, and has e one unit larger.  So h at the
+        # root exceeds D's digit count by the depth plus 3, and at each leaf
+        # the error times B_j stays below (depth + 1) / 1000 < 1/2.
+        digits = self._den.adjusted() + len(tree) + 3
+        # floor(lo * 10**digits / D), from q and r.
+        scale, quotient, remainder = self._scaled_lo
+        shift = digits - scale
+        scaled = _EXACT.shift(quotient, shift)
+        if shift > 0:
+            scaled = _EXACT.add(scaled, _EXACT.divide_int(_EXACT.scaleb(remainder, shift), self._den))
+        fractions = [(_low_digits(scaled, digits), digits)]
+        tree.pop()
+        while tree:
+            # Popped from the root down, so each level is freed once it is used.
+            level = tree.pop()
+            children = []
+            for i in range(len(level)):
+                fraction, digits = fractions[i // 2]
+                if i ^ 1 < len(level):
+                    sibling = level[i ^ 1]
+                    size = sibling.adjusted() + 1
+                    digits -= size
+                    fraction = _low_digits(_EXACT.shift(_EXACT.multiply(fraction, sibling), -size), digits)
+                children.append((fraction, digits))
+            fractions = children
+        return [
+            (int(fraction) * factor * 2 + 10**digits) // (2 * 10**digits) % factor
+            for (fraction, digits), factor in zip(fractions, self._factors)
+        ]
+
+    def _lowest_terms(self, divisor: int, converted: decimal.Decimal) -> str:
+        """`converted` over D, both divided by `divisor`, their gcd."""
         denominator = self._den
         if divisor > 1:
             divisor = _exact_decimal(divisor)

@@ -563,6 +563,50 @@ class TestErrorMapping:
         assert excinfo.value.code == 2
 
 
+class TestReusedParser:
+    """`main` parses with one parser per process; each call gives what a fresh parser gives."""
+
+    @staticmethod
+    def outcome(argv, capsys):
+        """(exit code, stdout, stderr) of `main`, with bench timings dropped from its JSON."""
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        out = captured.out
+        if argv[0] == "bench":
+            out = {key: value for key, value in json.loads(out).items() if key != "timing"}
+        return code, out, captured.err
+
+    def test_a_run_of_calls_matches_fresh_parsers(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_text("2\n3\n5\n7\n11\n13\n")
+        runs = [
+            ["constant", "--digits", "30"],
+            ["constant", "--sequence", "naturals", "--terms", "9", "--format", "json"],
+            ["constant", "--digits", "not-a-number"],
+            ["recover", "--value", "2.920050977316", "--format", "json"],
+            ["constant", "--sequence", "primes", "--sequence-file", str(path), "--terms", "3"],
+            ["residuals", "--sequence-file", str(path), "--terms", "4"],
+            ["bench", "--digits", "120", "--format", "json"],
+            ["frobnicate"],
+            ["constant", "--digits", "30"],
+        ]
+        shared = [self.outcome(argv, capsys) for argv in runs]
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert shared == [self.outcome(argv, capsys) for argv in runs]
+        codes = [code for code, _, _ in shared]
+        assert codes == [0, 0, 2, 0, 2, 0, 0, 2, 0]
+        for code, out, err in shared:
+            if code == 2:
+                assert (out, err[: len("usage: primeconst")]) == ("", "usage: primeconst")
+        assert "not allowed with argument" in shared[4][2]
+        assert shared[-1] == shared[0]
+
+
 class TestRealProcess:
     def test_module_invocation(self):
         proc = subprocess.run(

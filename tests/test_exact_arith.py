@@ -326,7 +326,7 @@ class TestDecimalConverter:
 
     @staticmethod
     def check_interval_text(lo, hi, denominator, digits):
-        text = exact_arith._IntervalText(lo, hi, denominator, digits)
+        text = exact_arith._IntervalText(lo, hi, (denominator,), digits)
         with int_text_unlimited():
             floors = str(lo * 10**digits // denominator), str(hi * 10**digits // denominator)
         assert text.digits == exact_arith._shared_digits(*floors, digits)

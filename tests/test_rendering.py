@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import int_text_unlimited
-from primeconst import cli
+from primeconst import cli, exact_arith
 from primeconst.constant import enclose, enclose_digits
 from primeconst.exact_arith import RationalInterval, format_rational, to_decimal
 from primeconst.sequences import ExplicitExhausted, SequenceSpec
@@ -193,6 +193,73 @@ class TestGcdCases:
         assert self.gcds(enclosure)[1] == enclosure.product
         assert enclosure.hi_text == "3/1"
         assert_enclosure_matches(enclosure)
+
+
+class TestRemainderTree:
+    """The lowest-terms divisors from the scaled remainder tree against `math.gcd`."""
+
+    @staticmethod
+    def check(lo, hi, factors, max_digits):
+        denominator = math.prod(factors)
+        assert exact_arith._IntervalText(lo, hi, factors, max_digits)._leaf_remainders() == [
+            lo % factor for factor in factors
+        ]
+        text = exact_arith._IntervalText(lo, hi, factors, max_digits)
+        assert text._endpoint_divisors == (math.gcd(lo, denominator), math.gcd(hi, denominator))
+        assert text.lo() == format_rational(Fraction(lo, denominator))
+        assert text.hi() == format_rational(Fraction(hi, denominator))
+        assert text.width() == format_rational(Fraction(hi - lo, denominator))
+
+    # One run of 64 terms is one leaf: counts at and around the run edges,
+    # and 4097 for a deep tree with an odd node carried up at most levels
+    # (not for doubling and boundary, whose P has about N**2 / 2 bits).
+    @pytest.mark.parametrize(
+        "spec, terms_used",
+        [(spec, n) for spec in ALL_BUILTINS for n in (1, 63, 64, 65, 128, 129)]
+        + [(spec, 4097) for spec in ALL_BUILTINS[:2]],
+        ids=str,
+    )
+    def test_leaf_edges(self, spec, terms_used):
+        enclosure = enclose(spec, terms_used, max_digits=40)
+        assert len(enclosure.run_products) == -(-terms_used // 64)
+        assert math.prod(enclosure.run_products) == enclosure.product
+        lo = enclosure.lo_numerator
+        self.check(lo, lo + 1, enclosure.run_products, enclosure.max_digits)
+        assert_enclosure_matches(enclosure)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_factorisation(self, data):
+        # Factors drawn with repeats from a small pool: equal factors, and
+        # small ones that share primes.
+        pool = data.draw(
+            st.lists(
+                st.one_of(st.integers(1, 12), st.integers(1, 2**64), st.integers(1, 2**300)),
+                min_size=1,
+                max_size=6,
+            )
+        )
+        factors = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=70))
+        denominator = math.prod(factors)
+        # Numerators that share a product of some factors with D, or nothing in particular.
+        shared = math.prod(data.draw(st.lists(st.sampled_from(factors), max_size=len(factors))))
+        lo = shared * data.draw(st.integers(0, 3 * denominator))
+        offset = data.draw(st.one_of(st.integers(0, 2), st.integers(0, 2 * denominator)))
+        step = math.prod(data.draw(st.lists(st.sampled_from(factors), max_size=4)))
+        hi = lo + offset + (-(lo + offset)) % step
+        # Scales below, at and past D's length move the root's fraction between q and r.
+        max_digits = data.draw(st.integers(1, 2 * exact_arith.decimal_length(denominator) + 10))
+        self.check(lo, hi, factors, max_digits)
+
+    def test_hundred_thousand_digit_primes_enclosure(self):
+        # The 20488 terms that 10^5 digits plan for.
+        enclosure = enclose(SequenceSpec.primes(), 20488, max_digits=10)
+        lo, denominator = enclosure.lo_numerator, enclosure.product
+        gcds = math.gcd(lo, denominator), math.gcd(lo + 1, denominator)
+        assert enclosure._text._endpoint_divisors == gcds
+        with int_text_unlimited():
+            assert enclosure.lo_text == f"{lo // gcds[0]}/{denominator // gcds[0]}"
+            assert enclosure.hi_text == f"{(lo + 1) // gcds[1]}/{denominator // gcds[1]}"
 
 
 @settings(max_examples=60, deadline=None)
