@@ -35,7 +35,6 @@ from .exact_arith import (
     ParseError,
     RationalInterval,
     _parse_int_literal,
-    decimal_length,
     format_rational,
     parse_decimal,
     to_decimal,
@@ -416,7 +415,7 @@ def _cmd_bench(args: argparse.Namespace) -> _Output:
         enclosure = enclose_digits(spec, size)
         elapsed = time.perf_counter() - started
         terms_used = enclosure.terms_used
-        product_digits = decimal_length(enclosure.product)
+        product_digits = enclosure.product_digits
         results.append(
             {
                 "digits_requested": size,

@@ -15,41 +15,42 @@ grows, so every digit they certify is final.  For the primes the limit is
 2.92005097731613..., and the first term of the recovered expansion of the
 enclosure is the sequence itself (see `recurrence`).
 
-The series is summed by binary splitting (Haible and Papanikolaou, 1998).
-A range of terms gives a pair (P, S): P is the product of its terms and
-S / P its share of the sum, scaled to start at 1.  One term a gives
-(a, (a - 1) * a), and two adjacent ranges combine as
-(P1 * P2, S1 * P2 + S2).  The whole prefix gives g_N = S / P_N, so the
-enclosure is [(S + a_{N+1}) / P_N, (S + a_{N+1} + 1) / P_N] with no gcd
-until a Fraction is formed, and the operands of each multiplication are of
-comparable size.  `plan_terms` finds its term count in a product tree in
-the same way: it gallops over blocks of doubling length, then descends
-into the block that crosses the threshold.
+The series is summed by binary splitting (Haible and Papanikolaou, 1998),
+bottom-up and in exact Decimals, whose large products libmpdec forms by
+number-theoretic transform.  A range of terms gives a pair (P, S): P is
+the product of its terms and S / P its share of the sum, scaled to start
+at 1.  One term a gives (a, (a - 1) * a), and two adjacent ranges combine
+as (P1 * P2, S1 * P2 + S2).  The whole prefix gives g_N = S / P_N, so the
+enclosure is [(S + a_{N+1}) / P_N, (S + a_{N+1} + 1) / P_N] with no gcd.
+The P of every range is kept, as the one product tree of P_N that the
+renderer descends for its lowest-terms gcds (`exact_arith._IntervalText`).
+`plan_terms` takes its term count from a float sum of log10 a_k and
+confirms it on that exact P.
 """
 
 from __future__ import annotations
 
+import bisect
+import decimal
+import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from .exact_arith import (
+    _EXACT,
     DecimalDigits,
     RationalInterval,
     _check_int,
+    _parse_int,
+    _exact_decimal,
     _int_text,
     _IntervalText,
-    decimal_length,
     parse_rational,
 )
-from .sequences import (
-    ExplicitExhausted,
-    SequenceKind,
-    SequenceSpec,
-    ValidationReport,
-    validate_bertrand,
-)
+from .sequences import ExplicitExhausted, SequenceKind, SequenceSpec, ValidationReport, validate_bertrand
 
 __all__ = [
     "ConstantEnclosure",
@@ -61,7 +62,8 @@ __all__ = [
     "plan_terms",
 ]
 
-_TREE_THRESHOLD = 64
+# Terms per leaf of the product tree, multiplied as Python ints.
+_RUN = 64
 
 
 class InsufficientTerms(ValueError):
@@ -77,64 +79,98 @@ class ValidationFailed(ValueError):
         super().__init__(f"sequence is not admissible: {details}")
 
 
-def _run_products(values: list[int]) -> list[int]:
-    """The products of the runs of _TREE_THRESHOLD values, in order."""
-    return [math.prod(values[i : i + _TREE_THRESHOLD]) for i in range(0, len(values), _TREE_THRESHOLD)]
+@dataclass(frozen=True)
+class _Series:
+    """(P, S) of a_1..a_N, with g_N = S / P, and the product tree of P.
+
+    `levels[0]` holds the products of the runs of _RUN terms, each level above
+    the products of adjacent pairs below, with a last odd node carried up, and
+    `levels[-1]` is [P].  Only the last node of each level holds a_N.
+    """
+
+    count: int
+    levels: tuple[tuple[decimal.Decimal, ...], ...]
+    numerator: decimal.Decimal
+
+    @property
+    def product(self) -> decimal.Decimal:
+        return self.levels[-1][0]
+
+    def extended(self, a: int) -> _Series:
+        """The series of a_1..a_N, a."""
+        levels = tuple(level[:-1] + (_EXACT.multiply(level[-1], a),) for level in self.levels)
+        return _Series(self.count + 1, levels, _EXACT.multiply(_EXACT.add(self.numerator, a - 1), a))
+
+    def shortened(self, a: int) -> _Series:
+        """The series of a_1..a_{N-1}, for a = a_N, by exact division."""
+        levels = tuple(level[:-1] + (_EXACT.divide_int(level[-1], a),) for level in self.levels)
+        return _Series(self.count - 1, levels, _EXACT.subtract(_EXACT.divide_int(self.numerator, a), a - 1))
 
 
-def _product_levels(values: list[int]) -> list[list[int]]:
-    """Product tree, bottom-up: level 0 multiplies runs of _TREE_THRESHOLD values, the last is the root."""
-    level = _run_products(values)
-    levels = [level]
-    while len(level) > 1:
-        level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
-        levels.append(level)
-    return levels
-
-
-def _series(terms: list[int]) -> tuple[int, int]:
-    """(P, S) with P = a_1 * ... * a_N and g_N = S / P, by binary splitting."""
-
-    def _run(lo: int, hi: int) -> tuple[int, int]:
-        if hi - lo <= _TREE_THRESHOLD:
-            p, s = 1, 0
-            for a in terms[lo:hi]:
-                p, s = p * a, (s + a - 1) * a
-            return p, s
-        mid = (lo + hi) // 2
-        p1, s1 = _run(lo, mid)
-        p2, s2 = _run(mid, hi)
-        return p1 * p2, s1 * p2 + s2
-
-    return _run(0, len(terms))
+def _series(terms: Sequence[int]) -> _Series:
+    """The series of `terms`, by binary splitting: the runs as ints, the levels above in `_EXACT`."""
+    nodes = []
+    for start in range(0, len(terms), _RUN):
+        p, s = 1, 0
+        for a in terms[start : start + _RUN]:
+            p, s = p * a, (s + a - 1) * a
+        nodes.append((_exact_decimal(p), _exact_decimal(s)))
+    nodes = nodes or [(decimal.Decimal(1), decimal.Decimal(0))]
+    levels = [tuple(p for p, _ in nodes)]
+    while len(nodes) > 1:
+        merged = [
+            (_EXACT.multiply(p1, p2), _EXACT.add(_EXACT.multiply(s1, p2), s2))
+            for (p1, s1), (p2, s2) in zip(nodes[::2], nodes[1::2])
+        ]
+        nodes = merged + nodes[2 * len(merged) :]
+        levels.append(tuple(p for p, _ in nodes))
+    return _Series(len(terms), tuple(levels), nodes[0][1])
 
 
 @dataclass(frozen=True)
 class ConstantEnclosure:
     """A certified enclosure [L/P, (L+1)/P] of a sequence constant from finitely many terms.
 
-    `lo_numerator` is L and `product` is P = a_1 * ... * a_N, so the width
-    is exactly 1/P; `series_numerator` is S with partial sum g_N = S / P.
-    `run_products` are the products of the runs of 64 terms of a_1..a_N,
-    whose product is P.  `digits` holds the decimal digits the interval
-    certifies, rendered to `max_digits` fractional places on first read.
-    The lowest-terms `interval` is derived from L and P.  The text of its
-    endpoints is rendered from L and the run products, whose product tree
-    gives P, and whose remainder tree gives gcd(L, P) and gcd(L + 1, P)
-    without a full-size gcd (see `exact_arith._IntervalText`).
+    `series` holds P = a_1 * ... * a_N, its product tree and S = g_N * P, and
+    L = S + a_{N+1} for the `lookahead` a_{N+1}.  `digits` (to `max_digits`
+    places) and the lowest-terms texts are rendered from these Decimals on first
+    read; the ints `product`, `lo_numerator`, `series_numerator` and
+    `run_products` (the leaves) are parsed from their text.  `validation`
+    reports on a_1..a_{N+1}.  Equality compares sequence, count, cap and lookahead.
     """
 
     sequence: SequenceSpec
     terms_used: int
-    series_numerator: int
-    lo_numerator: int
-    product: int
     max_digits: int
-    run_products: tuple[int, ...]
+    series: _Series = field(compare=False, repr=False)
+    lookahead: int
+    validation: ValidationReport = field(compare=False, repr=False)
 
     @cached_property
     def _text(self) -> _IntervalText:
-        return _IntervalText(self.lo_numerator, self.lo_numerator + 1, self.run_products, self.max_digits)
+        lo = _EXACT.add(self.series.numerator, self.lookahead)
+        return _IntervalText(lo, decimal.Decimal(1), self.series.levels, self.max_digits)
+
+    @cached_property
+    def product(self) -> int:
+        return _parse_int(str(self.series.product))
+
+    @cached_property
+    def series_numerator(self) -> int:
+        return _parse_int(str(self.series.numerator))
+
+    @property
+    def lo_numerator(self) -> int:
+        return self.series_numerator + self.lookahead
+
+    @property
+    def run_products(self) -> tuple[int, ...]:
+        return tuple(_parse_int(str(leaf)) for leaf in self.series.levels[0])
+
+    @property
+    def product_digits(self) -> int:
+        """The number of decimal digits of P, read off the Decimal."""
+        return self.series.product.adjusted() + 1
 
     @property
     def digits(self) -> DecimalDigits:
@@ -143,10 +179,8 @@ class ConstantEnclosure:
     @property
     def interval(self) -> RationalInterval:
         """[L/P, (L+1)/P] with endpoints in lowest terms; its two gcds are paid on each read."""
-        return RationalInterval(
-            Fraction(self.lo_numerator, self.product),
-            Fraction(self.lo_numerator + 1, self.product),
-        )
+        lo, product = self.lo_numerator, self.product
+        return RationalInterval(Fraction(lo, product), Fraction(lo + 1, product))
 
     @property
     def partial_sum(self) -> Fraction:
@@ -165,8 +199,8 @@ class ConstantEnclosure:
 
     @property
     def width_text(self) -> str:
-        """format_rational(interval.width), rendered from P."""
-        return self._text.width()
+        """format_rational(interval.width): 1/P is in lowest terms."""
+        return f"1/{self.series.product}"
 
     def to_json_dict(self) -> dict:
         return {
@@ -180,15 +214,10 @@ class ConstantEnclosure:
         }
 
 
-def enclose(spec: SequenceSpec, terms_used: int, max_digits: int | None = None) -> ConstantEnclosure:
-    """Enclose the constant of `spec` using `terms_used` terms (plus one lookahead).
-
-    The lookahead term a_{N+1} tightens the tail bracket to width exactly
-    1/P_N.  `max_digits` caps the decimal rendering; by default it is
-    sized to the product, which is always enough to expose every digit the
-    interval can certify.
-    """
-    _check_int(terms_used, "terms_used", 1)
+def _enclosure(
+    spec: SequenceSpec, terms_used: int, max_digits: int | None, series: _Series | None = None
+) -> ConstantEnclosure:
+    """The enclosure from N = terms_used terms, once a_1..a_{N+1} pass validation; `series` if already summed."""
     try:
         terms = spec.terms(terms_used + 1)
     except ExplicitExhausted as exc:
@@ -198,61 +227,63 @@ def enclose(spec: SequenceSpec, terms_used: int, max_digits: int | None = None) 
     report = validate_bertrand(terms)
     if not report.ok:
         raise ValidationFailed(report)
-    running_product, numerator = _series(terms[:terms_used])
+    series = series or _series(terms[:terms_used])
     if max_digits is None:
-        max_digits = max(1, decimal_length(running_product))
+        max_digits = series.product.adjusted() + 1
     _check_int(max_digits, "max_digits", 1)
-    return ConstantEnclosure(
-        sequence=spec,
-        terms_used=terms_used,
-        series_numerator=numerator,
-        lo_numerator=numerator + terms[terms_used],
-        product=running_product,
-        max_digits=max_digits,
-        run_products=tuple(_run_products(terms[:terms_used])),
-    )
+    return ConstantEnclosure(spec, terms_used, max_digits, series, terms[terms_used], report)
 
 
-def _first_reaching(values: list[int], running: int, threshold: int) -> tuple[int | None, int]:
-    """(k, running * product(values)) for the smallest k with running * values[:k] >= threshold.
+def enclose(spec: SequenceSpec, terms_used: int, max_digits: int | None = None) -> ConstantEnclosure:
+    """Enclose the constant of `spec` using `terms_used` terms (plus one lookahead).
 
-    k is None, and the product exact, when no prefix of `values` reaches the
-    threshold.  Values >= 1 keep the prefix products monotone, so the root
-    of a product tree tells whether the block reaches the threshold, and a
-    descent that keeps `running * node >= threshold` finds the first run
-    that does.  A block holding a value below 1 is scanned one at a time.
+    The lookahead term a_{N+1} tightens the tail bracket to width exactly
+    1/P_N.  `max_digits` caps the decimal rendering; by default it is
+    P_N's digit count, which is always enough to expose every digit the
+    interval can certify.
     """
-    if min(values) < 1:
-        for count, value in enumerate(values, start=1):
-            running *= value
-            if running >= threshold:
-                return count, running
-        return None, running
-    levels = _product_levels(values)
-    total = running * levels[-1][0]
-    if total < threshold:
-        return None, total
-    index = 0
-    threshold_bits = threshold.bit_length()
-    for level in reversed(levels[:-1]):
-        index *= 2
-        node = level[index]
-        # With b the sum of the two bit lengths, running * node >= 2**(b - 2),
-        # which exceeds the threshold once b - 2 >= threshold_bits; only a
-        # product that may fall short is formed.  The right child exists
-        # whenever the left one falls short.
-        if running.bit_length() + node.bit_length() - 2 < threshold_bits:
-            extended = running * node
-            if extended < threshold:
-                running = extended
-                index += 1
-    count = index * _TREE_THRESHOLD
-    for value in values[count:]:
-        count += 1
-        running *= value
-        if running >= threshold:
-            return count, total
-    raise AssertionError("unreachable: the run's product reaches the threshold")
+    _check_int(terms_used, "terms_used", 1)
+    return _enclosure(spec, terms_used, max_digits)
+
+
+def _proposal(spec: SequenceSpec, digits: int) -> tuple[list[int], int]:
+    """Terms of `spec`, and the count at which a float sum of their log10 first reaches digits + 2.
+
+    Of an explicit sequence only the terms before the first below 2 are summed,
+    and their count is taken if the sum stops short.  A built-in one gives more.
+    """
+    target = digits + 2
+    if spec.kind is SequenceKind.EXPLICIT:
+        terms = list(spec.explicit_terms)
+        prefix = len(terms) if min(terms) >= 2 else next(i for i, a in enumerate(terms) if a < 2)
+        sums = list(itertools.accumulate(map(math.log10, terms[:prefix])))
+        return terms, min(bisect.bisect_left(sums, target) + 1, prefix)
+    count = _RUN
+    if spec.kind is SequenceKind.PRIMES:
+        # One sieve: ln P_N = theta(p_N) is a little below p_N, so p_N lies just past
+        # (digits + 2) * ln 10, and pi(x) <= x / (ln x - 1.1) for x >= 60184 (Dusart 2010).
+        x = 1.01 * target * math.log(10) + 10
+        count = int(x / (math.log(x) - 1.1)) + 4
+    while True:
+        terms = spec.terms(count)
+        sums = list(itertools.accumulate(map(math.log10, terms)))
+        if sums[-1] >= target:
+            return terms, bisect.bisect_left(sums, target) + 1
+        count *= 2
+
+
+def _planned(spec: SequenceSpec, digits: int) -> _Series:
+    """The series of a_1..a_N for the smallest N with P_N >= 10**(digits + 2), confirmed exactly."""
+    _check_int(digits, "digits", 1)
+    terms, count = _proposal(spec, digits)
+    threshold = _EXACT.scaleb(1, digits + 2)
+    series = _series(terms[:count])
+    # Up to the proposal every term is >= 2, so P_{N-1} = P_N / a_N; past a smaller one the second loop scans.
+    while series.count > 1 and _EXACT.divide_int(series.product, terms[series.count - 1]) >= threshold:
+        series = series.shortened(terms[series.count - 1])
+    while series.product < threshold:
+        series = series.extended(spec.term(series.count + 1))
+    return series
 
 
 def plan_terms(spec: SequenceSpec, digits: int) -> int:
@@ -265,39 +296,28 @@ def plan_terms(spec: SequenceSpec, digits: int) -> int:
     has 99 at places 225-226, so 224 digits of it need one more term.
     `enclose_digits` adds the terms that such a case needs.
 
-    The search gallops over blocks of doubling length, multiplying each
-    block by a product tree, and descends into the first block whose
-    product carries P past the threshold.  An explicit sequence that runs
-    out first raises ExplicitExhausted for the term after its last.
+    A float sum of log10 a_k proposes N; P_N >= 10**(digits + 2) > P_N / a_N on
+    the series' exact P confirms it or moves it a term at a time.  An explicit
+    sequence that runs out first raises ExplicitExhausted for the term after its last.
     """
-    _check_int(digits, "digits", 1)
-    threshold = 10 ** (digits + 2)
-    available = len(spec.explicit_terms) if spec.kind is SequenceKind.EXPLICIT else None
-    running, start, size = 1, 0, _TREE_THRESHOLD
-    while True:
-        end = start + size if available is None else min(start + size, available)
-        if end == start:
-            spec.term(end + 1)  # raises ExplicitExhausted, as the one-term loop did
-        found, running = _first_reaching(spec.terms(end)[start:], running, threshold)
-        if found is not None:
-            return start + found
-        start, size = end, 2 * size
+    return _planned(spec, digits).count
 
 
 def enclose_digits(spec: SequenceSpec, digits: int, max_digits: int | None = None) -> ConstantEnclosure:
     """Enclosure certifying `digits` fractional digits, rendered to `max_digits` (default `digits`).
 
-    Starts from `plan_terms` and adds one term at a time while fewer than
-    min(digits, max_digits) digits are verified.  It stops early at an
+    Starts from the planned series and multiplies in one more term while fewer
+    than min(digits, max_digits) digits are verified.  It stops early at an
     integer-part boundary, which no number of terms resolves, and when an
-    explicit sequence has no further term; the last enclosure is returned
-    as it is then.
+    explicit sequence has no further term, returning the last enclosure.
     """
     cap = digits if max_digits is None else max_digits
-    enclosure = enclose(spec, plan_terms(spec, digits), max_digits=cap)
+    series = _planned(spec, digits)
+    enclosure = _enclosure(spec, series.count, cap, series)
     while enclosure.digits.verified < min(digits, cap) and not enclosure.digits.boundary:
+        series = series.extended(enclosure.lookahead)
         try:
-            enclosure = enclose(spec, enclosure.terms_used + 1, max_digits=cap)
+            enclosure = _enclosure(spec, series.count, cap, series)
         except InsufficientTerms:
             break
     return enclosure

@@ -7,7 +7,8 @@ rigorous enclosure of a real number, with no rounding anywhere.  Decimal
 output is by truncation, and only digits shared by the entire interval are
 reported as verified.  Inside the package an enclosure is carried as
 integer numerators over one denominator, [lo/D, hi/D], and `_IntervalText`
-renders any interval from those integers without forming a `Fraction`.
+renders any interval from those integers, held as exact Decimals with a
+product tree of D, without forming a `Fraction`.
 The rows the floor recurrence prints, one per step, are stepped and
 rendered in lowest terms by `_LowestTerms`, in time linear in their digits.
 
@@ -16,6 +17,7 @@ size.  `_exact_decimal` renders every integer: it splits it on bits and
 joins the converted halves with powers of two in the `decimal` module.
 `_parse_int` parses every digit string: it joins its halves with a power
 of ten; `_parse_int_literal` adds the sign and underscores int() takes.
+An integral Decimal goes back through its text, never int(), which is quadratic.
 Neither hands `int()` more than 640 digits, the lowest int-to-text
 limit CPython accepts, so the library works under any limit and never
 reads or sets it.  Every decimal operation runs in the private context
@@ -87,9 +89,11 @@ _EXACT = decimal.Context(
 
 
 def _exact_decimal(n: int) -> decimal.Decimal:
-    """The integer n >= 0 as a Decimal, by splitting on bits and joining with powers of two."""
+    """The integer n as a Decimal, by splitting on bits and joining with powers of two."""
     if n.bit_length() <= _LEAF_BITS:
         return decimal.Decimal(n)
+    if n < 0:
+        return _exact_decimal(-n).copy_negate()
     powers: dict[int, decimal.Decimal] = {}
 
     def power_of_two(bits: int) -> decimal.Decimal:
@@ -120,8 +124,6 @@ def _exact_decimal(n: int) -> decimal.Decimal:
 
 def _int_text(n: int) -> str:
     """Decimal text of an integer, as str(n) gives it."""
-    if n < 0:
-        return "-" + str(_exact_decimal(-n))
     return str(_exact_decimal(n))
 
 
@@ -302,7 +304,8 @@ def to_decimal(interval: RationalInterval, max_digits: int) -> DecimalDigits:
             f"got lo={_fraction_text(interval.lo)}"
         )
     lo, hi, denominator = interval._lcm_numerators()
-    return _IntervalText(lo, hi, (denominator,), max_digits).digits
+    tree = [[_exact_decimal(denominator)]]
+    return _IntervalText(_exact_decimal(lo), _exact_decimal(hi - lo), tree, max_digits).digits
 
 
 def _check_int(value: int, name: str, minimum: int) -> None:
@@ -350,17 +353,26 @@ def _low_digits(value: decimal.Decimal, count: int) -> decimal.Decimal:
     return _EXACT.subtract(value, _EXACT.scaleb(_EXACT.shift(value, -count), count))
 
 
-class _IntervalText:
-    """Decimal digits and text of [lo/D, hi/D], for integers 0 <= lo <= hi and D = prod B_j >= 1.
+def _gcd(numerator: decimal.Decimal, residues: Iterable[int], leaves: Iterable[int]) -> int:
+    """gcd(numerator, prod(leaves)), from residues congruent to the numerator modulo each leaf."""
+    divisor = math.prod(map(math.gcd, residues, leaves))
+    if divisor == 1:
+        return 1
+    return math.gcd(_parse_int(str(_EXACT.remainder(numerator, _exact_decimal(divisor)))), divisor)
 
-    lo, the width w = hi - lo and each factor become Decimals once each, by
-    `_exact_decimal`, and every later operation runs in `_EXACT`.  The
-    factors' product tree is multiplied there, and its root is D.  One
-    divmod, q, r = divmod(lo * 10**d, D), gives both truncations, since
+
+class _IntervalText:
+    """Decimal digits and text of [lo/D, hi/D], for integers 0 <= lo <= hi and D >= 1, as Decimals.
+
+    lo, the width w = hi - lo and a product tree `levels` of D come as exact
+    Decimals, and every operation runs in `_EXACT`.  levels[0] holds the
+    leaves B_j, a level above multiplies adjacent pairs of the one below and
+    carries a last odd node up, and levels[-1] is [D].  One divmod,
+    q, r = divmod(lo * 10**d, D), gives both truncations, since
     floor(hi * 10**d / D) = q + (r + w * 10**d) // D.
 
-    Each lowest-terms text divides its converted numerator x and D exactly
-    by gcd(x, D), found without a full-size gcd when a text is first asked
+    Each lowest-terms text divides its numerator x and D exactly by
+    gcd(x, D), found without a full-size gcd when a text is first asked
     for.  A scaled remainder tree (Bernstein, "Scaled remainder trees",
     2004) runs lo down the product tree to the leaf remainders
     r_j = lo mod B_j, with multiplications only: for a node c with sibling
@@ -369,27 +381,22 @@ class _IntervalText:
     times its sibling, less the integer part and the digits its smaller
     size no longer needs.  The root's fraction comes from q and r, and
     r_j = round(frac(lo / B_j) * B_j) at the leaves.  Then
-    gcd(x, D) = gcd(x, G) for G = prod gcd(x mod B_j, B_j), with x mod B_j
-    equal to r_j for lo and to r_j + w for hi: G divides D, and gcd(x, D)
-    divides G, since each prime's exponent in it is at most the sum of its
-    exponents in the gcd(x, B_j).  So the factors need not be coprime.  The
-    gcds left are of small leaves, and of x with G, which is small unless x
-    shares a large part of D.  The tree is freed as it is descended.
+    gcd(x, D) = gcd(x, G) = gcd(x mod G, G) for G = prod gcd(x mod B_j, B_j),
+    with x mod B_j equal to r_j for lo and to r_j + w for hi: G divides D,
+    and gcd(x, D) divides G, since each prime's exponent in it is at most
+    the sum of its exponents in the gcd(x, B_j).  So the leaves need not be
+    coprime.  The gcds left are of small leaves, and of G with x mod G,
+    which is small unless x shares a large part of D.  Only the leaves, G
+    and x mod G are turned into ints.
     """
 
-    def __init__(self, lo: int, hi: int, factors: Sequence[int], max_digits: int) -> None:
-        self._lo_numerator, self._hi_numerator, self._factors = lo, hi, factors
-        self._lo = _exact_decimal(lo)
-        self._width = _exact_decimal(hi - lo)
-        level = [_exact_decimal(factor) for factor in factors]
-        self._tree = [level]
-        while len(level) > 1:
-            pairs = [level[i : i + 2] for i in range(0, len(level), 2)]
-            level = [_EXACT.multiply(*pair) if len(pair) == 2 else pair[0] for pair in pairs]
-            self._tree.append(level)
-        self._den = level[0]
-        quotient, remainder = _EXACT.divmod(_EXACT.scaleb(self._lo, max_digits), self._den)
-        carry = _EXACT.divide_int(_EXACT.add(remainder, _EXACT.scaleb(self._width, max_digits)), self._den)
+    def __init__(
+        self, lo: decimal.Decimal, width: decimal.Decimal, levels: Sequence[Sequence[decimal.Decimal]], max_digits: int
+    ) -> None:
+        self._lo, self._width, self._hi, self._levels = lo, width, _EXACT.add(lo, width), levels
+        self._den = levels[-1][0]
+        quotient, remainder = _EXACT.divmod(_EXACT.scaleb(lo, max_digits), self._den)
+        carry = _EXACT.divide_int(_EXACT.add(remainder, _EXACT.scaleb(width, max_digits)), self._den)
         self.digits = _shared_digits(str(quotient), str(_EXACT.add(quotient, carry)), max_digits)
         # Kept for the root of the remainder tree: lo * 10**d = q * D + r.
         self._scaled_lo = (max_digits, quotient, remainder)
@@ -400,37 +407,25 @@ class _IntervalText:
 
     def hi(self) -> str:
         """hi/D in lowest terms, as `format_rational` renders it."""
-        return self._lowest_terms(self._endpoint_divisors[1], _EXACT.add(self._lo, self._width))
-
-    def width(self) -> str:
-        """w/D in lowest terms, as `format_rational` renders it."""
-        width = self._hi_numerator - self._lo_numerator
-        return self._lowest_terms(self._gcd(width, [width] * len(self._factors)), self._width)
-
-    def _gcd(self, numerator: int, residues: Iterable[int]) -> int:
-        """gcd(numerator, D), from residues congruent to the numerator modulo each factor."""
-        return math.gcd(numerator, math.prod(map(math.gcd, residues, self._factors)))
+        return self._lowest_terms(self._endpoint_divisors[1], self._hi)
 
     @cached_property
     def _endpoint_divisors(self) -> tuple[int, int]:
         """(gcd(lo, D), gcd(hi, D)), from the leaf remainders of lo's scaled remainder tree."""
-        remainders = self._leaf_remainders()
-        width = self._hi_numerator - self._lo_numerator
-        return (
-            self._gcd(self._lo_numerator, remainders),
-            self._gcd(self._hi_numerator, [r + width for r in remainders]),
-        )
+        leaves = [_parse_int(str(leaf)) for leaf in self._levels[0]]
+        remainders = self._leaf_remainders(leaves)
+        width = _parse_int(str(self._width))
+        return _gcd(self._lo, remainders, leaves), _gcd(self._hi, [r + width for r in remainders], leaves)
 
-    def _leaf_remainders(self) -> list[int]:
-        """lo mod B_j for each factor B_j, by the scaled remainder tree; frees the tree."""
-        tree, self._tree = self._tree, None
+    def _leaf_remainders(self, leaves: list[int]) -> list[int]:
+        """lo mod B_j for each leaf B_j, by the scaled remainder tree."""
         # Each fraction is a pair (y, h) with y = floor(frac(lo / node) * 10**h),
         # up to an error of e units.  A child keeps h minus its sibling's
         # digit count, which is at most one digit fewer past its own digit
         # count than its parent kept, and has e one unit larger.  So h at the
         # root exceeds D's digit count by the depth plus 3, and at each leaf
         # the error times B_j stays below (depth + 1) / 1000 < 1/2.
-        digits = self._den.adjusted() + len(tree) + 3
+        digits = self._den.adjusted() + len(self._levels) + 3
         # floor(lo * 10**digits / D), from q and r.
         scale, quotient, remainder = self._scaled_lo
         shift = digits - scale
@@ -438,10 +433,7 @@ class _IntervalText:
         if shift > 0:
             scaled = _EXACT.add(scaled, _EXACT.divide_int(_EXACT.scaleb(remainder, shift), self._den))
         fractions = [(_low_digits(scaled, digits), digits)]
-        tree.pop()
-        while tree:
-            # Popped from the root down, so each level is freed once it is used.
-            level = tree.pop()
+        for level in reversed(self._levels[:-1]):
             children = []
             for i in range(len(level)):
                 fraction, digits = fractions[i // 2]
@@ -453,18 +445,18 @@ class _IntervalText:
                 children.append((fraction, digits))
             fractions = children
         return [
-            (int(fraction) * factor * 2 + 10**digits) // (2 * 10**digits) % factor
-            for (fraction, digits), factor in zip(fractions, self._factors)
+            (_parse_int(str(fraction)) * leaf * 2 + 10**digits) // (2 * 10**digits) % leaf
+            for (fraction, digits), leaf in zip(fractions, leaves)
         ]
 
-    def _lowest_terms(self, divisor: int, converted: decimal.Decimal) -> str:
-        """`converted` over D, both divided by `divisor`, their gcd."""
+    def _lowest_terms(self, divisor: int, numerator: decimal.Decimal) -> str:
+        """`numerator` over D, both divided by `divisor`, their gcd."""
         denominator = self._den
         if divisor > 1:
             divisor = _exact_decimal(divisor)
-            converted = _EXACT.divide_int(converted, divisor)
+            numerator = _EXACT.divide_int(numerator, divisor)
             denominator = _EXACT.divide_int(denominator, divisor)
-        return f"{converted}/{denominator}"
+        return f"{numerator}/{denominator}"
 
 
 class _LowestTerms:

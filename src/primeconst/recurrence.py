@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .constant import enclose
 from .exact_arith import InvalidArgument, RationalInterval, _arg_text, _check_int, _int_text, _LowestTerms, format_rational
-from .sequences import SequenceSpec, validate_bertrand
+from .sequences import SequenceSpec
 
 __all__ = [
     "FloorBelowTwo",
@@ -364,12 +364,11 @@ def roundtrip(spec: SequenceSpec, terms_used: int, max_terms: int | None = None)
     for step, (got, want) in enumerate(zip(run.recovered, expected), start=1):
         if got != want:
             raise MismatchDetected(step, got, want)
-    report = validate_bertrand(spec.terms(terms_used + 1))
     return RoundtripReport(
         sequence=spec,
         terms_used=terms_used,
         recovered=run.recovered,
         match_length=len(run.recovered),
         stop=run.stop,
-        degenerate_tail=report.all_tail_equalities,
+        degenerate_tail=enclosure.validation.all_tail_equalities,
     )

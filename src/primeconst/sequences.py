@@ -15,8 +15,8 @@ re-sieve from scratch.
 
 from __future__ import annotations
 
+import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -55,11 +55,11 @@ def _sieve_up_to(bound: int) -> list[int]:
     for p in range(2, math.isqrt(bound) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(range(p * p, bound + 1, p)))
-    return [i for i, keep in enumerate(flags) if keep]
+    return list(itertools.compress(range(bound + 1), flags))
 
 
 class PrimeSieve:
-    """Growable prime cache, safe for concurrent readers.
+    """Growable prime cache.
 
     The sieve re-runs over a doubled bound whenever a request outgrows the
     cache, so a run of increasing requests costs only a constant factor
@@ -69,7 +69,6 @@ class PrimeSieve:
     def __init__(self) -> None:
         self._primes: list[int] = []
         self._bound = 0
-        self._lock = threading.Lock()
 
     @staticmethod
     def _bound_for(count: int) -> int:
@@ -80,12 +79,9 @@ class PrimeSieve:
         return int(x * (math.log(x) + math.log(math.log(x)))) + 10
 
     def _ensure(self, count: int) -> None:
-        if count <= len(self._primes):
-            return
-        with self._lock:
-            while len(self._primes) < count:
-                self._bound = max(self._bound_for(count), self._bound * 2, 64)
-                self._primes = _sieve_up_to(self._bound)
+        while len(self._primes) < count:
+            self._bound = max(self._bound_for(count), self._bound * 2, 64)
+            self._primes = _sieve_up_to(self._bound)
 
     def first(self, count: int) -> list[int]:
         """The first `count` primes, in order."""
@@ -98,13 +94,6 @@ class PrimeSieve:
         _check_int(index, "index", 1)
         self._ensure(index)
         return self._primes[index - 1]
-
-    def iter_primes(self):
-        """Yield primes indefinitely, growing the cache as needed."""
-        k = 1
-        while True:
-            yield self.nth(k)
-            k += 1
 
 
 _SHARED_SIEVE = PrimeSieve()
@@ -330,10 +319,10 @@ def smallest_nondividing_prime(value: int) -> int:
     """
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ValueError(f"value must be a positive integer, got {_arg_text(value)}")
-    for p in _SHARED_SIEVE.iter_primes():
+    for index in itertools.count(1):
+        p = _SHARED_SIEVE.nth(index)
         if value % p:
             return p
-    raise AssertionError("unreachable: some prime always fails to divide")
 
 
 def load_sequence_file(path) -> list[int]:

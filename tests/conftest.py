@@ -12,6 +12,7 @@ integer wraps only that expression in `int_text_unlimited()`.
 """
 
 import contextlib
+import math
 import sys
 
 import pytest
@@ -43,6 +44,20 @@ def int_text_unlimited():
         yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def interval_text(lo, hi, factors, max_digits):
+    """`exact_arith._IntervalText` of [lo/D, hi/D] over a product tree of `factors`, whose product is D."""
+    from primeconst import exact_arith
+
+    level = list(factors)
+    levels = [level]
+    while len(level) > 1:
+        level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
+        levels.append(level)
+    tree = [[exact_arith._exact_decimal(node) for node in level] for level in levels]
+    decimal_lo, decimal_width = exact_arith._exact_decimal(lo), exact_arith._exact_decimal(hi - lo)
+    return exact_arith._IntervalText(decimal_lo, decimal_width, tree, max_digits)
 
 
 def midpoint(interval):

@@ -1,7 +1,8 @@
 """Tests for partial sums, enclosures, and term planning.
 
-The Horner-form series numerator and the one-term-at-a-time planning loop
-that the binary splitting and the product-tree descent replaced are kept
+The Horner-form series numerator, the one-term-at-a-time planning loop and
+the fresh-enclosure extension loop, which the binary splitting, the
+confirmed float plan and the one-term series extension replaced, are kept
 here as differential oracles.
 """
 
@@ -15,13 +16,13 @@ from primeconst import constant
 from primeconst.constant import (
     InsufficientTerms,
     ValidationFailed,
-    _product_levels,
+    _series,
     enclose,
     enclose_digits,
     interval_from_enclosure_json,
     plan_terms,
 )
-from primeconst.exact_arith import InvalidArgument
+from primeconst.exact_arith import InvalidArgument, decimal_length
 from primeconst.sequences import ExplicitExhausted, SequenceSpec
 
 ALL_BUILTINS = [
@@ -63,6 +64,33 @@ def plan_terms_oracle(spec, digits):
     return count
 
 
+def enclose_digits_oracle(spec, digits, max_digits=None):
+    """`enclose_digits` from the one-term plan, with a fresh `enclose` for each added term."""
+    cap = digits if max_digits is None else max_digits
+    enclosure = enclose(spec, plan_terms_oracle(spec, digits), max_digits=cap)
+    while enclosure.digits.verified < min(digits, cap) and not enclosure.digits.boundary:
+        try:
+            enclosure = enclose(spec, enclosure.terms_used + 1, max_digits=cap)
+        except InsufficientTerms:
+            break
+    return enclosure
+
+
+def enclosure_view(enclosure):
+    """Everything an enclosure shows: its ints, its digits and its texts."""
+    return (
+        enclosure.terms_used,
+        enclosure.max_digits,
+        enclosure.product,
+        enclosure.series_numerator,
+        enclosure.lo_numerator,
+        enclosure.digits,
+        enclosure.lo_text,
+        enclosure.hi_text,
+        enclosure.width_text,
+    )
+
+
 def outcome(fn, *args):
     """The value `fn` returns, or the type and message of what it raises."""
     try:
@@ -72,20 +100,24 @@ def outcome(fn, *args):
 
 
 class TestProduct:
-    """The root of the product tree that `plan_terms` descends."""
+    """The product tree of P that the series keeps, and that the renderer descends."""
 
     def test_empty_and_single(self):
-        assert _product_levels([7]) == [[7]]
-        assert _product_levels([]) == [[]]
+        assert _series([7]).levels == ((7,),)
+        assert _series([]).levels == ((1,),)
 
     @pytest.mark.parametrize("size", [2, 63, 64, 65, 130, 400])
     def test_matches_math_prod_across_tree_threshold(self, size):
         values = [(3 * i + 1) for i in range(size)]
-        assert _product_levels(values)[-1] == [math.prod(values)]
+        levels = [[int(node) for node in level] for level in _series(values).levels]
+        assert levels[-1] == [math.prod(values)]
+        assert levels[0] == [math.prod(values[i : i + 64]) for i in range(0, size, 64)]
+        for below, above in zip(levels, levels[1:]):
+            assert above == [math.prod(below[i : i + 2]) for i in range(0, len(below), 2)]
 
     @given(values=st.lists(st.integers(min_value=-50, max_value=10**6), min_size=1, max_size=200))
     def test_matches_math_prod_random(self, values):
-        assert _product_levels(values)[-1] == [math.prod(values)]
+        assert _series(values).product == math.prod(values)
 
 
 class TestPartialSum:
@@ -127,9 +159,23 @@ class TestBinarySplitting:
     @given(terms=st.lists(st.integers(min_value=-5, max_value=10**30), min_size=1, max_size=300))
     def test_matches_horner_and_product(self, terms):
         # Any integers: the identity is algebraic, admissibility plays no part.
-        p, s = constant._series(terms)
-        assert p == math.prod(terms)
-        assert s == horner_numerator(terms) * terms[-1]
+        series = _series(terms)
+        assert series.product == math.prod(terms)
+        assert series.numerator == horner_numerator(terms) * terms[-1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        size=st.sampled_from([63, 64, 65, 128, 129]),
+        bound=st.sampled_from([3, 10**6, 10**40]),
+    )
+    def test_run_edges(self, data, size, bound):
+        # One run of 64 terms is one leaf: counts at and around the run edges.
+        terms = data.draw(st.lists(st.integers(min_value=-bound, max_value=bound), min_size=size, max_size=size))
+        series = _series(terms)
+        assert series.count == size
+        assert series.product == math.prod(terms)
+        assert series.numerator == horner_numerator(terms) * terms[-1]
 
     @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=str)
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 700])
@@ -143,12 +189,79 @@ class TestBinarySplitting:
         assert enclosure.product == denominator
         assert enclosure.partial_sum == Fraction(horner_numerator(terms[:n]), math.prod(terms[: n - 1]))
 
+    @staticmethod
+    def check_primes(count):
+        terms = SequenceSpec.primes().terms(count)
+        series = _series(terms)
+        assert series.product == math.prod(terms)
+        assert series.numerator == horner_numerator(terms) * terms[-1]
+        enclosure = enclose(SequenceSpec.primes(), count, max_digits=10)
+        assert enclosure.product == math.prod(terms)
+        assert enclosure.series_numerator == horner_numerator(terms) * terms[-1]
+
+    def test_twenty_thousand_digit_primes_enclosure(self):
+        self.check_primes(plan_terms_oracle(SequenceSpec.primes(), 20_000))
+
     def test_hundred_thousand_digit_primes_enclosure(self):
         # The 20488 terms that 10^5 digits plan for.
-        terms = SequenceSpec.primes().terms(20488)
-        p, s = constant._series(terms)
-        assert p == math.prod(terms)
-        assert s == horner_numerator(terms) * terms[-1]
+        self.check_primes(20488)
+
+
+class TestOneTermSteps:
+    """`_Series.extended` and `shortened` against a series built afresh."""
+
+    @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129, 300])
+    def test_extended_and_shortened(self, spec, n):
+        terms = spec.terms(n + 1)
+        fresh = _series(terms[: n + 1])
+        extended = _series(terms[:n]).extended(terms[n])
+        assert (extended.count, extended.product, extended.numerator) == (n + 1, fresh.product, fresh.numerator)
+        shortened = fresh.shortened(terms[n])
+        before = _series(terms[:n])
+        assert (shortened.count, shortened.product, shortened.numerator) == (n, before.product, before.numerator)
+        for series in (extended, shortened):
+            levels = [[int(node) for node in level] for level in series.levels]
+            for below, above in zip(levels, levels[1:]):
+                assert above == [math.prod(below[i : i + 2]) for i in range(0, len(below), 2)]
+
+    @pytest.mark.parametrize(
+        "spec, digits",
+        [(SequenceSpec.naturals(), 224), (SequenceSpec.primes(), 300), (SequenceSpec.explicit(range(2, 136)), 224)],
+        ids=str,
+    )
+    def test_extension_matches_a_fresh_enclosure(self, spec, digits):
+        # From the planned series, as `enclose_digits` extends it; 224 digits
+        # of e take one term past the plan (see TestPlanTerms).
+        series = constant._planned(spec, digits)
+        n, cap = series.count, digits + 40
+        planned = constant._enclosure(spec, n, cap, series)
+        extended = constant._enclosure(spec, n + 1, cap, series.extended(planned.lookahead))
+        assert enclosure_view(planned) == enclosure_view(enclose(spec, n, max_digits=cap))
+        assert enclosure_view(extended) == enclosure_view(enclose(spec, n + 1, max_digits=cap))
+
+    def test_e_at_224_digits_takes_one_extension(self):
+        spec = SequenceSpec.naturals()
+        enclosure = enclose_digits(spec, 224)
+        assert enclosure.terms_used == plan_terms(spec, 224) + 1
+        assert enclosure_view(enclosure) == enclosure_view(enclose(spec, enclosure.terms_used, max_digits=224))
+
+
+class TestProductDigits:
+    """The digit count of P read off the Decimal, at the edges of a power of ten."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 18, 19, 20, 100, 4300, 5000])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_equals_decimal_length(self, k, offset):
+        first = 10**k + offset
+        enclosure = enclose(SequenceSpec.explicit([first, first + 1]), 1)
+        assert enclosure.product_digits == decimal_length(enclosure.product) == decimal_length(first)
+        assert enclosure.max_digits == enclosure.product_digits
+
+    @pytest.mark.parametrize("k", [1, 2, 63, 64, 65, 500])
+    def test_powers_of_ten_as_products(self, k):
+        assert _series([10] * k).product.adjusted() + 1 == decimal_length(10**k) == k + 1
+        assert _series([10] * (k - 1) + [9]).product.adjusted() + 1 == decimal_length(9 * 10 ** (k - 1)) == k
 
 
 class TestEnclose:
@@ -369,17 +482,52 @@ class TestPlanTermsAgainstLoop:
 
     @pytest.mark.parametrize("length", [3, 60, 133, 134, 135, 400])
     @pytest.mark.parametrize("digits", [5, 100, 224, 300])
-    def test_enclose_digits_on_explicit_prefixes(self, monkeypatch, length, digits):
+    def test_enclose_digits_on_explicit_prefixes(self, length, digits):
         # Naturals and primes prefixes, some too short for the plan or for
         # the terms the extension step adds.
         naturals = SequenceSpec.explicit(range(2, 2 + length))
         primes = SequenceSpec.explicit(SequenceSpec.primes().terms(length))
         for spec in (naturals, primes):
-            new = outcome(enclose_digits, spec, digits)
-            monkeypatch.setattr(constant, "plan_terms", plan_terms_oracle)
-            old = outcome(enclose_digits, spec, digits)
-            monkeypatch.undo()
+            new = outcome(lambda: enclosure_view(enclose_digits(spec, digits)))
+            old = outcome(lambda: enclosure_view(enclose_digits_oracle(spec, digits)))
             assert new == old
+
+    @pytest.mark.parametrize("base", [2, 10, 10**50], ids=["2", "10", "10**50"])
+    @pytest.mark.parametrize("length", [1, 63, 64, 65, 129, 400])
+    def test_float_near_ties(self, base, length):
+        # Powers of ten sum their logs exactly; a product of twos comes
+        # close to a power of ten wherever k * log10(2) nearly meets an integer.
+        spec = SequenceSpec.explicit([base] * length)
+        top = decimal_length(base**length) + 1
+        for digits in sorted({*range(1, min(top, 160)), *range(max(1, top - 160), top)}):
+            assert outcome(plan_terms, spec, digits) == outcome(plan_terms_oracle, spec, digits), digits
+
+    @pytest.mark.parametrize(
+        "head",
+        [[10**4998 - 1], [10**4998], [10**4998 + 1], [2, 3, 10**4997 - 1], [7, 12, 10**4999 + 3, 5]],
+        ids=["below", "at", "above", "after-small", "then-small"],
+    )
+    def test_a_five_thousand_digit_term(self, head):
+        # The float log10 of such a term rounds to the power of ten it is
+        # next to, so the exact check decides.
+        spec = SequenceSpec.explicit(head + [2, 3, 5, 7, 11, 13] * 20)
+        for digits in [*range(1, 40), *range(4985, 5030)]:
+            assert outcome(plan_terms, spec, digits) == outcome(plan_terms_oracle, spec, digits), digits
+
+    @pytest.mark.parametrize("shift", [-70, -3, -1, 1, 2, 65])
+    @pytest.mark.parametrize("spec", [*ALL_BUILTINS, SequenceSpec.explicit([10] * 300)], ids=str)
+    def test_confirmation_moves_a_wrong_proposal(self, monkeypatch, spec, shift):
+        # Whatever count the floats propose, the exact check returns the
+        # smallest N with P_N >= 10**(digits + 2), a term at a time.
+        proposal = constant._proposal
+
+        def wrong(spec, digits):
+            terms, count = proposal(spec, digits)
+            return terms, min(len(terms), max(0, count + shift))
+
+        monkeypatch.setattr(constant, "_proposal", wrong)
+        for digits in (1, 7, 60, 150):
+            assert plan_terms(spec, digits) == plan_terms_oracle(spec, digits), digits
 
 
 class TestEulerCheck:

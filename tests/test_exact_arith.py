@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import int_text_unlimited
+from conftest import int_text_unlimited, interval_text
 from primeconst import exact_arith
 from primeconst.constant import enclose
 from primeconst.exact_arith import (
@@ -326,13 +326,12 @@ class TestDecimalConverter:
 
     @staticmethod
     def check_interval_text(lo, hi, denominator, digits):
-        text = exact_arith._IntervalText(lo, hi, (denominator,), digits)
+        text = interval_text(lo, hi, (denominator,), digits)
         with int_text_unlimited():
             floors = str(lo * 10**digits // denominator), str(hi * 10**digits // denominator)
         assert text.digits == exact_arith._shared_digits(*floors, digits)
         assert text.lo() == format_rational(Fraction(lo, denominator))
         assert text.hi() == format_rational(Fraction(hi, denominator))
-        assert text.width() == format_rational(Fraction(hi - lo, denominator))
 
     def test_large_enclosure_renders_as_before(self):
         # 5300 primes give a product of about 2.1 * 10^4 digits, past the switch.

@@ -10,6 +10,7 @@ with it byte for byte in text and JSON.
 """
 
 import decimal
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -17,7 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import int_text_unlimited
+from conftest import int_text_unlimited, interval_text
 from primeconst import cli, exact_arith
 from primeconst.constant import enclose, enclose_digits
 from primeconst.exact_arith import RationalInterval, format_rational, to_decimal
@@ -201,14 +202,13 @@ class TestRemainderTree:
     @staticmethod
     def check(lo, hi, factors, max_digits):
         denominator = math.prod(factors)
-        assert exact_arith._IntervalText(lo, hi, factors, max_digits)._leaf_remainders() == [
+        assert interval_text(lo, hi, factors, max_digits)._leaf_remainders(list(factors)) == [
             lo % factor for factor in factors
         ]
-        text = exact_arith._IntervalText(lo, hi, factors, max_digits)
+        text = interval_text(lo, hi, factors, max_digits)
         assert text._endpoint_divisors == (math.gcd(lo, denominator), math.gcd(hi, denominator))
         assert text.lo() == format_rational(Fraction(lo, denominator))
         assert text.hi() == format_rational(Fraction(hi, denominator))
-        assert text.width() == format_rational(Fraction(hi - lo, denominator))
 
     # One run of 64 terms is one leaf: counts at and around the run edges,
     # and 4097 for a deep tree with an odd node carried up at most levels
@@ -294,3 +294,14 @@ class TestExactness:
         assert after == before
         assert actual == expected
         assert enclose_digits(SequenceSpec.primes(), 20_000).product.bit_length() > OLD_SWITCH_BITS
+
+
+class TestMillionDigits:
+    """`constant --digits 1000000`, pinned to the output of the int binary splitting and product-tree plan."""
+
+    # SHA-256 of the text output, taken before the series moved to Decimals.
+    TEXT_SHA256 = "7535e9a324e8c651624c977c460600c59bd17239d5405232f4bcd7a489bb14c8"
+
+    def test_text_output_is_pinned(self, capsys):
+        assert cli.main(["constant", "--digits", "1000000"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.TEXT_SHA256
