@@ -43,6 +43,7 @@ from .recurrence import (
     FloorBelowTwo,
     PrecisionExhausted,
     StopReason,
+    _recover,
     recover,
     residuals,
     roundtrip,
@@ -198,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=int, default=12, help="primes to pack (max 12)")
     _add_output_flags(p)
 
-    p = sub.add_parser("bench", help="time large enclosures")
+    p = sub.add_parser("bench", help="time large enclosures and the recovery of their terms")
     p.add_argument(
         "--digits",
         type=int,
@@ -409,6 +410,7 @@ def _cmd_bench(args: argparse.Namespace) -> _Output:
     spec = SequenceSpec.primes()
     results = []
     timings: dict[str, float] = {}
+    recover_timings: dict[str, float] = {}
     lines = []
     for size in sizes:
         started = time.perf_counter()
@@ -416,20 +418,27 @@ def _cmd_bench(args: argparse.Namespace) -> _Output:
         elapsed = time.perf_counter() - started
         terms_used = enclosure.terms_used
         product_digits = enclosure.product_digits
+        started = time.perf_counter()
+        lo = enclosure.lo_numerator
+        recovered = len(_recover(lo, lo + 1, enclosure.product, terms_used).recovered)
+        recover_elapsed = time.perf_counter() - started
         results.append(
             {
                 "digits_requested": size,
                 "terms_used": terms_used,
                 "verified_digits": enclosure.digits.verified,
                 "product_decimal_digits": product_digits,
+                "recovered_terms": recovered,
             }
         )
         timings[str(size)] = elapsed
+        recover_timings[str(size)] = recover_elapsed
         lines.append(
             f"digits={size} terms={terms_used} verified={enclosure.digits.verified} "
-            f"product_digits={product_digits} time={elapsed:.3f}s"
+            f"product_digits={product_digits} time={elapsed:.3f}s recover_time={recover_elapsed:.3f}s"
         )
-    doc = {"sequence": "primes", "results": results, "timing": {"seconds": timings}}
+    timing = {"seconds": timings, "recover_seconds": recover_timings}
+    doc = {"sequence": "primes", "results": results, "timing": timing}
     return lambda: "\n".join(lines), lambda: doc, 0
 
 

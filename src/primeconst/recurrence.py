@@ -17,6 +17,21 @@ and hence at least 1/b; so an interval upper bound u on some residual
 certifies that any rational representation needs a denominator of at
 least floor(1/u).  `residuals` turns a run of certified steps into that
 denominator bound.
+
+The recurrence runs on integers: lo and the width as numerators over one
+denominator q, stepped by `_base`, the one loop.  Run one step at a time
+that loop is quadratic, n/log(a) full-size steps on n-bit numerators, so
+`_recover` runs it on half-size windows instead, the recurrence's analogue
+of Lehmer's gcd and of the Knuth-Schoenhage half-gcd (Moeller, Math. Comp.
+2008).  A window rounds the interval outward to half its remaining
+precision; the steps certified on it, by recursion down to `_LEAF_BITS`,
+compose to one map x -> M*x - C*q, with M' = a*M and C' = a*(C + a - 1),
+applied once to the full numerators.  Floors certified on a window are
+certified on the interval it contains, and the last steps, where windows
+fail, run on the full numerators, so the terms, the stop and FloorBelowTwo
+are the one-step loop's.  The smallest residual upper bound comes from a
+fixed-point pass backward from the final hi, evaluated exactly at its few
+candidates.
 """
 
 from __future__ import annotations
@@ -215,42 +230,214 @@ def _check_max_terms(max_terms: int) -> None:
 def recover(start: RationalInterval, max_terms: int) -> RecoveryResult:
     """Extract certified terms from `start` until a stopping condition.
 
-    Checks, in order, before each step: the requested count, then whether
-    the width already reaches 1 (no floor can ever be certified again),
-    then floor certification itself.  Ambiguity is a normal stop; a
-    certified floor below 2 raises FloorBelowTwo since it cannot arise
-    from a valid enclosure.  The loop runs on integer numerators over a
-    common denominator that the step keeps fixed, so no step pays for a gcd.
+    The result is what checking, in order, before each step, the requested
+    count, then whether the width already reaches 1 (no floor can ever be
+    certified again), then floor certification itself would give.
+    Ambiguity is a normal stop; a certified floor below 2 raises
+    FloorBelowTwo since it cannot arise from a valid enclosure.  The
+    recurrence runs on integer numerators over a common denominator, so no
+    step pays for a gcd, and on half-size windows (see the module
+    docstring), so the cost grows like a large multiplication times a
+    logarithm, not like the number of steps times the operand size.
     """
     _check_max_terms(max_terms)
     return _recover(*start._lcm_numerators(), max_terms)
 
 
+# A window keeps this many bits more than the precision it is meant to
+# carry, so that its rounding stays below the interval's own width.
+_GUARD_BITS = 64
+# At or below this many bits of precision a window is stepped by `_base`.
+_LEAF_BITS = 3000
+# The residual pass keeps this many fractional bits.
+_FIXED_BITS = 128
+# Residual candidates this close to the last step are evaluated backward,
+# one exact division by a term per step, where a forward segment map would
+# cost a product of the whole prefix.
+_WALK_BACK = 1024
+
+
 def _recover(lo: int, hi: int, denominator: int, max_terms: int) -> RecoveryResult:
-    """`recover` on [lo/denominator, hi/denominator]."""
-    recovered: list[int] = []
-    min_upper: int | None = None
-    x, y = lo, hi
-    while True:
-        step = len(recovered) + 1
-        if len(recovered) >= max_terms:
-            stop = StopReason("max_terms")
-            break
-        if y - x >= denominator:
-            stop = StopReason("width_exceeds_one", step=step)
-            break
+    """`recover` on [lo/denominator, hi/denominator], where lo <= hi.
+
+    `_windows` finds the terms at full precision.  Where it stops short of
+    `max_terms`, the base loop has just failed to step the full-size
+    numerators, and the checks of `recover`, in its order, name the stop
+    or raise FloorBelowTwo.  `_min_upper` then finds the smallest residual
+    upper bound.
+    """
+    recovered, _, _, x, width = _windows(lo, hi - lo, denominator, max_terms, exact=True)
+    step = len(recovered) + 1
+    if len(recovered) >= max_terms:
+        stop = StopReason("max_terms")
+    elif width >= denominator:
+        stop = StopReason("width_exceeds_one", step=step)
+    else:
         m = x // denominator
-        if y >= (m + 1) * denominator:
-            stop = StopReason("ambiguous_floor", step=step, straddled=m + 1)
-            break
-        if m < 2:
+        if x + width < (m + 1) * denominator:
             raise FloorBelowTwo(m, step=step)
-        recovered.append(m)
-        upper = y - m * denominator
-        if min_upper is None or upper < min_upper:
-            min_upper = upper
-        x, y = _step(x, m, denominator), _step(y, m, denominator)
+        stop = StopReason("ambiguous_floor", step=step, straddled=m + 1)
+    min_upper = _min_upper(recovered, hi, x + width, denominator)
     return RecoveryResult(tuple(recovered), stop, lo, hi, denominator, min_upper)
+
+
+def _windows(x: int, width: int, q: int, budget: int, exact: bool = False):
+    """Certify up to `budget` steps on [x/q, (x + width)/q] by half-size windows.
+
+    Each pass rounds the interval outward to a window that carries half
+    its remaining precision, log2(q / width) bits (all of it at or below
+    `_LEAF_BITS`), recovers on that window, by recursion or by `_base`, and
+    applies the window's map once to the numerators here.  A window
+    contains the interval, so a floor certified on it is certified here.
+    Where there is too little to cut, `_base` steps the numerators here.
+    A window stops at its first pass without progress, or at once if its
+    first floor is not certified.  Returns the terms, their map (M, C),
+    under which a numerator x over q becomes M*x - C*q, and the final lo
+    and width numerators.
+
+    `exact` marks the caller's own interval at full precision, whose map
+    nobody needs, so it is not formed.  A pass without progress there
+    hands `_base` the numerators themselves, with a budget that doubles
+    after each such pass, so input on which windows keep failing costs
+    about what the base loop costs.
+    """
+    if not exact:
+        m, r = divmod(x, q)
+        if m < 2 or width >= q - r:
+            return [], 1, 0, x, width
+    terms: list[int] = []
+    M, C = 1, 0
+    fallback = 1
+    while len(terms) < budget:
+        rest = budget - len(terms)
+        precision = q.bit_length() - width.bit_length()
+        half = precision // 2 if precision > _LEAF_BITS else precision
+        window = _outward(x, width, q, half) if x >= 0 and precision > 0 else None
+        if window is None:
+            found, x, width = _base(x, width, q, rest)
+            if not exact:
+                wM, wC = _compose(found)
+                M, C = wM * M, wM * C + wC
+            terms += found
+            break
+        if precision > _LEAF_BITS:
+            found, wM, wC, _, _ = _windows(*window, rest)
+        else:
+            found, _, _ = _base(*window, rest)
+            wM, wC = _compose(found)
+        if found:
+            x, width = wM * x - wC * q, wM * width
+            if not exact:
+                M, C = wM * M, wM * C + wC
+        elif not exact:
+            break
+        else:
+            asked = min(rest, fallback)
+            fallback *= 2
+            found, x, width = _base(x, width, q, asked)
+            if len(found) < asked:
+                terms += found
+                break
+        terms += found
+    return terms, M, C, x, width
+
+
+def _outward(x: int, width: int, q: int, precision: int):
+    """A window around [x/q, (x + width)/q], where 0 <= x, carrying about `precision` bits.
+
+    With X = x / 2^s and q' = q >> s <= q / 2^s, lo becomes
+    floor(X) - floor(X/q') - 1 over q', which is below X / (q' + 1) and so
+    below lo, and hi becomes ceil((x + width) / 2^s) over q', which is not
+    below hi.  q' keeps the guard bits and the bits of the value's integer
+    part beyond `precision`, so each end moves by less than 2^-precision.
+    Returns None when that would cut too little to pay.
+    """
+    keep = precision + _GUARD_BITS + max(0, x.bit_length() - q.bit_length())
+    s = q.bit_length() - keep
+    if s <= _GUARD_BITS:
+        return None
+    window_q = q >> s
+    top = x >> s
+    window_x = top - top // window_q - 1
+    return window_x, -(-(x + width) >> s) - window_x, window_q
+
+
+def _base(x: int, width: int, q: int, budget: int):
+    """The one recurrence loop, on [x/q, (x + width)/q].
+
+    Steps while the floor is certified and at least 2, up to `budget`
+    steps, and stops without raising at the first step it cannot take.
+    With m, r = divmod(x, q), hi is below m + 1 when width < q - r, and
+    the step takes x to m * (x - (m - 1) * q) = m * (r + q) and the width
+    to m * width.  Returns the terms and the final lo and width numerators.
+    """
+    terms: list[int] = []
+    while len(terms) < budget:
+        m, r = divmod(x, q)
+        if m < 2 or width >= q - r:
+            break
+        terms.append(m)
+        x, width = m * (r + q), m * width
+    return terms, x, width
+
+
+def _min_upper(terms: list[int], hi: int, last: int, denominator: int) -> int | None:
+    """min over k of hi_k - a_k * D, where hi_k is hi after k - 1 steps and `last` hi after all.
+
+    A backward pass in `_FIXED_BITS`-bit fixed point from t = last/D gives
+    each residual upper bound hi_k/D - a_k = t_{k+1}/a_k - 1 to within 2
+    units, since dividing by a_k >= 2 halves the error carried in.  So the
+    steps within 4 units of the smallest are the only candidates for the
+    minimum.  Those among the last `_WALK_BACK` steps are evaluated exactly
+    by stepping back from `last`, hi_k = hi_{k+1} / a_k + (a_k - 1) * D,
+    and the others by one forward pass of composed segment maps from hi.
+    """
+    if not terms:
+        return None
+    one = 1 << _FIXED_BITS
+    t = (last << _FIXED_BITS) // denominator
+    low = None
+    candidates: list[tuple[int, int]] = []
+    for k in range(len(terms) - 1, -1, -1):
+        m = terms[k]
+        upper = t // m - one
+        t = upper + m * one
+        if low is None or upper < low:
+            low = upper
+            candidates = [(j, u) for j, u in candidates if u <= low + 4]
+        if upper <= low + 4:
+            candidates.append((k, upper))
+    steps = sorted(k for k, _ in candidates)
+    wanted = set(steps)
+    near = max(steps[0], len(terms) - _WALK_BACK)
+    uppers = []
+    done = 0
+    for k in steps:
+        if k >= near:
+            break
+        M, C = _compose(terms[done:k])
+        hi = M * hi - C * denominator
+        done = k
+        uppers.append(hi - terms[k] * denominator)
+    for k in range(len(terms) - 1, near - 1, -1):
+        m = terms[k]
+        last = last // m + (m - 1) * denominator
+        if k in wanted:
+            uppers.append(last - m * denominator)
+    return min(uppers)
+
+
+def _compose(terms) -> tuple[int, int]:
+    """The map (M, C) of `terms` taken in order, by binary splitting."""
+    if len(terms) <= 16:
+        M, C = 1, 0
+        for m in terms:
+            M, C = m * M, m * (C + m - 1)
+        return M, C
+    mid = len(terms) // 2
+    M1, C1 = _compose(terms[:mid])
+    M2, C2 = _compose(terms[mid:])
+    return M2 * M1, M2 * C1 + C2
 
 
 @dataclass(frozen=True)

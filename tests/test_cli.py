@@ -388,6 +388,13 @@ class TestBenchCommand:
         assert code == 0
         assert "digits=150" in out
         assert "time=" in out
+        assert re.search(r" recover_time=\d+\.\d{3}s$", out.strip())
+
+    def test_recovers_every_term(self, capsys):
+        doc = run_json(["bench", "--digits", "200", "3000"], capsys)
+        for result in doc["results"]:
+            assert result["recovered_terms"] == result["terms_used"]
+        assert set(doc["timing"]["recover_seconds"]) == {"200", "3000"}
 
 
 class TestOnlyTheRequestedFormat:

@@ -1,25 +1,30 @@
 """Tests for floor-recurrence recovery, residuals, and denominator bounds."""
 
+import functools
 import json
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primeconst import cli
+from conftest import int_text_unlimited
+from primeconst import cli, recurrence
 from primeconst.constant import ConstantEnclosure, enclose, enclose_digits
 from primeconst.exact_arith import InvalidArgument, RationalInterval, format_rational, parse_decimal
 from primeconst.recurrence import (
     FloorBelowTwo,
     PrecisionExhausted,
+    RecoveryResult,
     StopReason,
+    _recover,
     recover,
     residuals,
     roundtrip,
 )
-from primeconst.sequences import SequenceSpec
+from primeconst.sequences import PrimeSieve, SequenceSpec
 
 FIRST_TWELVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -291,6 +296,202 @@ class TestAgainstFractionOracle:
         assert len(run.recovered) == 1154
         # One interval of this enclosure is about 3.3 kB; 1154 of them are MBs.
         assert retained < 500_000
+
+
+def loop_recover(lo, hi, denominator, max_terms):
+    """The one-term recurrence loop `_recover` ran before its windows, kept as the differential oracle.
+
+    Each step is a full-size multiply-by-small on the numerators over the
+    common denominator, so the loop is quadratic; `_recover` must give the
+    same RecoveryResult, field by field, and raise the same FloorBelowTwo.
+    """
+
+    def _step(x, m, denominator):
+        return m * (x - (m - 1) * denominator)
+
+    recovered: list[int] = []
+    min_upper: int | None = None
+    x, y = lo, hi
+    while True:
+        step = len(recovered) + 1
+        if len(recovered) >= max_terms:
+            stop = StopReason("max_terms")
+            break
+        if y - x >= denominator:
+            stop = StopReason("width_exceeds_one", step=step)
+            break
+        m = x // denominator
+        if y >= (m + 1) * denominator:
+            stop = StopReason("ambiguous_floor", step=step, straddled=m + 1)
+            break
+        if m < 2:
+            raise FloorBelowTwo(m, step=step)
+        recovered.append(m)
+        upper = y - m * denominator
+        if min_upper is None or upper < min_upper:
+            min_upper = upper
+        x, y = _step(x, m, denominator), _step(y, m, denominator)
+    return RecoveryResult(tuple(recovered), stop, lo, hi, denominator, min_upper)
+
+
+def assert_matches_loop(lo, hi, denominator, max_terms):
+    """`_recover` on [lo/D, hi/D] against `loop_recover`: every field, or the same FloorBelowTwo."""
+    try:
+        expected = loop_recover(lo, hi, denominator, max_terms)
+    except FloorBelowTwo as oracle_error:
+        with pytest.raises(FloorBelowTwo) as excinfo:
+            _recover(lo, hi, denominator, max_terms)
+        assert (excinfo.value.floor_value, excinfo.value.step) == (oracle_error.floor_value, oracle_error.step)
+        return None
+    run = _recover(lo, hi, denominator, max_terms)
+    assert run == expected
+    return run
+
+
+def count_windows(monkeypatch):
+    """Count the calls of `recurrence._windows`, its recursive calls included."""
+    calls = []
+    windows = recurrence._windows
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return windows(*args, **kwargs)
+
+    monkeypatch.setattr(recurrence, "_windows", counted)
+    return calls
+
+
+@st.composite
+def window_intervals(draw):
+    """[lo/D, hi/D] with D on either side of the leaf size: points, integer lo,
+    negative floors, and widths from 0 to past 1.  A point never widens, so
+    only its cap stops it, and the cap stays small."""
+    bits = draw(st.one_of(st.integers(2, recurrence._LEAF_BITS - 1), st.integers(recurrence._LEAF_BITS + 1, 12000)))
+    denominator = draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+    lo = draw(st.integers(-5 * denominator, 60 * denominator))
+    shape = draw(st.sampled_from(("point", "integer", "narrow", "wide")))
+    if shape == "integer":
+        lo -= lo % denominator
+    if shape == "point":
+        width = 0
+    elif shape == "wide":
+        width = draw(st.integers(0, 3 * denominator << draw(st.sampled_from((0, 0, 100)))))
+    else:
+        width = draw(st.integers(0, 2 ** draw(st.integers(0, bits))))
+    cap = draw(st.integers(0, 400 if width == 0 else 10**6))
+    return lo, lo + width, denominator, cap
+
+
+@functools.cache
+def primes_digits(digits):
+    """The first `digits` digits after the point of the prime constant, as an int."""
+    text = enclose_digits(SequenceSpec.primes(), digits).digits.text
+    with int_text_unlimited():
+        return int(text.replace(".", "")[: digits + 1])
+
+
+@st.composite
+def perturbed_primes_decimals(draw):
+    """A 900-6000-digit reading of the prime constant, moved by a few units
+    in its last places, with a random width and cap."""
+    digits = draw(st.integers(900, 6000))
+    denominator = 10**digits
+    lo = primes_digits(6000) // 10 ** (6000 - digits) + draw(st.integers(-(10**6), 10**6))
+    width = draw(st.integers(1, 10 ** draw(st.integers(0, digits // 4))))
+    cap = draw(st.sampled_from((0, 1, 10**6))) if draw(st.booleans()) else draw(st.integers(0, 2000))
+    return lo, lo + width, denominator, cap
+
+
+class TestAgainstTheLoop:
+    """`_recover`, by half-size windows, against the one-term loop it replaced."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(case=window_intervals())
+    def test_random_intervals(self, case):
+        assert_matches_loop(*case)
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=perturbed_primes_decimals())
+    def test_perturbed_primes_decimals(self, case):
+        assert_matches_loop(*case)
+
+    def test_width_far_past_one(self):
+        # log2(q / width) is -70 here: no window can be formed.
+        assert_matches_loop(2 << 100, (2 << 100) + (1 << 170), 1 << 100, 5)
+
+    @pytest.mark.parametrize("terms_used", [1404, 2590, 5300])
+    def test_primes_enclosures(self, terms_used, monkeypatch):
+        enclosure = enclose(SequenceSpec.primes(), terms_used)
+        lo, product = enclosure.lo_numerator, enclosure.product
+        for cap in (10**9, terms_used, terms_used // 3):
+            expected = loop_recover(lo, lo + 1, product, cap)
+            # The smallest residual is evaluated backward from the last step
+            # or forward from the first; each way must give the loop's.
+            for walk_back in (recurrence._WALK_BACK, 0, 10**9):
+                monkeypatch.setattr(recurrence, "_WALK_BACK", walk_back)
+                assert _recover(lo, lo + 1, product, cap) == expected
+        assert len(expected.recovered) == terms_used // 3
+
+    def test_primes_enclosure_ten_to_the_five_digits(self):
+        enclosure = enclose(SequenceSpec.primes(), 20488)
+        lo = enclosure.lo_numerator
+        run = _recover(lo, lo + 1, enclosure.product, 10**9)
+        assert run.recovered == tuple(PrimeSieve().first(20488))
+        assert run.stop == StopReason("width_exceeds_one", step=20489)
+
+
+class TestAdversarialInputs:
+    """Inputs on which every window fails, or every step is a residual candidate.
+
+    Each must give the loop's result with at most 2 log2(steps) + 8 calls
+    of the window function: a failed window doubles the base loop's budget
+    at full precision rather than being retried before every step.
+    """
+
+    @staticmethod
+    def check(monkeypatch, lo, hi, denominator, max_terms):
+        calls = count_windows(monkeypatch)
+        run = assert_matches_loop(lo, hi, denominator, max_terms)
+        assert len(calls) <= 2 * math.log2(max(len(run.recovered), 1)) + 8
+        return run
+
+    def test_integer_with_four_thousand_zeros(self, monkeypatch):
+        run = self.check(monkeypatch, *parse_decimal("3." + "0" * 4000)._lcm_numerators(), 10**6)
+        assert set(run.recovered) == {3} and len(run.recovered) == 8384
+
+    def test_integer_point(self, monkeypatch):
+        denominator = 10**4000
+        run = self.check(monkeypatch, 3 * denominator, 3 * denominator, denominator, 3000)
+        assert run.recovered == (3,) * 3000
+
+    @pytest.mark.parametrize("name", ["doubling", "boundary"])
+    @pytest.mark.parametrize("terms_used", [60, 150, 220])
+    def test_tied_residuals(self, monkeypatch, name, terms_used):
+        spec = SequenceSpec.from_name(name)
+        enclosure = enclose(spec, terms_used)
+        lo = enclosure.lo_numerator
+        run = self.check(monkeypatch, lo, lo + 1, enclosure.product, terms_used)
+        report = roundtrip(spec, terms_used)
+        assert (report.recovered, report.stop) == (run.recovered, run.stop)
+
+
+class TestRecoveryMemory:
+    def test_peak_stays_a_multiple_of_the_operands(self):
+        # Memory must grow with the operands, not with steps x operand size
+        # (5300 x 9.3 kB here).  Past the terms themselves, the peak stays
+        # within 16 times P's size.
+        enclosure = enclose(SequenceSpec.primes(), 5300)
+        lo, product = enclosure.lo_numerator, enclosure.product
+        terms = PrimeSieve().first(5300)
+        terms_bytes = sys.getsizeof(terms) + sum(sys.getsizeof(term) for term in terms)
+        tracemalloc.start()
+        try:
+            run = _recover(lo, lo + 1, product, 5300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(run.recovered) == 5300
+        assert peak < terms_bytes + 16 * product.bit_length() // 8
 
 
 class TestResiduals:
