@@ -24,9 +24,9 @@ from pathlib import Path
 from .constant import (
     InsufficientTerms,
     ValidationFailed,
+    _enclosure_ends,
     enclose,
     enclose_digits,
-    interval_from_enclosure_json,
 )
 from .crosscheck import TermLimitExceeded, alpha_build, alpha_decode, nondivisor_mean
 from .exact_arith import (
@@ -34,17 +34,18 @@ from .exact_arith import (
     NonPositiveInterval,
     ParseError,
     RationalInterval,
+    _decimal_ints,
+    _over_lcm,
     _parse_int_literal,
     format_rational,
-    parse_decimal,
     to_decimal,
 )
 from .recurrence import (
     FloorBelowTwo,
     PrecisionExhausted,
     StopReason,
+    _check_max_terms,
     _recover,
-    recover,
     residuals,
     roundtrip,
 )
@@ -241,9 +242,15 @@ def _cmd_constant(args: argparse.Namespace) -> _Output:
     return text, enclosure.to_json_dict, 0
 
 
-def _interval_from_value(value: str) -> RationalInterval:
+def _ints_from_value(value: str) -> tuple[int, int, int]:
+    """(lo, hi, D) with [lo/D, hi/D] the interval `--value` names, a decimal or an enclosure document.
+
+    The recurrence needs only floors, so nothing is reduced to lowest terms:
+    a decimal goes over 10**k and a document over the lcm of its two
+    denominators as written.
+    """
     try:
-        return parse_decimal(value)
+        return _decimal_ints(value)
     except ParseError:
         pass
     path = Path(value)
@@ -253,14 +260,15 @@ def _interval_from_value(value: str) -> RationalInterval:
         )
     try:
         doc = json.loads(path.read_text(encoding="utf-8"), parse_int=_parse_int_literal)
-        return interval_from_enclosure_json(doc)
+        return _over_lcm(*_enclosure_ends(doc))
     except (json.JSONDecodeError, ValueError, RecursionError) as exc:
         raise ParseError(f"{value}: not a valid enclosure document: {exc}") from None
 
 
 def _cmd_recover(args: argparse.Namespace) -> _Output:
-    interval = _interval_from_value(args.value)
-    run = recover(interval, args.max_terms)
+    lo, hi, denominator = _ints_from_value(args.value)
+    _check_max_terms(args.max_terms)
+    run = _recover(lo, hi, denominator, args.max_terms)
     warnings: list[str] = []
     if any(b <= a for a, b in zip(run.recovered, run.recovered[1:])):
         warnings.append(

@@ -48,7 +48,7 @@ from .exact_arith import (
     _exact_decimal,
     _int_text,
     _IntervalText,
-    parse_rational,
+    _rational_ints,
 )
 from .sequences import ExplicitExhausted, SequenceKind, SequenceSpec, ValidationReport, validate_bertrand
 
@@ -325,6 +325,13 @@ def enclose_digits(spec: SequenceSpec, digits: int, max_digits: int | None = Non
 
 def interval_from_enclosure_json(doc: dict) -> RationalInterval:
     """Rebuild the certified interval from a serialized enclosure document."""
+    lo, hi = _enclosure_ends(doc)
+    return RationalInterval(Fraction(*lo), Fraction(*hi))
+
+
+def _enclosure_ends(doc: dict) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The document's 'lo' and 'hi' as (numerator, denominator) pairs, read as `parse_rational`
+    reads them but not reduced."""
     if not isinstance(doc, dict) or "lo" not in doc or "hi" not in doc:
         raise ValueError("enclosure document must be an object with 'lo' and 'hi'")
-    return RationalInterval(parse_rational(doc["lo"]), parse_rational(doc["hi"]))
+    return _rational_ints(doc["lo"]), _rational_ints(doc["hi"])

@@ -1,7 +1,12 @@
 """Exact rational intervals with verified decimal rendering.
 
 At the API edges every quantity is a `fractions.Fraction` (arbitrary
-precision, always in lowest terms with a positive denominator).  A
+precision, always in lowest terms with a positive denominator).  The
+CLI's `recover` edge is integers instead, since the floor recurrence needs
+no lowest terms: `_decimal_ints` reads a decimal as (N, N + 1, 10**k), and
+`_rational_ints` reads each end of an enclosure document as written, which
+`_over_lcm` puts over the lcm of the two denominators.  `parse_decimal` and
+`parse_rational` build their Fractions from the same two parsers.  A
 `RationalInterval` is a closed interval with rational endpoints, used as a
 rigorous enclosure of a real number, with no rounding anywhere.  Decimal
 output is by truncation, and only digits shared by the entire interval are
@@ -127,21 +132,31 @@ def _int_text(n: int) -> str:
     return str(_exact_decimal(n))
 
 
+def _power_of_ten(k: int, powers: dict[int, int]) -> int:
+    """10**k, by squaring 10**(k//2); `powers` keeps it and the powers it was built from."""
+    if k not in powers:
+        if k <= _LEAF_DIGITS:
+            powers[k] = 10**k
+        else:
+            half = _power_of_ten(k // 2, powers)
+            powers[k] = half * half * 10 if k % 2 else half * half
+    return powers[k]
+
+
 def _parse_int(digits: str, powers: dict[int, int] | None = None) -> int:
     """int(digits) for a digit string that the caller's regex has checked.
 
     Longer than `_LEAF_DIGITS`, it is split in half and joined as
     high * 10**k + low (Brent and Zimmermann, *Modern Computer Arithmetic*,
-    §1.7); `powers` keeps each 10**k for the rest of the recursion.
+    §1.7); `powers` keeps each 10**k, for the rest of the recursion and for
+    the caller.
     """
     if len(digits) <= _LEAF_DIGITS:
         return int(digits)
     if powers is None:
         powers = {}
     k = len(digits) // 2
-    if k not in powers:
-        powers[k] = 10**k
-    return _parse_int(digits[:-k], powers) * powers[k] + _parse_int(digits[-k:], powers)
+    return _parse_int(digits[:-k], powers) * _power_of_ten(k, powers) + _parse_int(digits[-k:], powers)
 
 
 # What int() accepts in base 10, once stripped: a sign, then digits with
@@ -229,9 +244,7 @@ class RationalInterval:
         lo = _as_fraction(self.lo, "lo")
         hi = _as_fraction(self.hi, "hi")
         if lo > hi:
-            raise ValueError(
-                f"interval endpoints out of order: lo={_fraction_text(lo)} > hi={_fraction_text(hi)}"
-            )
+            raise _out_of_order(lo, hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -246,15 +259,30 @@ class RationalInterval:
 
     def _lcm_numerators(self) -> tuple[int, int, int]:
         """(lo, hi, D) with this interval = [lo/D, hi/D], for D the lcm of its two denominators."""
-        denominator = math.lcm(self.lo.denominator, self.hi.denominator)
-        return (
-            self.lo.numerator * (denominator // self.lo.denominator),
-            self.hi.numerator * (denominator // self.hi.denominator),
-            denominator,
-        )
+        return _over_lcm(self.lo.as_integer_ratio(), self.hi.as_integer_ratio())
 
     def __repr__(self) -> str:
         return f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"
+
+
+def _out_of_order(lo: Fraction, hi: Fraction) -> ValueError:
+    """The error for an interval whose lo exceeds its hi."""
+    return ValueError(f"interval endpoints out of order: lo={_fraction_text(lo)} > hi={_fraction_text(hi)}")
+
+
+def _over_lcm(lo: tuple[int, int], hi: tuple[int, int]) -> tuple[int, int, int]:
+    """(x, y, D) with [x/D, y/D] the interval from lo to hi, given as (numerator, denominator) pairs.
+
+    The denominators are positive and need not be in lowest terms; D is
+    their lcm.  Raises RationalInterval's ValueError when lo > hi, and
+    forms the lowest-terms Fractions only for its message.
+    """
+    (p, q), (r, s) = lo, hi
+    g = math.gcd(q, s)
+    x, y = p * (s // g), r * (q // g)
+    if x > y:
+        raise _out_of_order(Fraction(p, q), Fraction(r, s))
+    return x, y, q // g * s
 
 
 def format_rational(value: Fraction) -> str:
@@ -275,6 +303,11 @@ def parse_rational(text: str) -> Fraction:
 
     Raises ParseError for anything else, including a zero denominator.
     """
+    return Fraction(*_rational_ints(text))
+
+
+def _rational_ints(text: str) -> tuple[int, int]:
+    """(a, b) of the text "a/b" or "a" (b = 1), as written: not reduced, b > 0."""
     if not isinstance(text, str):
         raise ParseError(f"expected a string, got {type(text).__name__}")
     match = _RATIONAL_RE.match(text.strip())
@@ -285,7 +318,7 @@ def parse_rational(text: str) -> Fraction:
     if denominator == 0:
         raise ParseError(f"zero denominator in {text!r}")
     numerator = _parse_int(numerator)
-    return Fraction(-numerator if sign == "-" else numerator, denominator)
+    return -numerator if sign == "-" else numerator, denominator
 
 
 def to_decimal(interval: RationalInterval, max_digits: int) -> DecimalDigits:
@@ -503,12 +536,28 @@ def parse_decimal(text: str) -> RationalInterval:
     the closed interval [292/100, 293/100].  Only plain nonnegative
     decimals are accepted: no sign, no exponent, no leading point.
     """
+    lo, hi, scale = _decimal_ints(text)
+    return RationalInterval(Fraction(lo, scale), Fraction(hi, scale))
+
+
+def _decimal_ints(text: str) -> tuple[int, int, int]:
+    """(N, N + 1, 10**k) for the decimal "I.F", with k digits in F and N = int("IF").
+
+    This is `parse_decimal`'s interval over 10**k, not reduced.  N is
+    I * 10**k + F, and 10**k is one squaring of the 10**(k//2) that the
+    parse of F has built, where `10**k` would build its own powers.
+    """
     if not isinstance(text, str):
         raise ParseError(f"expected a string, got {type(text).__name__}")
     match = _DECIMAL_RE.match(text.strip())
     if not match:
         raise ParseError(f"not a plain decimal literal: {text!r}")
-    integer_part, fraction_part = match.group(1), match.group(2) or ""
-    scale = 10 ** len(fraction_part)
-    value = Fraction(_parse_int(integer_part + fraction_part), scale)
-    return RationalInterval(value, value + Fraction(1, scale))
+    integer_part, fraction_part = match.group(1), match.group(2)
+    powers: dict[int, int] = {}
+    lo = _parse_int(integer_part, powers)
+    if fraction_part is None:
+        return lo, lo + 1, 1
+    fraction = _parse_int(fraction_part, powers)
+    scale = _power_of_ten(len(fraction_part), powers)
+    lo = lo * scale + fraction
+    return lo, lo + 1, scale

@@ -348,17 +348,21 @@ def _outward(x: int, width: int, q: int, precision: int):
     With X = x / 2^s and q' = q >> s <= q / 2^s, lo becomes
     floor(X) - floor(X/q') - 1 over q', which is below X / (q' + 1) and so
     below lo, and hi becomes ceil((x + width) / 2^s) over q', which is not
-    below hi.  q' keeps the guard bits and the bits of the value's integer
-    part beyond `precision`, so each end moves by less than 2^-precision.
-    Returns None when that would cut too little to pay.
+    below hi.  An integer lo is kept exact, as (x / q) * q' over q', since
+    rounded down it would have the floor below it, and every window on an
+    input whose lo stays an integer would fail.  q' keeps the guard bits and
+    the bits of the value's integer part beyond `precision`, so each end
+    moves by less than 2^-precision.  Returns None when that would cut too
+    little to pay.
     """
     keep = precision + _GUARD_BITS + max(0, x.bit_length() - q.bit_length())
     s = q.bit_length() - keep
     if s <= _GUARD_BITS:
         return None
     window_q = q >> s
+    m, r = divmod(x, q)
     top = x >> s
-    window_x = top - top // window_q - 1
+    window_x = top - top // window_q - 1 if r else m * window_q
     return window_x, -(-(x + width) >> s) - window_x, window_q
 
 

@@ -1,21 +1,28 @@
 """End-to-end tests of the command line interface."""
 
+import contextlib
 import decimal
+import functools
+import io
 import json
 import math
+import random
 import re
 import shutil
 import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import int_text_unlimited
 from primeconst import cli, exact_arith, recurrence
-from primeconst.constant import ConstantEnclosure, enclose_digits
-from primeconst.exact_arith import RationalInterval, parse_rational
-from primeconst.recurrence import RecoveryResult, ResidualReport
+from primeconst.constant import ConstantEnclosure, enclose, enclose_digits, interval_from_enclosure_json
+from primeconst.exact_arith import ParseError, RationalInterval, parse_decimal, parse_rational
+from primeconst.recurrence import RecoveryResult, ResidualReport, recover
 from primeconst.sequences import SequenceSpec
 
 FIRST_TWENTY_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
@@ -518,6 +525,208 @@ class TestBoundFormsNoFraction:
         assert expected[0] == 0
         monkeypatch.setattr(RecoveryResult, "min_residual_upper", property(self.refuse))
         assert run_cli(argv, capsys) == expected
+
+
+def oracle_interval_from_value(value):
+    """The `--value` parser `recover` used before it read integers, kept as the differential oracle.
+
+    It builds lowest-terms Fractions: `parse_decimal` for a decimal, and
+    `interval_from_enclosure_json` for an enclosure document.
+    """
+    try:
+        return parse_decimal(value)
+    except ParseError:
+        pass
+    path = Path(value)
+    if not path.exists():
+        raise ParseError(f"--value is neither a decimal literal nor an existing file: {value!r}")
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"), parse_int=exact_arith._parse_int_literal)
+        return interval_from_enclosure_json(doc)
+    except (json.JSONDecodeError, ValueError, RecursionError) as exc:
+        raise ParseError(f"{value}: not a valid enclosure document: {exc}") from None
+
+
+def oracle_cmd_recover(args):
+    """The `recover` handler on the oracle's interval, through the library's `recover`."""
+    run = recover(oracle_interval_from_value(args.value), args.max_terms)
+    warnings = []
+    if any(b <= a for a, b in zip(run.recovered, run.recovered[1:])):
+        warnings.append(
+            "recovered terms do not strictly increase; the input encloses "
+            "an integer fixed point or an inadmissible value"
+        )
+
+    def text():
+        bound = run.denominator_bound
+        lines = [
+            f"recovered: {' '.join(str(t) for t in run.recovered) or '(none)'}",
+            f"count: {len(run.recovered)}",
+            f"stop: {cli._stop_text(run.stop)}",
+            f"denominator_bound: {'none' if bound is None else bound}",
+        ]
+        lines.extend(f"warning: {w}" for w in warnings)
+        return "\n".join(lines)
+
+    return text, lambda: {**run.to_json_dict(), "warnings": warnings}, 0
+
+
+def outcome(argv):
+    """(exit code, stdout, stderr) of `cli.main(argv)`, captured without a pytest fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_recover_matches_oracle(value, cap, fmt):
+    argv = ["recover", "--value", value, "--format", fmt] + ([] if cap is None else ["--max-terms", cap])
+    actual = outcome(argv)
+    with mock.patch.dict(cli._HANDLERS, recover=oracle_cmd_recover):
+        expected = outcome(argv)
+    assert actual == expected
+    return actual
+
+
+@functools.cache
+def primes_text(digits):
+    """The prime constant truncated to `digits` digits after the point."""
+    return enclose_digits(SequenceSpec.primes(), digits).digits.text[: digits + 2]
+
+
+@st.composite
+def decimal_values(draw):
+    """`--value` text of 1-6000 digits: the prime constant or random digits, with or without a point,
+    leading and trailing zeros, surrounding whitespace, and now and then a character that spoils it."""
+    digits = draw(st.integers(1, 6000))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        body = primes_text(6000).replace(".", "")[:digits]
+        body = body[:-3] + "".join(rng.choice("0123456789") for _ in body[-3:])
+    else:
+        body = "".join(rng.choice("0123456789") for _ in range(digits))
+    point = draw(st.one_of(st.just(min(1, len(body) - 1)), st.integers(0, len(body) - 1)))
+    text = body if point == 0 else f"{body[:point]}.{body[point:]}"
+    text = "0" * draw(st.integers(0, 3)) + text + ("0" * draw(st.integers(0, 40)) if point else "")
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(".-+e/x ")) + text[at:]
+    space = st.sampled_from(("", " ", "\t", "\n", " \r\n"))
+    return draw(space) + text + draw(space)
+
+
+@functools.cache
+def cli_document(name, terms):
+    """The enclosure document `constant --terms N --format json` writes."""
+    return enclose(SequenceSpec.from_name(name), terms).to_json_dict()
+
+
+@st.composite
+def enclosure_documents(draw):
+    """The text of an enclosure file: as the CLI writes it, out of lowest terms, signed, with equal or
+    swapped ends, a zero denominator, or a missing or non-string end."""
+    name = draw(st.sampled_from(("primes", "naturals", "doubling", "boundary")))
+    doc = dict(cli_document(name, draw(st.integers(1, 400))))
+    ends = ("lo", "hi")
+    shapes = ("cli", "scaled", "signed", "equal", "swapped", "zero", "missing", "not_a_string")
+    shape = draw(st.sampled_from(shapes))
+    if shape == "scaled":
+        for end in ends:
+            factor = draw(st.integers(1, 10**draw(st.sampled_from((1, 30, 900)))))
+            with int_text_unlimited():
+                numerator, denominator = map(int, doc[end].split("/"))
+                doc[end] = f"{numerator * factor}/{denominator * factor}"
+    elif shape == "signed":
+        for end in ends:
+            doc[end] = draw(st.sampled_from(("", "+", "-"))) + doc[end]
+    elif shape == "equal":
+        end = draw(st.sampled_from(ends))
+        doc["lo"] = doc["hi"] = doc[end]
+    elif shape == "swapped":
+        doc["lo"], doc["hi"] = doc["hi"], doc["lo"]
+    elif shape == "zero":
+        end = draw(st.sampled_from(ends))
+        doc[end] = doc[end].split("/")[0] + "/0"
+    elif shape == "missing":
+        del doc[draw(st.sampled_from(ends))]
+    elif shape == "not_a_string":
+        doc[draw(st.sampled_from(ends))] = draw(st.sampled_from((3, 2.92, None, ["29/10"], {"n": 29})))
+    return json.dumps(doc, indent=draw(st.sampled_from((None, 2))))
+
+
+class TestRecoverEdgeAgainstTheOracle:
+    """`recover --value` reads integers; its exit code, stdout and stderr are the Fraction edge's."""
+
+    caps = st.sampled_from((None, "0", "3", "-1"))
+    formats = st.sampled_from(("text", "json"))
+
+    @settings(max_examples=120, deadline=None)
+    @given(value=decimal_values(), cap=caps, fmt=formats)
+    def test_decimals(self, value, cap, fmt):
+        assert_recover_matches_oracle(value, cap, fmt)
+
+    @settings(max_examples=120, deadline=None)
+    @given(text=enclosure_documents(), cap=caps, fmt=formats)
+    def test_documents(self, tmp_path_factory, text, cap, fmt):
+        path = tmp_path_factory.getbasetemp() / "recover-edge-document.json"
+        path.write_text(text, encoding="utf-8")
+        assert_recover_matches_oracle(str(path), cap, fmt)
+
+    @pytest.mark.parametrize(
+        "value",
+        ["2.920050977316", "3.0", "3", "1.5", "2.", ".5", "", "٣.١٤", "/no/such/enclosure.json"],
+    )
+    def test_fixed_values(self, value):
+        for cap in (None, "0", "-1"):
+            for fmt in ("text", "json"):
+                assert_recover_matches_oracle(value, cap, fmt)
+
+    def test_errors_keep_their_order(self, tmp_path):
+        # A malformed document is reported before the cap, and an
+        # out-of-order one in lowest terms, whatever its text.
+        swapped = tmp_path / "swapped.json"
+        swapped.write_text(json.dumps({"lo": "88/30", "hi": "58/20"}))
+        code, out, err = assert_recover_matches_oracle(str(swapped), "-1", "text")
+        assert (code, out) == (2, "")
+        assert "interval endpoints out of order: lo=44/15 > hi=29/10" in err
+        code, _, err = assert_recover_matches_oracle("2.92", "-1", "text")
+        assert code == 2 and "max_terms must be" in err
+
+
+class TestRecoverEdgeBuildsNoFraction:
+    """`recover --value` hands the recurrence integers: no lowest-terms Fraction or interval on the way."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("the recover edge built a lowest-terms Fraction")
+
+    def check(self, argv, monkeypatch):
+        expected = outcome(argv)
+        assert expected[0] == 0
+        fraction_edge = ("parse_decimal", "parse_rational", "interval_from_enclosure_json", "RationalInterval", "recover")
+        for name in fraction_edge:
+            monkeypatch.setattr(cli, name, self.refuse, raising=False)
+        monkeypatch.setattr(RationalInterval, "_lcm_numerators", self.refuse)
+        assert outcome(argv) == expected
+        return expected
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_long_decimal(self, monkeypatch, fmt):
+        self.check(["recover", "--value", primes_text(4000), "--format", fmt], monkeypatch)
+
+    def test_cli_written_document(self, monkeypatch, tmp_path):
+        path = tmp_path / "enclosure.json"
+        path.write_text(json.dumps(cli_document("primes", 1404)))
+        _, out, _ = self.check(["recover", "--value", str(path), "--max-terms", "2000"], monkeypatch)
+        assert out.startswith("recovered: 2 3 5 7 11 ")
+
+    def test_ten_to_the_five_digits_without_steps(self, monkeypatch):
+        value = "2." + "920050977316" * 8334
+        started = time.perf_counter()
+        _, out, _ = self.check(["recover", "--value", value, "--max-terms", "0"], monkeypatch)
+        # Two runs; the Fraction edge spent 0.35-0.55 s on each, in its gcds.
+        assert time.perf_counter() - started < 0.5
+        assert out.splitlines()[2] == "stop: max_terms"
 
 
 class TestErrorMapping:

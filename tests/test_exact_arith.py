@@ -243,6 +243,59 @@ class TestParseDecimal:
         assert iv.width == Fraction(1, scale)
 
 
+class TestIntegerEdges:
+    """The integers the CLI's `recover` edge reads, against `int()` and the Fraction edges built on them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        whole=st.integers(0, 2000),
+        fraction=st.integers(0, 9000),
+        seed=st.integers(0, 2**32),
+        point=st.booleans(),
+    )
+    def test_decimal(self, whole, fraction, seed, point):
+        rng = random.Random(seed)
+        integer_part = "".join(rng.choice("0123456789") for _ in range(whole + 1))
+        fraction_part = "".join(rng.choice("0123456789") for _ in range(fraction + 1)) if point else ""
+        literal = f"{integer_part}.{fraction_part}" if point else integer_part
+        lo, hi, scale = exact_arith._decimal_ints(f" {literal}\n")
+        with int_text_unlimited():
+            assert lo == int(integer_part + fraction_part)
+        assert (hi, scale) == (lo + 1, 10 ** len(fraction_part))
+        assert parse_decimal(literal) == RationalInterval(Fraction(lo, scale), Fraction(hi, scale))
+
+    @pytest.mark.parametrize("k", [0, 1, 640, 641, 1281, 1282, 5000, 5001, 20_003])
+    def test_power_of_ten(self, k):
+        powers = {}
+        assert exact_arith._power_of_ten(k, powers) == 10**k
+        assert all(power == 10**j for j, power in powers.items())
+
+    @pytest.mark.parametrize(
+        "text, parts", [("58/20", (58, 20)), ("-0/7", (0, 7)), ("+3", (3, 1)), (" -88/30 ", (-88, 30))]
+    )
+    def test_rational_as_written(self, text, parts):
+        assert exact_arith._rational_ints(text) == parts
+        assert parse_rational(text) == Fraction(*parts)
+
+    @given(
+        lo=st.tuples(st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+        hi=st.tuples(st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+    )
+    def test_over_lcm(self, lo, hi):
+        try:
+            expected = RationalInterval(Fraction(*lo), Fraction(*hi))._lcm_numerators()
+        except ValueError as exc:
+            with pytest.raises(ValueError) as excinfo:
+                exact_arith._over_lcm(lo, hi)
+            assert str(excinfo.value) == str(exc)
+            return
+        x, y, denominator = exact_arith._over_lcm(lo, hi)
+        assert denominator % expected[2] == 0
+        scale = denominator // expected[2]
+        assert (x, y) == (expected[0] * scale, expected[1] * scale)
+        assert Fraction(x, denominator) == Fraction(*lo) and Fraction(y, denominator) == Fraction(*hi)
+
+
 class TestRationalSerialization:
     def test_format_always_has_denominator(self):
         assert format_rational(Fraction(3)) == "3/1"

@@ -459,6 +459,12 @@ class TestAdversarialInputs:
         run = self.check(monkeypatch, *parse_decimal("3." + "0" * 4000)._lcm_numerators(), 10**6)
         assert set(run.recovered) == {3} and len(run.recovered) == 8384
 
+    def test_integer_lo_keeps_its_window_exact(self):
+        # Rounded down, the window's floor would be 2 and the window would fail.
+        denominator = 10**4000
+        x, width, window_q = recurrence._outward(3 * denominator, 1, denominator, 6000)
+        assert x == 3 * window_q and width > 0
+
     def test_integer_point(self, monkeypatch):
         denominator = 10**4000
         run = self.check(monkeypatch, 3 * denominator, 3 * denominator, denominator, 3000)
