@@ -427,8 +427,7 @@ def _cmd_bench(args: argparse.Namespace) -> _Output:
         terms_used = enclosure.terms_used
         product_digits = enclosure.product_digits
         started = time.perf_counter()
-        lo = enclosure.lo_numerator
-        recovered = len(_recover(lo, lo + 1, enclosure.product, terms_used).recovered)
+        recovered = len(_recover(*enclosure.ints, terms_used).recovered)
         recover_elapsed = time.perf_counter() - started
         results.append(
             {

@@ -15,17 +15,21 @@ grows, so every digit they certify is final.  For the primes the limit is
 2.92005097731613..., and the first term of the recovered expansion of the
 enclosure is the sequence itself (see `recurrence`).
 
-The series is summed by binary splitting (Haible and Papanikolaou, 1998),
-bottom-up and in exact Decimals, whose large products libmpdec forms by
-number-theoretic transform.  A range of terms gives a pair (P, S): P is
-the product of its terms and S / P its share of the sum, scaled to start
-at 1.  One term a gives (a, (a - 1) * a), and two adjacent ranges combine
-as (P1 * P2, S1 * P2 + S2).  The whole prefix gives g_N = S / P_N, so the
-enclosure is [(S + a_{N+1}) / P_N, (S + a_{N+1} + 1) / P_N] with no gcd.
-The P of every range is kept, as the one product tree of P_N that the
-renderer descends for its lowest-terms gcds (`exact_arith._IntervalText`).
-`plan_terms` takes its term count from a float sum of log10 a_k and
-confirms it on that exact P.
+The series is summed by binary splitting (Haible and Papanikolaou, 1998).
+A range of terms gives a pair (P, S): P is the product of its terms and
+S / P its share of the sum, scaled to start at 1.  One term a gives
+(a, (a - 1) * a), and two adjacent ranges combine as (P1 * P2, S1 * P2 + S2).
+The whole prefix gives g_N = S / P_N, so the enclosure is
+[(S + a_{N+1}) / P_N, (S + a_{N+1} + 1) / P_N] with no gcd.  `_compose`
+forms the pair of a range as ints; it is also the floor recurrence's map
+over those terms, x -> P * x - S * q on numerators over q (f_{n+1} =
+P_n * f_1 - S_n), which `recurrence` applies to its windows.  `_series`
+takes the pair of each 64-term run from it and combines the runs
+bottom-up in exact Decimals, whose large products libmpdec forms by
+number-theoretic transform.  The P of every range is kept, as the one
+product tree of P_N that the renderer descends for its lowest-terms gcds
+(`exact_arith._IntervalText`).  `plan_terms` takes its term count from a
+float sum of log10 a_k and confirms it on that exact P.
 """
 
 from __future__ import annotations
@@ -107,15 +111,23 @@ class _Series:
         return _Series(self.count - 1, levels, _EXACT.subtract(_EXACT.divide_int(self.numerator, a), a - 1))
 
 
-def _series(terms: Sequence[int]) -> _Series:
-    """The series of `terms`, by binary splitting: the runs as ints, the levels above in `_EXACT`."""
-    nodes = []
-    for start in range(0, len(terms), _RUN):
+def _compose(terms: Sequence[int]) -> tuple[int, int]:
+    """(P, S) of `terms` taken in order, by binary splitting: also the recurrence's map x -> P*x - S*q."""
+    if len(terms) <= 16:
         p, s = 1, 0
-        for a in terms[start : start + _RUN]:
-            p, s = p * a, (s + a - 1) * a
-        nodes.append((_exact_decimal(p), _exact_decimal(s)))
-    nodes = nodes or [(decimal.Decimal(1), decimal.Decimal(0))]
+        for a in terms:
+            p, s = a * p, a * (s + a - 1)
+        return p, s
+    mid = len(terms) // 2
+    p1, s1 = _compose(terms[:mid])
+    p2, s2 = _compose(terms[mid:])
+    return p2 * p1, p2 * s1 + s2
+
+
+def _series(terms: Sequence[int]) -> _Series:
+    """The series of `terms`, by binary splitting: the runs by `_compose`, the levels above in `_EXACT`."""
+    runs = (_compose(terms[start : start + _RUN]) for start in range(0, len(terms), _RUN))
+    nodes = [(_exact_decimal(p), _exact_decimal(s)) for p, s in runs] or [(decimal.Decimal(1), decimal.Decimal(0))]
     levels = [tuple(p for p, _ in nodes)]
     while len(nodes) > 1:
         merged = [
@@ -134,9 +146,10 @@ class ConstantEnclosure:
     `series` holds P = a_1 * ... * a_N, its product tree and S = g_N * P, and
     L = S + a_{N+1} for the `lookahead` a_{N+1}.  `digits` (to `max_digits`
     places) and the lowest-terms texts are rendered from these Decimals on first
-    read; the ints `product`, `lo_numerator`, `series_numerator` and
-    `run_products` (the leaves) are parsed from their text.  `validation`
-    reports on a_1..a_{N+1}.  Equality compares sequence, count, cap and lookahead.
+    read; the ints `product`, `lo_numerator` and `series_numerator` are parsed
+    from their text, and `ints` is the enclosure as the recurrence takes it.
+    `validation` reports on a_1..a_{N+1}.  Equality compares sequence, count,
+    cap and lookahead.
     """
 
     sequence: SequenceSpec
@@ -164,8 +177,10 @@ class ConstantEnclosure:
         return self.series_numerator + self.lookahead
 
     @property
-    def run_products(self) -> tuple[int, ...]:
-        return tuple(_parse_int(str(leaf)) for leaf in self.series.levels[0])
+    def ints(self) -> tuple[int, int, int]:
+        """(L, L + 1, P): the enclosure is [L/P, (L+1)/P]."""
+        lo = self.lo_numerator
+        return lo, lo + 1, self.product
 
     @property
     def product_digits(self) -> int:
@@ -179,8 +194,8 @@ class ConstantEnclosure:
     @property
     def interval(self) -> RationalInterval:
         """[L/P, (L+1)/P] with endpoints in lowest terms; its two gcds are paid on each read."""
-        lo, product = self.lo_numerator, self.product
-        return RationalInterval(Fraction(lo, product), Fraction(lo + 1, product))
+        lo, hi, product = self.ints
+        return RationalInterval(Fraction(lo, product), Fraction(hi, product))
 
     @property
     def partial_sum(self) -> Fraction:

@@ -52,7 +52,6 @@ __all__ = [
     "NonPositiveInterval",
     "ParseError",
     "RationalInterval",
-    "decimal_length",
     "format_rational",
     "parse_decimal",
     "parse_rational",
@@ -175,21 +174,6 @@ def _parse_int_literal(text: str) -> int:
     return -value if match[1] == "-" else value
 
 
-def decimal_length(n: int) -> int:
-    """Number of decimal digits of an integer n >= 0, as len(str(n)), from its bit length.
-
-    2**(b-1) <= n < 2**b with b = n.bit_length(), so n has either as many
-    digits as 2**(b-1), which is 1 + floor((b-1) * log10(2)), or one more;
-    one comparison with a power of ten decides.  The floor is taken in
-    floating point, with an error below b * 1e-16.  For b <= 8 * 10**7 (over
-    2 * 10**7 digits) no (b-1) * log10(2) lies within 5.7e-9 of an integer
-    (the continued fraction of log10(2) shows it), so the floor is exact.
-    """
-    _check_int(n, "n", 0)
-    length = int((n.bit_length() - 1) * math.log10(2)) + 1
-    return length + 1 if n >= 10**length else length
-
-
 @dataclass(frozen=True)
 class DecimalDigits:
     """Truncated decimal digits certified to be shared by a whole interval.
@@ -252,10 +236,6 @@ class RationalInterval:
     def width(self) -> Fraction:
         """Exact width hi - lo."""
         return self.hi - self.lo
-
-    def contains(self, value: Fraction | int) -> bool:
-        q = _as_fraction(value)
-        return self.lo <= q <= self.hi
 
     def _lcm_numerators(self) -> tuple[int, int, int]:
         """(lo, hi, D) with this interval = [lo/D, hi/D], for D the lcm of its two denominators."""

@@ -26,20 +26,22 @@ of Lehmer's gcd and of the Knuth-Schoenhage half-gcd (Moeller, Math. Comp.
 2008).  A window rounds the interval outward to half its remaining
 precision; the steps certified on it, by recursion down to `_LEAF_BITS`,
 compose to one map x -> M*x - C*q, with M' = a*M and C' = a*(C + a - 1),
-applied once to the full numerators.  Floors certified on a window are
-certified on the interval it contains, and the last steps, where windows
-fail, run on the full numerators, so the terms, the stop and FloorBelowTwo
-are the one-step loop's.  The smallest residual upper bound comes from a
-fixed-point pass backward from the final hi, evaluated exactly at its few
-candidates.
+applied once to the full numerators.  That (M, C) is the series' pair
+(P, S) of the same terms, so `constant._compose` forms both.  Floors
+certified on a window are certified on the interval it contains, and the
+last steps, where windows fail, run on the full numerators, so the terms,
+the stop and FloorBelowTwo are the one-step loop's.  The smallest
+residual upper bound comes from a fixed-point pass backward from the final
+hi, evaluated exactly at its few candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .constant import enclose
+from .constant import _compose, enclose
 from .exact_arith import InvalidArgument, RationalInterval, _arg_text, _check_int, _int_text, _LowestTerms, format_rational
 from .sequences import SequenceSpec
 
@@ -431,19 +433,6 @@ def _min_upper(terms: list[int], hi: int, last: int, denominator: int) -> int | 
     return min(uppers)
 
 
-def _compose(terms) -> tuple[int, int]:
-    """The map (M, C) of `terms` taken in order, by binary splitting."""
-    if len(terms) <= 16:
-        M, C = 1, 0
-        for m in terms:
-            M, C = m * M, m * (C + m - 1)
-        return M, C
-    mid = len(terms) // 2
-    M1, C1 = _compose(terms[:mid])
-    M2, C2 = _compose(terms[mid:])
-    return M2 * M1, M2 * C1 + C2
-
-
 @dataclass(frozen=True)
 class ResidualReport:
     """Residual enclosures and the denominator bound they certify.
@@ -461,8 +450,9 @@ class ResidualReport:
     def residual_intervals(self) -> tuple[RationalInterval, ...]:
         return tuple(self.run.residual_intervals)
 
-    @property
+    @cached_property
     def min_upper(self) -> Fraction | None:
+        """The run's smallest residual upper bound, in lowest terms; its gcd is paid on the first read."""
         return self.run.min_residual_upper
 
     @property
@@ -497,8 +487,7 @@ def residuals(spec: SequenceSpec, terms_used: int, count: int | None = None) -> 
     enclosure = enclose(spec, terms_used)
     if count is not None:
         _check_int(count, "count", 0)
-    lo = enclosure.lo_numerator
-    run = _recover(lo, lo + 1, enclosure.product, terms_used)
+    run = _recover(*enclosure.ints, terms_used)
     certified = len(run.recovered)
     if count is None:
         count = certified
@@ -508,7 +497,7 @@ def residuals(spec: SequenceSpec, terms_used: int, count: int | None = None) -> 
             f"residuals, {_int_text(count)} requested; increase terms_used"
         )
     if count < certified:
-        run = _recover(lo, lo + 1, enclosure.product, count)
+        run = _recover(*enclosure.ints, count)
     return ResidualReport(sequence=spec, terms_used=terms_used, certified=certified, run=run)
 
 
@@ -549,8 +538,7 @@ def roundtrip(spec: SequenceSpec, terms_used: int, max_terms: int | None = None)
     if max_terms is None:
         max_terms = terms_used
     _check_max_terms(max_terms)
-    lo = enclosure.lo_numerator
-    run = _recover(lo, lo + 1, enclosure.product, max_terms)
+    run = _recover(*enclosure.ints, max_terms)
     expected = spec.terms(len(run.recovered))
     for step, (got, want) in enumerate(zip(run.recovered, expected), start=1):
         if got != want:

@@ -46,6 +46,12 @@ def int_text_unlimited():
         sys.set_int_max_str_digits(limit)
 
 
+def str_length(n):
+    """len(str(n)) of an int, with the int-to-text limit lifted for this one conversion."""
+    with int_text_unlimited():
+        return len(str(n))
+
+
 def interval_text(lo, hi, factors, max_digits):
     """`exact_arith._IntervalText` of [lo/D, hi/D] over a product tree of `factors`, whose product is D."""
     from primeconst import exact_arith

