@@ -414,7 +414,7 @@ def _cmd_alpha(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_bench(args: argparse.Namespace) -> _Output:
-    sizes = args.digits if args.digits else list(DEFAULT_BENCH_SIZES)
+    sizes = list(dict.fromkeys(args.digits or DEFAULT_BENCH_SIZES))
     spec = SequenceSpec.primes()
     results = []
     timings: dict[str, float] = {}

@@ -29,7 +29,9 @@ bottom-up in exact Decimals, whose large products libmpdec forms by
 number-theoretic transform.  The P of every range is kept, as the one
 product tree of P_N that the renderer descends for its lowest-terms gcds
 (`exact_arith._IntervalText`).  `plan_terms` takes its term count from a
-float sum of log10 a_k and confirms it on that exact P.
+float sum of log10 a_k and confirms it on that exact P.  An enclosure
+builds each form from its terms on first read, by one route: (L, L + 1, P)
+as ints by `_compose`, and the Decimal series by `_series`, for the renderer.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .exact_arith import (
     DecimalDigits,
     RationalInterval,
     _check_int,
-    _parse_int,
     _exact_decimal,
     _int_text,
     _IntervalText,
@@ -143,44 +144,47 @@ def _series(terms: Sequence[int]) -> _Series:
 class ConstantEnclosure:
     """A certified enclosure [L/P, (L+1)/P] of a sequence constant from finitely many terms.
 
-    `series` holds P = a_1 * ... * a_N, its product tree and S = g_N * P, and
-    L = S + a_{N+1} for the `lookahead` a_{N+1}.  `digits` (to `max_digits`
-    places) and the lowest-terms texts are rendered from these Decimals on first
-    read; the ints `product`, `lo_numerator` and `series_numerator` are parsed
-    from their text, and `ints` is the enclosure as the recurrence takes it.
-    `validation` reports on a_1..a_{N+1}.  Equality compares sequence, count,
-    cap and lookahead.
+    Its one source is the terms a_1..a_N, with L = S + a_{N+1} for the
+    `lookahead` a_{N+1}.  On first read, `ints` (L, L + 1, P) is formed by
+    `_compose`, and `series` (P, its product tree and S as Decimals), which
+    only the renderer reads, by `_series` or from the series `planned` by
+    `enclose_digits`.  `max_digits` is the `cap` asked for, or else P's digit
+    count; `digits` stop at P's digit count, where the width 1/P already
+    separates the truncations.  `validation` reports on a_1..a_{N+1}.
+    Equality compares sequence, count, lookahead and `cap`, not `max_digits`.
     """
 
     sequence: SequenceSpec
     terms_used: int
-    max_digits: int
-    series: _Series = field(compare=False, repr=False)
+    cap: int | None
+    terms: Sequence[int] = field(compare=False, repr=False)
     lookahead: int
     validation: ValidationReport = field(compare=False, repr=False)
+    planned: _Series | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def ints(self) -> tuple[int, int, int]:
+        """(L, L + 1, P): the enclosure is [L/P, (L+1)/P]."""
+        product, numerator = _compose(self.terms)
+        lo = numerator + self.lookahead
+        return lo, lo + 1, product
+
+    @cached_property
+    def series(self) -> _Series:
+        return self.planned or _series(self.terms)
+
+    @property
+    def max_digits(self) -> int:
+        return self.product_digits if self.cap is None else self.cap
 
     @cached_property
     def _text(self) -> _IntervalText:
         lo = _EXACT.add(self.series.numerator, self.lookahead)
-        return _IntervalText(lo, decimal.Decimal(1), self.series.levels, self.max_digits)
+        return _IntervalText(lo, decimal.Decimal(1), self.series.levels, min(self.max_digits, self.product_digits))
 
-    @cached_property
+    @property
     def product(self) -> int:
-        return _parse_int(str(self.series.product))
-
-    @cached_property
-    def series_numerator(self) -> int:
-        return _parse_int(str(self.series.numerator))
-
-    @property
-    def lo_numerator(self) -> int:
-        return self.series_numerator + self.lookahead
-
-    @property
-    def ints(self) -> tuple[int, int, int]:
-        """(L, L + 1, P): the enclosure is [L/P, (L+1)/P]."""
-        lo = self.lo_numerator
-        return lo, lo + 1, self.product
+        return self.ints[2]
 
     @property
     def product_digits(self) -> int:
@@ -200,7 +204,7 @@ class ConstantEnclosure:
     @property
     def partial_sum(self) -> Fraction:
         """The partial sum g_N, in lowest terms; its gcd is paid on each read."""
-        return Fraction(self.series_numerator, self.product)
+        return Fraction(self.ints[0] - self.lookahead, self.product)
 
     @property
     def lo_text(self) -> str:
@@ -229,24 +233,20 @@ class ConstantEnclosure:
         }
 
 
-def _enclosure(
-    spec: SequenceSpec, terms_used: int, max_digits: int | None, series: _Series | None = None
-) -> ConstantEnclosure:
-    """The enclosure from N = terms_used terms, once a_1..a_{N+1} pass validation; `series` if already summed."""
+def _enclosure(spec: SequenceSpec, count: int, cap: int | None, planned: _Series | None = None) -> ConstantEnclosure:
+    """The enclosure from N = count terms, once a_1..a_{N+1} pass validation; `planned` if already summed."""
     try:
-        terms = spec.terms(terms_used + 1)
+        terms = spec.terms(count + 1)
     except ExplicitExhausted as exc:
         raise InsufficientTerms(
-            f"need {_int_text(terms_used + 1)} terms of {spec} for a {_int_text(terms_used)}-term enclosure"
+            f"need {_int_text(count + 1)} terms of {spec} for a {_int_text(count)}-term enclosure"
         ) from exc
     report = validate_bertrand(terms)
     if not report.ok:
         raise ValidationFailed(report)
-    series = series or _series(terms[:terms_used])
-    if max_digits is None:
-        max_digits = series.product.adjusted() + 1
-    _check_int(max_digits, "max_digits", 1)
-    return ConstantEnclosure(spec, terms_used, max_digits, series, terms[terms_used], report)
+    if cap is not None:
+        _check_int(cap, "max_digits", 1)
+    return ConstantEnclosure(spec, count, cap, terms[:count], terms[count], report, planned)
 
 
 def enclose(spec: SequenceSpec, terms_used: int, max_digits: int | None = None) -> ConstantEnclosure:

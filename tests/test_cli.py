@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import int_text_unlimited
-from primeconst import cli, exact_arith, recurrence
+from primeconst import cli, constant, exact_arith, recurrence
 from primeconst.constant import ConstantEnclosure, enclose, enclose_digits, interval_from_enclosure_json
 from primeconst.exact_arith import ParseError, RationalInterval, parse_decimal, parse_rational
 from primeconst.recurrence import RecoveryResult, ResidualReport, recover
@@ -113,6 +113,14 @@ class TestConstantCommand:
         )
         assert doc["digits"] == "2.92005"
         assert doc["verified_digits"] == 5
+
+    def test_huge_max_digits_renders_as_p_digits(self, capsys):
+        # 10**20 places would need a quotient past libmpdec's limits; past P's
+        # digit count (2 here) more places change nothing.
+        argv = ["constant", "--terms", "3", "--sequence", "naturals", "--max-digits"]
+        expected = run_cli(argv + ["2"], capsys)
+        assert expected[0] == 0
+        assert run_cli(argv + ["100000000000000000000"], capsys) == expected
 
     def test_terms_and_digits_conflict(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -384,6 +392,13 @@ class TestBenchCommand:
             assert result["product_decimal_digits"] > result["digits_requested"]
         assert set(doc["timing"]["seconds"]) == {"200", "300"}
 
+    def test_repeated_sizes_run_once(self, capsys):
+        doc = run_json(["bench", "--digits", "200", "300", "200"], capsys)
+        assert [r["digits_requested"] for r in doc["results"]] == [200, 300]
+        assert [list(t) for t in doc["timing"].values()] == [["200", "300"]] * 2
+        code, out, _ = run_cli(["bench", "--digits", "150", "150"], capsys)
+        assert (code, len(out.splitlines())) == (0, 1)
+
     def test_product_digits_are_exact(self, capsys):
         doc = run_json(["bench", "--digits", "200", "3000"], capsys)
         for result in doc["results"]:
@@ -459,6 +474,72 @@ class TestRecoveryRendersNoDigits:
             monkeypatch.setattr(module, "to_decimal", self.refuse, raising=False)
         monkeypatch.setattr(ConstantEnclosure, "digits", property(self.refuse))
         assert run_cli(argv, capsys) == expected
+
+
+class TestEachFormOnFirstRead:
+    """Each path builds only the enclosure form it reads, and parses no large integer from text."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("the enclosure's ints were read")
+
+    @staticmethod
+    def record(monkeypatch, module, name):
+        """The first argument of each call to `module.name`, recorded from now on."""
+        calls = []
+        original = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv", [["roundtrip", "--terms", "2590"], ["residuals", "--terms", "905", "--count", "10"]]
+    )
+    def test_recovery_builds_no_series(self, capsys, monkeypatch, argv):
+        expected = run_cli(argv, capsys)
+        calls = self.record(monkeypatch, constant, "_series")
+        assert run_cli(argv, capsys) == expected
+        assert expected[0] == 0 and calls == []
+
+    def test_ints_build_no_series(self, monkeypatch):
+        calls = self.record(monkeypatch, constant, "_series")
+        lo, hi, product = enclose(SequenceSpec.primes(), 2590).ints
+        assert hi == lo + 1 and product == math.prod(SequenceSpec.primes().terms(2590))
+        assert calls == []
+
+    def test_digits_build_the_series_once(self, capsys, monkeypatch):
+        calls = self.record(monkeypatch, constant, "_series")
+        code, out, _ = run_cli(["constant", "--digits", "10000"], capsys)
+        assert code == 0 and out.startswith("2.92005097731613")
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("output_format", ["text", "json"])
+    def test_terms_read_no_ints(self, capsys, monkeypatch, output_format):
+        argv = ["constant", "--terms", "2590", "--format", output_format]
+        expected = run_cli(argv, capsys)
+        monkeypatch.setattr(ConstantEnclosure, "ints", property(self.refuse))
+        assert run_cli(argv, capsys) == expected
+        assert expected[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["roundtrip", "--terms", "2590"],
+            ["residuals", "--terms", "2590", "--count", "10"],
+            ["constant", "--terms", "2590"],
+            ["constant", "--terms", "2590", "--format", "json"],
+            ["bench", "--digits", "10000"],
+        ],
+    )
+    def test_no_large_text_parse(self, capsys, monkeypatch, argv):
+        lengths = self.record(monkeypatch, exact_arith, "_parse_int")
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert max(map(len, lengths)) <= exact_arith._LEAF_DIGITS
 
 
 class TestRowsSkipTheFractionReplay:

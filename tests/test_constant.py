@@ -23,7 +23,7 @@ from primeconst.constant import (
     interval_from_enclosure_json,
     plan_terms,
 )
-from primeconst.exact_arith import InvalidArgument
+from primeconst.exact_arith import InvalidArgument, to_decimal
 from primeconst.sequences import ExplicitExhausted, SequenceSpec
 
 ALL_BUILTINS = [
@@ -83,8 +83,7 @@ def enclosure_view(enclosure):
         enclosure.terms_used,
         enclosure.max_digits,
         enclosure.product,
-        enclosure.series_numerator,
-        enclosure.lo_numerator,
+        enclosure.ints,
         enclosure.digits,
         enclosure.lo_text,
         enclosure.hi_text,
@@ -237,7 +236,8 @@ class TestBinarySplitting:
         assert series.numerator == horner_numerator(terms) * terms[-1]
         enclosure = enclose(SequenceSpec.primes(), count, max_digits=10)
         assert enclosure.product == math.prod(terms)
-        assert enclosure.series_numerator == horner_numerator(terms) * terms[-1]
+        lo = horner_numerator(terms) * terms[-1] + SequenceSpec.primes().term(count + 1)
+        assert enclosure.ints == (lo, lo + 1, math.prod(terms))
 
     def test_twenty_thousand_digit_primes_enclosure(self):
         self.check_primes(plan_terms_oracle(SequenceSpec.primes(), 20_000))
@@ -297,6 +297,19 @@ class TestProductDigits:
         enclosure = enclose(SequenceSpec.explicit([first, first + 1]), 1)
         assert enclosure.product_digits == str_length(enclosure.product) == str_length(first)
         assert enclosure.max_digits == enclosure.product_digits
+
+    @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=str)
+    @pytest.mark.parametrize("terms_used", [1, 5, 40])
+    def test_caps_past_it_render_as_it(self, spec, terms_used):
+        # The width 1/P separates the truncations at P's digit count, so the
+        # rendering stops there; the cap itself is kept, and compared.
+        enclosure = enclose(spec, terms_used)
+        k = enclosure.product_digits
+        assert enclosure == enclose(spec, terms_used) != enclose(spec, terms_used, max_digits=k)
+        for extra in (1, 2, 7, 50):
+            capped = enclose(spec, terms_used, max_digits=k + extra)
+            assert capped.max_digits == k + extra
+            assert capped.digits == to_decimal(capped.interval, k + extra) == enclosure.digits
 
     @pytest.mark.parametrize("k", [1, 2, 63, 64, 65, 500])
     def test_powers_of_ten_as_products(self, k):

@@ -65,7 +65,7 @@ def test_import_leaves_the_limit_alone():
 class TestLibrary:
     def test_enclosure_of_twenty_thousand_digits(self):
         enclosure = enclose_digits(SequenceSpec.primes(), 20_000)
-        lo, product = enclosure.lo_numerator, enclosure.product
+        lo, _, product = enclosure.ints
         value = Fraction(lo, product)
         with int_text_unlimited():
             expected_lo = f"{value.numerator}/{value.denominator}"

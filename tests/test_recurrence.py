@@ -439,7 +439,7 @@ class TestAgainstTheLoop:
     @pytest.mark.parametrize("terms_used", [1404, 2590, 5300])
     def test_primes_enclosures(self, terms_used, monkeypatch):
         enclosure = enclose(SequenceSpec.primes(), terms_used)
-        lo, product = enclosure.lo_numerator, enclosure.product
+        lo, _, product = enclosure.ints
         for cap in (10**9, terms_used, terms_used // 3):
             expected = loop_recover(lo, lo + 1, product, cap)
             # The smallest residual is evaluated backward from the last step
@@ -451,7 +451,7 @@ class TestAgainstTheLoop:
 
     def test_primes_enclosure_ten_to_the_five_digits(self):
         enclosure = enclose(SequenceSpec.primes(), 20488)
-        lo = enclosure.lo_numerator
+        lo = enclosure.ints[0]
         run = _recover(lo, lo + 1, enclosure.product, 10**9)
         assert run.recovered == tuple(PrimeSieve().first(20488))
         assert run.stop == StopReason("width_exceeds_one", step=20489)
@@ -492,7 +492,7 @@ class TestAdversarialInputs:
     def test_tied_residuals(self, monkeypatch, name, terms_used):
         spec = SequenceSpec.from_name(name)
         enclosure = enclose(spec, terms_used)
-        lo = enclosure.lo_numerator
+        lo = enclosure.ints[0]
         run = self.check(monkeypatch, lo, lo + 1, enclosure.product, terms_used)
         report = roundtrip(spec, terms_used)
         assert (report.recovered, report.stop) == (run.recovered, run.stop)
@@ -504,7 +504,7 @@ class TestRecoveryMemory:
         # (5300 x 9.3 kB here).  Past the terms themselves, the peak stays
         # within 16 times P's size.
         enclosure = enclose(SequenceSpec.primes(), 5300)
-        lo, product = enclosure.lo_numerator, enclosure.product
+        lo, _, product = enclosure.ints
         terms = PrimeSieve().first(5300)
         terms_bytes = sys.getsizeof(terms) + sum(sys.getsizeof(term) for term in terms)
         tracemalloc.start()

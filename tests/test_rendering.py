@@ -174,7 +174,7 @@ class TestGcdCases:
 
     @staticmethod
     def gcds(enclosure):
-        lo_numerator, denominator = enclosure.lo_numerator, enclosure.product
+        lo_numerator, _, denominator = enclosure.ints
         return math.gcd(lo_numerator, denominator), math.gcd(lo_numerator + 1, denominator)
 
     def test_both_gcds_above_one(self):
@@ -224,7 +224,7 @@ class TestRemainderTree:
         leaves = [exact_arith._parse_int(str(leaf)) for leaf in enclosure.series.levels[0]]
         assert len(leaves) == -(-terms_used // 64)
         assert math.prod(leaves) == enclosure.product
-        lo = enclosure.lo_numerator
+        lo = enclosure.ints[0]
         self.check(lo, lo + 1, leaves, enclosure.max_digits)
         assert_enclosure_matches(enclosure)
 
@@ -255,7 +255,7 @@ class TestRemainderTree:
     def test_hundred_thousand_digit_primes_enclosure(self):
         # The 20488 terms that 10^5 digits plan for.
         enclosure = enclose(SequenceSpec.primes(), 20488, max_digits=10)
-        lo, denominator = enclosure.lo_numerator, enclosure.product
+        lo, _, denominator = enclosure.ints
         gcds = math.gcd(lo, denominator), math.gcd(lo + 1, denominator)
         assert enclosure._text._endpoint_divisors == gcds
         with int_text_unlimited():
