@@ -7,8 +7,11 @@ checks admissibility, `mean` and `alpha` run the independent
 cross-checks, and `bench` times large runs.
 
 Exit codes: 0 on success, 2 for invalid input or a failed validation,
-1 for an internal error.  All output is deterministic for a given
-invocation except `bench` timings, which live under a "timing" key.
+1 for an internal error.  Input is invalid when the package raises an
+`InputError` or a file named on the command line cannot be read or
+written; any other exception is an internal error.  All output is
+deterministic for a given invocation except `bench` timings, which live
+under a "timing" key.
 """
 
 from __future__ import annotations
@@ -21,18 +24,10 @@ import time
 from collections.abc import Callable
 from pathlib import Path
 
-from .constant import (
-    InsufficientTerms,
-    ValidationFailed,
-    _enclosure_ends,
-    enclose,
-    enclose_digits,
-)
-from .crosscheck import TermLimitExceeded, alpha_build, alpha_decode, nondivisor_mean
+from .constant import _enclosure_ends, enclose, enclose_digits
+from .crosscheck import alpha_build, alpha_decode, nondivisor_mean
 from .exact_arith import (
-    InvalidArgument,
-    NonPositiveInterval,
-    ParseError,
+    InputError,
     RationalInterval,
     _decimal_ints,
     _over_lcm,
@@ -40,22 +35,8 @@ from .exact_arith import (
     format_rational,
     to_decimal,
 )
-from .recurrence import (
-    FloorBelowTwo,
-    PrecisionExhausted,
-    StopReason,
-    _check_max_terms,
-    _recover,
-    residuals,
-    roundtrip,
-)
-from .sequences import (
-    ExplicitExhausted,
-    SequenceKind,
-    SequenceSpec,
-    TooShort,
-    validate_bertrand,
-)
+from .recurrence import StopReason, _recover, residuals, roundtrip
+from .sequences import SequenceKind, SequenceSpec, validate_bertrand
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -70,21 +51,8 @@ _BUILTIN_SEQUENCES = ("primes", "naturals", "doubling", "boundary")
 _Output = tuple[Callable[[], str], Callable[[], dict], int]
 
 
-_USER_ERRORS = (
-    InvalidArgument,
-    ParseError,
-    NonPositiveInterval,
-    TooShort,
-    ExplicitExhausted,
-    InsufficientTerms,
-    ValidationFailed,
-    FloorBelowTwo,
-    PrecisionExhausted,
-    TermLimitExceeded,
-    # Reading or writing the files named on the command line.
-    OSError,
-    UnicodeDecodeError,
-)
+# Refused input, and reading or writing the files named on the command line.
+_USER_ERRORS = (InputError, OSError, UnicodeDecodeError)
 
 
 def _add_sequence_flags(parser: argparse.ArgumentParser) -> None:
@@ -220,8 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_constant(args: argparse.Namespace) -> _Output:
     spec = _resolve_sequence(args)
     if args.digits is not None:
-        if args.digits < 1:
-            raise InvalidArgument("--digits must be >= 1")
         enclosure = enclose_digits(spec, args.digits, max_digits=args.max_digits)
     else:
         enclosure = enclose(spec, args.terms, max_digits=args.max_digits)
@@ -251,23 +217,22 @@ def _ints_from_value(value: str) -> tuple[int, int, int]:
     """
     try:
         return _decimal_ints(value)
-    except ParseError:
+    except InputError:
         pass
     path = Path(value)
     if not path.exists():
-        raise ParseError(
+        raise InputError(
             f"--value is neither a decimal literal nor an existing file: {value!r}"
         )
     try:
         doc = json.loads(path.read_text(encoding="utf-8"), parse_int=_parse_int_literal)
         return _over_lcm(*_enclosure_ends(doc))
     except (json.JSONDecodeError, ValueError, RecursionError) as exc:
-        raise ParseError(f"{value}: not a valid enclosure document: {exc}") from None
+        raise InputError(f"{value}: not a valid enclosure document: {exc}") from None
 
 
 def _cmd_recover(args: argparse.Namespace) -> _Output:
     lo, hi, denominator = _ints_from_value(args.value)
-    _check_max_terms(args.max_terms)
     run = _recover(lo, hi, denominator, args.max_terms)
     warnings: list[str] = []
     if any(b <= a for a, b in zip(run.recovered, run.recovered[1:])):
@@ -346,7 +311,7 @@ def _cmd_validate(args: argparse.Namespace) -> _Output:
             terms = spec.terms(args.terms)
     else:
         if args.terms is None:
-            raise InvalidArgument("--terms is required with a built-in sequence")
+            raise InputError("--terms is required with a built-in sequence")
         terms = spec.terms(args.terms)
     report = validate_bertrand(terms)
 

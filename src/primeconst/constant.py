@@ -48,6 +48,7 @@ from functools import cached_property
 from .exact_arith import (
     _EXACT,
     DecimalDigits,
+    InputError,
     RationalInterval,
     _check_int,
     _exact_decimal,
@@ -71,11 +72,11 @@ __all__ = [
 _RUN = 64
 
 
-class InsufficientTerms(ValueError):
+class InsufficientTerms(InputError):
     """Raised when a sequence cannot supply the terms an enclosure needs."""
 
 
-class ValidationFailed(ValueError):
+class ValidationFailed(InputError):
     """Raised when input terms break the admissibility conditions."""
 
     def __init__(self, report: ValidationReport) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_arith import InvalidArgument, _arg_text, _check_int, _int_text
+from .exact_arith import InputError, _check_int, _int_text
 from .sequences import _SHARED_SIEVE
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
 _ALPHA_TERM_CAP = 12
 
 
-class TermLimitExceeded(ValueError):
+class TermLimitExceeded(InputError):
     """Raised when an alpha expansion would need astronomically many digits."""
 
 
@@ -102,8 +102,7 @@ def nondivisor_mean(limit: int) -> Fraction:
     are not multiples of p_1 * ... * p_k.  This closed form is exactly the
     elementwise average but runs in O(log limit) divisions.
     """
-    if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
-        raise InvalidArgument(f"limit must be a positive integer, got {_arg_text(limit)}")
+    _check_int(limit, "limit", 1)
     total = 0
     running_product = 1
     k = 0
@@ -124,8 +123,7 @@ def alpha_build(terms: int) -> Fraction:
     denominator 10**(2**(T+1)).  The denominator doubles in digit count
     with every term, so the count is capped at 12 (about 8000 digits).
     """
-    if not isinstance(terms, int) or isinstance(terms, bool) or terms < 1:
-        raise InvalidArgument(f"terms must be a positive integer, got {_arg_text(terms)}")
+    _check_int(terms, "terms", 1)
     if terms > _ALPHA_TERM_CAP:
         raise TermLimitExceeded(
             f"alpha with {_int_text(terms)} terms needs 10**(2**{_int_text(terms + 1)}) as a denominator; "

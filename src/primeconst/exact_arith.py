@@ -48,6 +48,7 @@ from functools import cached_property
 
 __all__ = [
     "DecimalDigits",
+    "InputError",
     "InvalidArgument",
     "NonPositiveInterval",
     "ParseError",
@@ -59,15 +60,19 @@ __all__ = [
 ]
 
 
-class InvalidArgument(ValueError):
+class InputError(ValueError):
+    """Input the package refuses, on which the CLI exits 2; every package error but MismatchDetected is one."""
+
+
+class InvalidArgument(InputError):
     """Raised when a count, size or limit argument is missing or out of its range."""
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """Raised when textual input is not in the accepted format."""
 
 
-class NonPositiveInterval(ValueError):
+class NonPositiveInterval(InputError):
     """Raised when decimal rendering is asked for an interval not strictly above zero."""
 
 
@@ -265,8 +270,9 @@ def _over_lcm(lo: tuple[int, int], hi: tuple[int, int]) -> tuple[int, int, int]:
     return x, y, q // g * s
 
 
-def format_rational(value: Fraction) -> str:
-    """Render a Fraction as "numerator/denominator", denominator always present."""
+def format_rational(value: Fraction | int) -> str:
+    """Render a Fraction or int as "numerator/denominator", denominator always present."""
+    value = _as_fraction(value)
     return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
 
 
@@ -308,7 +314,9 @@ def to_decimal(interval: RationalInterval, max_digits: int) -> DecimalDigits:
     common prefix is reported.  Truncation, not rounding: the digits given
     are exactly the leading digits of every number in the interval.  When
     the integer parts already disagree the result is flagged as a boundary
-    case with zero verified digits.
+    case with zero verified digits.  A proper interval [lo/D, hi/D] stops
+    at D's digit count, where a width of 1/D or more already separates the
+    truncations; a point shares every digit, so its cap must fit `_EXACT`.
     """
     _check_int(max_digits, "max_digits", 1)
     if interval.lo <= 0:
@@ -317,8 +325,13 @@ def to_decimal(interval: RationalInterval, max_digits: int) -> DecimalDigits:
             f"got lo={_fraction_text(interval.lo)}"
         )
     lo, hi, denominator = interval._lcm_numerators()
-    tree = [[_exact_decimal(denominator)]]
-    return _IntervalText(_exact_decimal(lo), _exact_decimal(hi - lo), tree, max_digits).digits
+    lo_decimal, den = _exact_decimal(lo), _exact_decimal(denominator)
+    if hi > lo:
+        max_digits = min(max_digits, den.adjusted() + 1)
+    elif lo_decimal.adjusted() + max_digits >= decimal.MAX_PREC:
+        limit = decimal.MAX_PREC - lo_decimal.adjusted() - 1
+        raise InvalidArgument(f"max_digits must be <= {limit} for a point, got {_int_text(max_digits)}")
+    return _IntervalText(lo_decimal, _exact_decimal(hi - lo), [[den]], max_digits).digits
 
 
 def _check_int(value: int, name: str, minimum: int) -> None:
@@ -327,11 +340,6 @@ def _check_int(value: int, name: str, minimum: int) -> None:
         raise TypeError(f"{name} must be int, got {type(value).__name__}")
     if value < minimum:
         raise InvalidArgument(f"{name} must be >= {minimum}, got {_int_text(value)}")
-
-
-def _arg_text(value: object) -> str:
-    """repr(value), with an int of any size rendered through `_int_text`."""
-    return _int_text(value) if type(value) is int else repr(value)
 
 
 def _shared_digits(lo_text: str, hi_text: str, max_digits: int) -> DecimalDigits:

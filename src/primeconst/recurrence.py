@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .constant import _compose, enclose
-from .exact_arith import InvalidArgument, RationalInterval, _arg_text, _check_int, _int_text, _LowestTerms, format_rational
+from .exact_arith import InputError, RationalInterval, _check_int, _int_text, _LowestTerms, format_rational
 from .sequences import SequenceSpec
 
 __all__ = [
@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 
-class FloorBelowTwo(ValueError):
+class FloorBelowTwo(InputError):
     """Raised when a certified floor is below 2.
 
     A valid enclosure of an admissible constant can never reach this state,
@@ -76,7 +76,7 @@ class FloorBelowTwo(ValueError):
         )
 
 
-class PrecisionExhausted(ValueError):
+class PrecisionExhausted(InputError):
     """Raised when more certified steps are requested than the enclosure supports."""
 
 
@@ -224,11 +224,6 @@ class RecoveryResult:
         }
 
 
-def _check_max_terms(max_terms: int) -> None:
-    if not isinstance(max_terms, int) or isinstance(max_terms, bool) or max_terms < 0:
-        raise InvalidArgument(f"max_terms must be a nonnegative integer, got {_arg_text(max_terms)}")
-
-
 def recover(start: RationalInterval, max_terms: int) -> RecoveryResult:
     """Extract certified terms from `start` until a stopping condition.
 
@@ -242,7 +237,6 @@ def recover(start: RationalInterval, max_terms: int) -> RecoveryResult:
     docstring), so the cost grows like a large multiplication times a
     logarithm, not like the number of steps times the operand size.
     """
-    _check_max_terms(max_terms)
     return _recover(*start._lcm_numerators(), max_terms)
 
 
@@ -268,6 +262,7 @@ def _recover(lo: int, hi: int, denominator: int, max_terms: int) -> RecoveryResu
     or raise FloorBelowTwo.  `_min_upper` then finds the smallest residual
     upper bound.
     """
+    _check_int(max_terms, "max_terms", 0)
     recovered, _, _, x, width = _windows(lo, hi - lo, denominator, max_terms, exact=True)
     step = len(recovered) + 1
     if len(recovered) >= max_terms:
@@ -537,7 +532,6 @@ def roundtrip(spec: SequenceSpec, terms_used: int, max_terms: int | None = None)
     enclosure = enclose(spec, terms_used)
     if max_terms is None:
         max_terms = terms_used
-    _check_max_terms(max_terms)
     run = _recover(*enclosure.ints, max_terms)
     expected = spec.terms(len(run.recovered))
     for step, (got, want) in enumerate(zip(run.recovered, expected), start=1):

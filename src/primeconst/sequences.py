@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .exact_arith import InvalidArgument, ParseError, _arg_text, _check_int, _int_text, _parse_int_literal
+from .exact_arith import InputError, InvalidArgument, ParseError, _check_int, _int_text, _parse_int_literal
 
 __all__ = [
     "ExplicitExhausted",
@@ -38,11 +38,11 @@ __all__ = [
 ]
 
 
-class TooShort(ValueError):
+class TooShort(InputError):
     """Raised when an operation needs at least two terms and got fewer."""
 
 
-class ExplicitExhausted(ValueError):
+class ExplicitExhausted(InputError):
     """Raised when more terms are requested than an explicit sequence holds."""
 
 
@@ -317,8 +317,7 @@ def smallest_nondividing_prime(value: int) -> int:
     Equals 2 for odd values, and exceeds the k-th prime exactly when the
     product of the first k primes divides `value`.
     """
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"value must be a positive integer, got {_arg_text(value)}")
+    _check_int(value, "value", 1)
     for index in itertools.count(1):
         p = _SHARED_SIEVE.nth(index)
         if value % p:

@@ -348,6 +348,14 @@ class TestMeanCommand:
         assert code == 2
 
 
+class TestReadmeExamples:
+    @pytest.mark.parametrize("command", ["mean --limit 1000000", "alpha --terms 4"])
+    def test_text_output(self, capsys, command):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        expected = re.search(rf"^\$ primeconst {command}\n(.*?\n)(?:\n|```)", readme, re.M | re.S)[1]
+        assert run_cli(command.split(), capsys) == (0, expected, "")
+
+
 class TestAlphaCommand:
     def test_four_terms(self, capsys):
         doc = run_json(["alpha", "--terms", "4"], capsys)
@@ -837,9 +845,11 @@ class TestErrorMapping:
             (["recover", "--value", "2.92", "--max-terms", "-1"], "max_terms must be"),
             (["residuals", "--terms", "20", "--count", "-1"], "count must be >= 0"),
             (["validate", "--terms", "-1"], "count must be >= 0"),
-            (["mean", "--limit", "0"], "limit must be a positive integer"),
-            (["alpha", "--terms", "0"], "terms must be a positive integer"),
+            (["mean", "--limit", "0"], "limit must be >= 1"),
+            (["alpha", "--terms", "0"], "terms must be >= 1"),
             (["bench", "--digits", "0"], "digits must be >= 1"),
+            (["constant", "--digits", "0"], "digits must be >= 1, got 0"),
+            (["constant", "--digits", "-3"], "digits must be >= 1, got -3"),
         ],
     )
     def test_out_of_range_arguments_exit_two(self, capsys, argv, message):

@@ -13,7 +13,7 @@ from primeconst.crosscheck import (
     nondivisor_distribution,
     nondivisor_mean,
 )
-from primeconst.exact_arith import RationalInterval, to_decimal
+from primeconst.exact_arith import InvalidArgument, RationalInterval, to_decimal
 from primeconst.sequences import SequenceSpec, smallest_nondividing_prime
 
 
@@ -75,8 +75,11 @@ class TestNondivisorMean:
             assert difference <= Fraction(5, 10 ** (exponent - 2))
 
     def test_input_validation(self):
-        for bad in (0, -1, True, 1.5):
-            with pytest.raises(ValueError):
+        for bad in (0, -1):
+            with pytest.raises(InvalidArgument, match="limit must be >= 1"):
+                nondivisor_mean(bad)
+        for bad in (True, 1.5):
+            with pytest.raises(TypeError, match="limit must be int"):
                 nondivisor_mean(bad)
 
 
@@ -108,9 +111,11 @@ class TestAlpha:
             alpha_build(13)
 
     def test_input_validation(self):
-        for bad in (0, -1, True):
-            with pytest.raises(ValueError):
+        for bad in (0, -1):
+            with pytest.raises(InvalidArgument, match="terms must be >= 1"):
                 alpha_build(bad)
+        with pytest.raises(TypeError, match="terms must be int"):
+            alpha_build(True)
         with pytest.raises(TypeError):
             alpha_decode(0.5, 1)
         with pytest.raises(ValueError):

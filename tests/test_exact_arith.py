@@ -19,6 +19,7 @@ from primeconst import exact_arith
 from primeconst.constant import enclose
 from primeconst.exact_arith import (
     DecimalDigits,
+    InvalidArgument,
     NonPositiveInterval,
     ParseError,
     RationalInterval,
@@ -163,6 +164,14 @@ class TestToDecimal:
         with pytest.raises(TypeError):
             to_decimal(interval(1, 2), True)
 
+    @pytest.mark.parametrize("max_digits", [10**18, 10**20])
+    def test_huge_max_digits(self, max_digits):
+        # [1/3, 1/2] is over D = 6, so its truncations already differ at one
+        # place; a point has every digit, and these caps pass libmpdec's limits.
+        assert to_decimal(interval((1, 3), (1, 2)), max_digits) == DecimalDigits("0", "", 0, False)
+        with pytest.raises(InvalidArgument, match=f"max_digits must be <= .* for a point, got {max_digits}$"):
+            to_decimal(interval((1, 3), (1, 3)), max_digits)
+
     @given(
         lo=st.fractions(min_value=Fraction(1, 1000), max_value=10**6),
         delta=st.fractions(min_value=0, max_value=10**3),
@@ -299,6 +308,11 @@ class TestRationalSerialization:
     def test_format_always_has_denominator(self):
         assert format_rational(Fraction(3)) == "3/1"
         assert format_rational(Fraction(-7, 2)) == "-7/2"
+
+    @pytest.mark.parametrize("bad", [True, 0.5])
+    def test_format_refuses_bools_and_floats(self, bad):
+        with pytest.raises(TypeError):
+            format_rational(bad)
 
     def test_parse_accepts_plain_integers(self):
         assert parse_rational("42") == 42

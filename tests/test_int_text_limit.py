@@ -317,7 +317,7 @@ class TestCli:
     def test_negative_option_past_the_limit(self, capsys):
         code, out, err = run_cli(["mean", "--limit=-" + "9" * 5000], capsys)
         assert (code, out) == (2, "")
-        assert err == "error: limit must be a positive integer, got -" + "9" * 5000 + "\n"
+        assert err == "error: limit must be >= 1, got -" + "9" * 5000 + "\n"
 
     def test_invalid_option(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -7,10 +7,13 @@ source or test file imports a name it never uses, where a name listed in
 the traced benchmark (`perfbench/worker.py`) wraps or reads still exists;
 and every function, class and method of the package has a reader outside
 its own definition, in the package, in `perfbench` or in a README code
-block, unless `TEST_ONLY_SURFACE` names it with its reason.
+block, unless `TEST_ONLY_SURFACE` names it with its reason.  Every
+exception the package defines but `MismatchDetected` is an `InputError`,
+the one package class the CLI catches to exit with code 2.
 """
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -247,3 +250,39 @@ def test_every_definition_has_a_reader():
 def test_test_only_surface_is_unread():
     # An entry that gains a reader leaves the list.
     assert sorted(set(TEST_ONLY_SURFACE) - set(unread_definitions())) == []
+
+
+def package_classes():
+    """{name: names of its bases} for each top-level class of the package."""
+    return {
+        node.name: [dotted(base) for base in node.bases]
+        for path in SOURCES
+        for node in parse(path).body
+        if isinstance(node, ast.ClassDef)
+    }
+
+
+def test_every_package_error_is_an_input_error():
+    classes = package_classes()
+
+    def ancestors(name):
+        for base in classes.get(name, []):
+            yield base
+            yield from ancestors(base)
+
+    def is_builtin_exception(name):
+        value = getattr(builtins, name, None)
+        return isinstance(value, type) and issubclass(value, BaseException)
+
+    errors = {name for name in classes if any(map(is_builtin_exception, ancestors(name)))}
+    assert "MismatchDetected" in errors
+    assert sorted(name for name in errors - {"InputError", "MismatchDetected"} if "InputError" not in ancestors(name)) == []
+
+
+def test_cli_catches_one_package_error():
+    for node in parse(PACKAGE / "cli.py").body:
+        if isinstance(node, ast.Assign) and dotted(node.targets[0]) == "_USER_ERRORS":
+            named = {name.id for name in ast.walk(node.value) if isinstance(name, ast.Name)}
+            assert named & set(package_classes()) == {"InputError"}
+            return
+    raise AssertionError("cli.py assigns no _USER_ERRORS")

@@ -203,9 +203,9 @@ class TestRecover:
 
     def test_max_terms_validation(self):
         start = parse_decimal("2.92")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument, match="max_terms must be >= 0, got -1"):
             recover(start, max_terms=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="max_terms must be int"):
             recover(start, max_terms=True)
 
     def test_step_width_growth_law(self):
@@ -618,9 +618,14 @@ class TestRoundtrip:
         with pytest.raises(TypeError, match="terms_used must be int"):
             roundtrip(SequenceSpec.primes(), terms_used)
 
-    @pytest.mark.parametrize("max_terms", [4.0, True, -1])
-    def test_rejects_bad_max_terms(self, max_terms):
-        with pytest.raises(InvalidArgument, match="max_terms must be a nonnegative integer"):
+    @pytest.mark.parametrize(
+        "max_terms, error, message",
+        [(4.0, TypeError, "max_terms must be int"), (True, TypeError, "max_terms must be int"),
+         (-1, InvalidArgument, "max_terms must be >= 0")],
+        ids=["4.0", "True", "-1"],
+    )
+    def test_rejects_bad_max_terms(self, max_terms, error, message):
+        with pytest.raises(error, match=message):
             roundtrip(SequenceSpec.primes(), 10, max_terms=max_terms)
 
     @pytest.mark.parametrize(

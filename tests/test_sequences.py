@@ -252,8 +252,11 @@ class TestSmallestNondividingPrime:
         assert smallest_nondividing_prime(510510) == 19
 
     def test_input_validation(self):
-        for bad in (0, -4, True, 2.5):
-            with pytest.raises(ValueError):
+        for bad in (0, -4):
+            with pytest.raises(InvalidArgument, match="value must be >= 1"):
+                smallest_nondividing_prime(bad)
+        for bad in (True, 2.5):
+            with pytest.raises(TypeError, match="value must be int"):
                 smallest_nondividing_prime(bad)
 
     def test_primorial_divisibility_characterization(self):
