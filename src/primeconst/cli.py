@@ -17,11 +17,14 @@ under a "timing" key.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
+import stat
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 from .constant import _enclosure_ends, enclose, enclose_digits
@@ -47,8 +50,13 @@ _BUILTIN_SEQUENCES = ("primes", "naturals", "doubling", "boundary")
 
 # What a handler returns: two functions that make the text and the JSON
 # document, of which `main` calls only the one `--format` asks for, and the
-# exit code.
-_Output = tuple[Callable[[], str], Callable[[], dict], int]
+# exit code.  Each returns its whole output, a text or a dict to encode, or
+# an iterable of text chunks, which `main` writes as they come.
+_Output = tuple[Callable[[], str | Iterable[str]], Callable[[], dict | Iterable[str]], int]
+
+# Where a JSON document's streamed list goes: `_json_chunks` writes the list
+# in place of this value, which no other value of a document can equal.
+_ROWS = "\0"
 
 
 # Refused input, and reading or writing the files named on the command line.
@@ -253,8 +261,8 @@ def _cmd_recover(args: argparse.Namespace) -> _Output:
         lines.extend(f"warning: {w}" for w in warnings)
         return "\n".join(lines)
 
-    def doc() -> dict:
-        return {**run.to_json_dict(), "warnings": warnings}
+    def doc() -> Iterable[str]:
+        return _json_chunks({**run._json_fields(_ROWS), "warnings": warnings}, run._width_column())
 
     return text, doc, 0
 
@@ -282,8 +290,7 @@ def _cmd_residuals(args: argparse.Namespace) -> _Output:
     spec = _resolve_sequence(args)
     report = residuals(spec, args.terms, count=args.count)
 
-    def text() -> str:
-        rows = report.residual_texts()
+    def text() -> Iterable[str]:
         min_upper = (
             "none" if report.min_upper is None else format_rational(report.min_upper)
         )
@@ -292,15 +299,18 @@ def _cmd_residuals(args: argparse.Namespace) -> _Output:
             f"sequence: {spec}",
             f"terms_used: {report.terms_used}",
             f"certified: {report.certified}",
-            f"count: {len(rows)}",
+            f"count: {report.count}",
             f"min_upper: {min_upper}",
             f"denominator_bound: {'none' if bound is None else bound}",
         ]
-        for step, (lo, hi) in enumerate(rows, start=1):
-            lines.append(f"residual {step}: [{lo}, {hi}]")
-        return "\n".join(lines)
+        yield "\n".join(lines)
+        for step, (lo, hi) in enumerate(report.run._residual_rows(), start=1):
+            yield f"\nresidual {step}: [{lo}, {hi}]"
 
-    return text, report.to_json_dict, 0
+    def doc() -> Iterable[str]:
+        return _json_chunks(report._json_fields(_ROWS), report.run._residual_rows())
+
+    return text, doc, 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> _Output:
@@ -432,28 +442,98 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _json_chunks(doc: dict, rows: Iterable) -> Iterable[str]:
+    """json.dumps(doc, indent=2) in chunks, with the list of `rows` in place of the value `_ROWS`.
+
+    A row is a text or a pair of texts, each made of digits, '-' and '/'
+    only, so '"text"' is its JSON encoding.  The list is a value at the
+    document's top level, where indent=2 puts its items 4 spaces in and
+    theirs 6.  Each row is yielded as it comes, so the list is never held.
+    """
+    head, _, tail = json.dumps(doc, indent=2).partition(json.dumps(_ROWS))
+    yield head
+    opening = separator = "[\n    "
+    for row in rows:
+        if isinstance(row, tuple):
+            lo, hi = row
+            yield f'{separator}[\n      "{lo}",\n      "{hi}"\n    ]'
+        else:
+            yield f'{separator}"{row}"'
+        separator = ",\n    "
+    yield ("[]" if separator is opening else "\n  ]") + tail
+
+
+def _write(stream, render: Callable) -> None:
+    """Write what `render` returns, a text, a dict as indent-2 JSON or text chunks as they come, and a newline."""
+    payload = render()
+    if isinstance(payload, dict):
+        payload = json.dumps(payload, indent=2)
+    if isinstance(payload, str):
+        payload = (payload,)
+    for chunk in payload:
+        stream.write(chunk)
+    stream.write("\n")
+
+
+def _write_file(path: str, render: Callable) -> None:
+    """`_write` to `path`: a regular file whole or not at all, anything else as a stream.
+
+    A regular file, or a name not yet taken, gets a new file beside it (for
+    a symlink, beside its target), with the old file's permission bits,
+    renamed onto it once whole; on any failure the new file is removed, so
+    the old bytes stay or the name stays free.  A write-protected file is
+    refused, as opening it would be.  What is not a regular file, such as
+    /dev/null, a FIFO or /dev/fd/N, cannot be replaced and is written
+    directly.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8") as stream:
+            _write(stream, render)
+        return
+    target = os.path.realpath(path)
+    if mode is not None and not os.access(target, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    temporary = Path(f"{target}.{os.getpid()}.tmp")
+    stream = open(temporary, "x", encoding="utf-8")
+    try:
+        with stream:
+            if mode is not None:
+                os.chmod(temporary, stat.S_IMODE(mode))
+            _write(stream, render)
+        os.replace(temporary, target)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
         text, doc, code = handler(args)
+        render = doc if args.format == "json" else text
         # A recovered term, a denominator bound, a straddled floor and an
         # explicit term can be longer than the interpreter's int-to-text
         # limit (4300 digits by default), and json.dumps writes an int only
         # through int.__repr__, which obeys it.  So the limit is lifted only
-        # while the payload is rendered.  Python 3.10 before 3.10.7 has none.
+        # while the payload is rendered, which is while it is written, since
+        # a table's rows are rendered as they go out.  Python 3.10 before
+        # 3.10.7 has none.
         limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
         if limit is not None:
             sys.set_int_max_str_digits(0)
         try:
-            payload = json.dumps(doc(), indent=2) if args.format == "json" else text()
+            if args.out:
+                _write_file(args.out, render)
+            else:
+                _write(sys.stdout, render)
         finally:
             if limit is not None:
                 sys.set_int_max_str_digits(limit)
-        if args.out:
-            Path(args.out).write_text(payload + "\n", encoding="utf-8")
-        else:
-            print(payload)
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

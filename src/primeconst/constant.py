@@ -49,6 +49,7 @@ from .exact_arith import (
     _EXACT,
     DecimalDigits,
     InputError,
+    ParseError,
     RationalInterval,
     _check_int,
     _exact_decimal,
@@ -349,5 +350,5 @@ def _enclosure_ends(doc: dict) -> tuple[tuple[int, int], tuple[int, int]]:
     """The document's 'lo' and 'hi' as (numerator, denominator) pairs, read as `parse_rational`
     reads them but not reduced."""
     if not isinstance(doc, dict) or "lo" not in doc or "hi" not in doc:
-        raise ValueError("enclosure document must be an object with 'lo' and 'hi'")
+        raise ParseError("enclosure document must be an object with 'lo' and 'hi'")
     return _rational_ints(doc["lo"]), _rational_ints(doc["hi"])

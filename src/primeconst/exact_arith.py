@@ -250,16 +250,16 @@ class RationalInterval:
         return f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"
 
 
-def _out_of_order(lo: Fraction, hi: Fraction) -> ValueError:
+def _out_of_order(lo: Fraction, hi: Fraction) -> InvalidArgument:
     """The error for an interval whose lo exceeds its hi."""
-    return ValueError(f"interval endpoints out of order: lo={_fraction_text(lo)} > hi={_fraction_text(hi)}")
+    return InvalidArgument(f"interval endpoints out of order: lo={_fraction_text(lo)} > hi={_fraction_text(hi)}")
 
 
 def _over_lcm(lo: tuple[int, int], hi: tuple[int, int]) -> tuple[int, int, int]:
     """(x, y, D) with [x/D, y/D] the interval from lo to hi, given as (numerator, denominator) pairs.
 
     The denominators are positive and need not be in lowest terms; D is
-    their lcm.  Raises RationalInterval's ValueError when lo > hi, and
+    their lcm.  Raises RationalInterval's InvalidArgument when lo > hi, and
     forms the lowest-terms Fractions only for its message.
     """
     (p, q), (r, s) = lo, hi

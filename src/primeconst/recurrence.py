@@ -135,7 +135,8 @@ class RecoveryResult:
     widths and residuals are derived from them on demand, so the result
     stays the size of one enclosure however many steps ran.  The printed
     rows, the residuals and the widths, are rendered by stepping
-    `_LowestTerms`, in time linear in the digits per row.
+    `_LowestTerms`, in time linear in the digits per row, and come one row
+    at a time, so a printer holds one row, not the table.
     """
 
     recovered: tuple[int, ...]
@@ -179,9 +180,9 @@ class RecoveryResult:
         """Enclosures of f_n - a_n for each certified step."""
         return [RationalInterval(lo - m, hi - m) for m, lo, hi in self._replay()]
 
-    def _residual_texts(self) -> list[tuple[str, str]]:
-        """format_rational of the ends of each residual interval."""
-        return list(zip(self._residual_column(self.lo_numerator), self._residual_column(self.hi_numerator)))
+    def _residual_rows(self):
+        """format_rational of the ends of each residual interval, as (lo, hi), one step at a time."""
+        return zip(self._residual_column(self.lo_numerator), self._residual_column(self.hi_numerator))
 
     def _residual_column(self, numerator: int):
         """format_rational(x_k - a_k), where x_k is numerator/D after k - 1 steps."""
@@ -192,14 +193,12 @@ class RecoveryResult:
             x.add(1)
             x.scale(m)
 
-    def _width_texts(self) -> list[str]:
-        """format_rational of each step width."""
+    def _width_column(self):
+        """format_rational of each step width, one step at a time."""
         width = _LowestTerms(Fraction(self.hi_numerator - self.lo_numerator, self.denominator))
-        texts = []
         for m in self.recovered:
-            texts.append(str(width))
+            yield str(width)
             width.scale(m)
-        return texts
 
     @property
     def denominator_bound(self) -> int | None:
@@ -215,13 +214,17 @@ class RecoveryResult:
             return None
         return self.denominator // upper
 
-    def to_json_dict(self) -> dict:
+    def _json_fields(self, widths) -> dict:
+        """The JSON document, in its field order, with `widths` as the value of "widths"."""
         return {
             "recovered": list(self.recovered),
-            "widths": self._width_texts(),
+            "widths": widths,
             "stop": self.stop.to_json_dict(),
             "denominator_bound": self.denominator_bound,
         }
+
+    def to_json_dict(self) -> dict:
+        return self._json_fields(list(self._width_column()))
 
 
 def recover(start: RationalInterval, max_terms: int) -> RecoveryResult:
@@ -454,21 +457,25 @@ class ResidualReport:
     def denominator_bound(self) -> int | None:
         return self.run.denominator_bound
 
-    def residual_texts(self) -> list[tuple[str, str]]:
-        """The ends of each residual enclosure, as `format_rational` renders them."""
-        return self.run._residual_texts()
+    @property
+    def count(self) -> int:
+        """The number of reported rows."""
+        return len(self.run.recovered)
 
-    def to_json_dict(self) -> dict:
-        rows = self.residual_texts()
+    def _json_fields(self, rows) -> dict:
+        """The JSON document, in its field order, with `rows` as the value of "residuals"."""
         return {
             "sequence": self.sequence.label(),
             "terms_used": self.terms_used,
             "certified": self.certified,
-            "count": len(rows),
-            "residuals": [list(row) for row in rows],
+            "count": self.count,
+            "residuals": rows,
             "min_upper": None if self.min_upper is None else format_rational(self.min_upper),
             "denominator_bound": self.denominator_bound,
         }
+
+    def to_json_dict(self) -> dict:
+        return self._json_fields([list(row) for row in self.run._residual_rows()])
 
 
 def residuals(spec: SequenceSpec, terms_used: int, count: int | None = None) -> ResidualReport:

@@ -128,7 +128,7 @@ class SequenceSpec:
             if not all(isinstance(t, int) and not isinstance(t, bool) for t in self.explicit_terms):
                 raise TypeError("explicit terms must be ints; floats, bools and other types are refused")
         elif self.explicit_terms is not None:
-            raise ValueError(f"{self.kind.value} sequence takes no explicit terms")
+            raise InvalidArgument(f"{self.kind.value} sequence takes no explicit terms")
 
     @classmethod
     def primes(cls) -> "SequenceSpec":
@@ -158,9 +158,9 @@ class SequenceSpec:
         try:
             kind = SequenceKind(name)
         except ValueError:
-            raise ValueError(f"unknown sequence name: {name!r}") from None
+            raise InvalidArgument(f"unknown sequence name: {name!r}") from None
         if kind is SequenceKind.EXPLICIT:
-            raise ValueError("explicit sequences come from a file, not a name")
+            raise InvalidArgument("explicit sequences come from a file, not a name")
         return cls(kind)
 
     @classmethod

@@ -6,12 +6,16 @@ import functools
 import io
 import json
 import math
+import os
 import random
 import re
 import shutil
+import stat
 import subprocess
 import sys
+import threading
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -21,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import int_text_unlimited
 from primeconst import cli, constant, exact_arith, recurrence
 from primeconst.constant import ConstantEnclosure, enclose, enclose_digits, interval_from_enclosure_json
-from primeconst.exact_arith import ParseError, RationalInterval, parse_decimal, parse_rational
+from primeconst.exact_arith import ParseError, RationalInterval, format_rational, parse_decimal, parse_rational
 from primeconst.recurrence import RecoveryResult, ResidualReport, recover
 from primeconst.sequences import SequenceSpec
 
@@ -458,6 +462,21 @@ class TestOnlyTheRequestedFormat:
         assert run_cli(["residuals", "--terms", "50"], capsys) == expected
         assert expected[0] == 0
 
+    @pytest.mark.parametrize(
+        "argv, owner",
+        [
+            (["residuals", "--terms", "50", "--format", "json"], ResidualReport),
+            (["recover", "--value", "2.920050977316", "--format", "json"], RecoveryResult),
+        ],
+    )
+    def test_json_tables_build_no_row_list(self, capsys, monkeypatch, argv, owner):
+        # `to_json_dict` is the one place the package builds a table's rows
+        # as a list; the CLI streams them instead.
+        expected = run_cli(argv, capsys)
+        monkeypatch.setattr(owner, "to_json_dict", self.refuse)
+        assert run_cli(argv, capsys) == expected
+        assert expected[0] == 0
+
 
 class TestRecoveryRendersNoDigits:
     """`roundtrip` and `residuals` recover from the interval and never render its decimal digits."""
@@ -816,6 +835,193 @@ class TestRecoverEdgeBuildsNoFraction:
         # Two runs; the Fraction edge spent 0.35-0.55 s on each, in its gcds.
         assert time.perf_counter() - started < 0.5
         assert out.splitlines()[2] == "stop: max_terms"
+
+
+def joined_residuals_text(spec, report):
+    """`residuals` text as one join of its lines, as it was built before the rows were streamed."""
+    min_upper = "none" if report.min_upper is None else format_rational(report.min_upper)
+    bound = report.denominator_bound
+    rows = report.to_json_dict()["residuals"]
+    lines = [
+        f"sequence: {spec}",
+        f"terms_used: {report.terms_used}",
+        f"certified: {report.certified}",
+        f"count: {len(rows)}",
+        f"min_upper: {min_upper}",
+        f"denominator_bound: {'none' if bound is None else bound}",
+    ]
+    lines += [f"residual {step}: [{lo}, {hi}]" for step, (lo, hi) in enumerate(rows, start=1)]
+    return "\n".join(lines)
+
+
+# Texts as the rows hold them: digits, '-' and '/'.
+row_texts = st.text(alphabet="0123456789-/", max_size=12)
+
+
+class TestStreamedOutput:
+    """Tables go out row by row, byte for byte what json.dumps and a join of lines give, and `--out` is
+    written whole or not at all."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(st.one_of(st.integers(), st.none(), st.text(max_size=8).filter(lambda s: s != cli._ROWS)), max_size=4),
+        at=st.integers(0, 4),
+        rows=st.one_of(st.lists(row_texts, max_size=4), st.lists(st.tuples(row_texts, row_texts), max_size=4)),
+    )
+    def test_json_chunks_match_json_dumps(self, values, at, rows):
+        fields = [(f"key{i}", value) for i, value in enumerate(values)]
+        fields.insert(min(at, len(fields)), ("rows", cli._ROWS))
+        doc = dict(fields)
+        expected = json.dumps({**doc, "rows": [list(row) if isinstance(row, tuple) else row for row in rows]}, indent=2)
+        assert "".join(cli._json_chunks(doc, iter(rows))) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(("primes", "naturals", "doubling", "boundary")),
+        terms=st.integers(1, 60),
+        data=st.data(),
+    )
+    def test_residuals_match_the_whole_renderings(self, name, terms, data):
+        spec = SequenceSpec.from_name(name)
+        certified = recurrence.residuals(spec, terms).certified
+        count = data.draw(st.one_of(st.none(), st.integers(0, certified)))
+        argv = ["residuals", "--sequence", name, "--terms", str(terms)]
+        if count is not None:
+            argv += ["--count", str(count)]
+        report = recurrence.residuals(spec, terms, count=count)
+        expected_json = json.dumps(report.to_json_dict(), indent=2) + "\n"
+        assert outcome(argv + ["--format", "json"]) == (0, expected_json, "")
+        assert outcome(argv) == (0, joined_residuals_text(spec, report) + "\n", "")
+
+    @settings(max_examples=40, deadline=None)
+    @given(digits=st.integers(1, 300), cap=st.one_of(st.none(), st.integers(0, 300)))
+    def test_recover_widths_match_json_dumps(self, digits, cap):
+        value = primes_text(300)[: digits + 2]
+        argv = ["recover", "--value", value, "--format", "json"]
+        if cap is not None:
+            argv += ["--max-terms", str(cap)]
+        run = recurrence._recover(*cli._ints_from_value(value), cli.DEFAULT_MAX_TERMS if cap is None else cap)
+        expected = json.dumps({**run.to_json_dict(), "warnings": []}, indent=2) + "\n"
+        assert outcome(argv) == (0, expected, "")
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["residuals", "--terms", "20", "--count", "0", "--format", "json"], "residuals"),
+            (["recover", "--value", "2.92", "--max-terms", "0", "--format", "json"], "widths"),
+        ],
+    )
+    def test_empty_tables(self, argv, key):
+        code, out, err = outcome(argv)
+        assert (code, err) == (0, "")
+        assert f'\n  "{key}": [],\n' in out
+        assert json.loads(out)[key] == []
+
+    @staticmethod
+    def fail_after_first_chunk(error):
+        def handler(args):
+            def render():
+                yield "first row"
+                raise error
+
+            return render, render, 0
+
+        return handler
+
+    @pytest.mark.parametrize("error, code", [(RuntimeError("synthetic failure"), 1), (ParseError("bad row"), 2)])
+    def test_a_failed_render_leaves_the_target_untouched(self, capsys, monkeypatch, tmp_path, error, code):
+        monkeypatch.setitem(cli._HANDLERS, "mean", self.fail_after_first_chunk(error))
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"old bytes\n")
+        assert run_cli(["mean", "--limit", "3", "--out", str(target)], capsys)[0] == code
+        assert target.read_bytes() == b"old bytes\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["out.txt"]
+        target.unlink()
+        assert run_cli(["mean", "--limit", "3", "--out", str(target)], capsys)[0] == code
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_render_on_stdout_keeps_its_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._HANDLERS, "mean", self.fail_after_first_chunk(RuntimeError("synthetic failure")))
+        code, out, err = run_cli(["mean", "--limit", "3"], capsys)
+        assert (code, out, err) == (1, "first row", "internal error: synthetic failure\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_out_replaces_a_file_with_the_stdout_bytes(self, capsys, tmp_path, fmt):
+        argv = ["residuals", "--terms", "120", "--format", fmt]
+        code, out, _ = run_cli(argv, capsys)
+        target = tmp_path / "rows"
+        target.write_text("an older and much longer file " * 10**4)
+        assert run_cli(argv + ["--out", str(target)], capsys) == (0, "", "")
+        assert (code, target.read_text(encoding="utf-8")) == (0, out)
+        assert [path.name for path in tmp_path.iterdir()] == ["rows"]
+
+    def test_out_to_devnull_writes_through_it(self, capsys):
+        argv = ["residuals", "--terms", "120", "--format", "json", "--out", os.devnull]
+        assert run_cli(argv, capsys) == (0, "", "")
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert not os.path.exists(f"{os.devnull}.{os.getpid()}.tmp")
+
+    def test_out_streams_into_a_fifo(self, capsys, tmp_path):
+        argv = ["residuals", "--terms", "120", "--format", "json"]
+        expected = run_cli(argv, capsys)[1]
+        fifo = tmp_path / "rows"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text(encoding="utf-8")), daemon=True)
+        reader.start()
+        assert run_cli(argv + ["--out", str(fifo)], capsys) == (0, "", "")
+        reader.join(timeout=60)
+        assert received == [expected]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert [path.name for path in tmp_path.iterdir()] == ["rows"]
+
+    def test_out_through_a_symlink_replaces_its_target(self, capsys, tmp_path):
+        argv = ["residuals", "--terms", "120"]
+        expected = run_cli(argv, capsys)[1]
+        target, link = tmp_path / "rows.txt", tmp_path / "link"
+        target.write_text("old bytes\n")
+        target.chmod(0o600)
+        link.symlink_to(target)
+        assert run_cli(argv + ["--out", str(link)], capsys) == (0, "", "")
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_text(encoding="utf-8") == expected
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["link", "rows.txt"]
+
+    def test_write_protected_out_is_user_error(self, capsys, monkeypatch, tmp_path):
+        # os.access stands in for a file mode that the superuser would ignore.
+        target = tmp_path / "rows.txt"
+        target.write_bytes(b"old bytes\n")
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        code, out, err = run_cli(["residuals", "--terms", "50", "--out", str(target)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert target.read_bytes() == b"old bytes\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["rows.txt"]
+
+    def test_unwritable_out_of_a_streamed_table_is_user_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "rows.json"
+        code, out, err = run_cli(["residuals", "--terms", "50", "--format", "json", "--out", str(target)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_render_memory_is_bounded_by_the_largest_row(self, tmp_path):
+        # The whole table is 55 MB and its largest line, one end of the first
+        # row, about 2*10^4 characters; held whole, the table and its JSON
+        # encoding peaked at about five times the output.
+        target = tmp_path / "rows.json"
+        tracemalloc.start()
+        try:
+            code = cli.main(["residuals", "--terms", "2590", "--format", "json", "--out", str(target)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        with target.open(encoding="utf-8") as lines:
+            largest = max(map(len, lines))
+        assert target.stat().st_size > 2000 * largest
+        assert peak < 64 * largest
 
 
 class TestErrorMapping:

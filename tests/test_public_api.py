@@ -17,7 +17,13 @@ import builtins
 import re
 from pathlib import Path
 
+from fractions import Fraction
+
 import pytest
+
+from primeconst.constant import interval_from_enclosure_json
+from primeconst.exact_arith import InputError, RationalInterval
+from primeconst.sequences import SequenceKind, SequenceSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "primeconst"
@@ -277,6 +283,45 @@ def test_every_package_error_is_an_input_error():
     errors = {name for name in classes if any(map(is_builtin_exception, ancestors(name)))}
     assert "MismatchDetected" in errors
     assert sorted(name for name in errors - {"InputError", "MismatchDetected"} if "InputError" not in ancestors(name)) == []
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [
+        lambda: SequenceSpec.from_name("bogus"),
+        lambda: SequenceSpec.from_name("explicit"),
+        lambda: SequenceSpec(SequenceKind.PRIMES, (2, 3)),
+        lambda: interval_from_enclosure_json({}),
+        lambda: RationalInterval(Fraction(2), Fraction(1)),
+    ],
+    ids=["unknown name", "explicit by name", "terms for a built-in", "document without ends", "ends out of order"],
+)
+def test_refusals_are_input_errors(refused):
+    with pytest.raises(InputError):
+        refused()
+
+
+# The `ValueError(` calls the package may make, by file and enclosing
+# definition, and why each is not an `InputError`.
+VALUE_ERROR_ALLOWED = {
+    ("recurrence.py", "StopReason.__post_init__"): "guards the package's own results, never user input",
+}
+
+
+def value_error_calls(node, scope=()):
+    """The enclosing definitions, joined by '.', of each `ValueError(...)` call under `node`."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = (*scope, child.name)
+        elif isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "ValueError":
+            yield ".".join(scope)
+        yield from value_error_calls(child, inner)
+
+
+def test_refusals_construct_no_plain_value_error():
+    calls = {(path.name, scope) for path in SOURCES for scope in value_error_calls(parse(path))}
+    assert sorted(calls) == sorted(VALUE_ERROR_ALLOWED)
 
 
 def test_cli_catches_one_package_error():

@@ -106,7 +106,7 @@ def assert_matches_oracle(start, max_terms):
     run = recover(start, max_terms)
     assert {name: getattr(run, name) for name in expected} == expected
     residual_rows, widths = oracle_row_texts(expected)
-    assert run._residual_texts() == residual_rows
+    assert list(run._residual_rows()) == residual_rows
     assert run.to_json_dict()["widths"] == widths
     return run
 
@@ -278,10 +278,10 @@ class TestAgainstFractionOracle:
 
     def test_integer_point_rows(self):
         run = assert_matches_oracle(iv(3, 3), 2)
-        assert run._residual_texts() == [("0/1", "0/1"), ("0/1", "0/1")]
+        assert list(run._residual_rows()) == [("0/1", "0/1"), ("0/1", "0/1")]
         assert run.to_json_dict()["widths"] == ["0/1", "0/1"]
         run = assert_matches_oracle(parse_decimal("3.0"), 10)
-        assert run._residual_texts() == [("0/1", "1/10"), ("0/1", "3/10"), ("0/1", "9/10")]
+        assert list(run._residual_rows()) == [("0/1", "1/10"), ("0/1", "3/10"), ("0/1", "9/10")]
 
     def test_stop_kinds_each_reached(self):
         assert_matches_oracle(iv((5, 2), 3), 10)
@@ -653,7 +653,7 @@ class TestRoundtrip:
             report = residuals(spec, terms_used, count=count)
         except PrecisionExhausted as exc:
             return str(exc)
-        return report.residual_texts(), report.min_upper, report.denominator_bound
+        return list(report.run._residual_rows()), report.min_upper, report.denominator_bound
 
     @staticmethod
     def refuse(*args, **kwargs):
@@ -720,7 +720,7 @@ class TestPrintedRows:
         rows, _ = oracle_row_texts(expected)
         for count in (0, 1, 2, 10, 450, 904, 905):
             report = residuals(SequenceSpec.primes(), 905, count=count)
-            assert report.residual_texts() == rows[:count]
+            assert list(report.run._residual_rows()) == rows[:count]
             assert report.residual_intervals == tuple(expected["residual_intervals"][:count])
 
 
