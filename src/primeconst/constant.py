@@ -182,7 +182,7 @@ class ConstantEnclosure:
     @cached_property
     def _text(self) -> _IntervalText:
         lo = _EXACT.add(self.series.numerator, self.lookahead)
-        return _IntervalText(lo, decimal.Decimal(1), self.series.levels, min(self.max_digits, self.product_digits))
+        return _IntervalText(lo, decimal.Decimal(1), self.series.levels, self.max_digits)
 
     @property
     def product(self) -> int:

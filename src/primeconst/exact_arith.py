@@ -315,8 +315,7 @@ def to_decimal(interval: RationalInterval, max_digits: int) -> DecimalDigits:
     are exactly the leading digits of every number in the interval.  When
     the integer parts already disagree the result is flagged as a boundary
     case with zero verified digits.  A proper interval [lo/D, hi/D] stops
-    at D's digit count, where a width of 1/D or more already separates the
-    truncations; a point shares every digit, so its cap must fit `_EXACT`.
+    at D's digit count; a point shares every digit, so its cap must fit `_EXACT`.
     """
     _check_int(max_digits, "max_digits", 1)
     if interval.lo <= 0:
@@ -325,13 +324,11 @@ def to_decimal(interval: RationalInterval, max_digits: int) -> DecimalDigits:
             f"got lo={_fraction_text(interval.lo)}"
         )
     lo, hi, denominator = interval._lcm_numerators()
-    lo_decimal, den = _exact_decimal(lo), _exact_decimal(denominator)
-    if hi > lo:
-        max_digits = min(max_digits, den.adjusted() + 1)
-    elif lo_decimal.adjusted() + max_digits >= decimal.MAX_PREC:
+    lo_decimal = _exact_decimal(lo)
+    if hi == lo and lo_decimal.adjusted() + max_digits >= decimal.MAX_PREC:
         limit = decimal.MAX_PREC - lo_decimal.adjusted() - 1
         raise InvalidArgument(f"max_digits must be <= {limit} for a point, got {_int_text(max_digits)}")
-    return _IntervalText(lo_decimal, _exact_decimal(hi - lo), [[den]], max_digits).digits
+    return _IntervalText(lo_decimal, _exact_decimal(hi - lo), [[_exact_decimal(denominator)]], max_digits).digits
 
 
 def _check_int(value: int, name: str, minimum: int) -> None:
@@ -388,7 +385,9 @@ class _IntervalText:
     lo, the width w = hi - lo and a product tree `levels` of D come as exact
     Decimals, and every operation runs in `_EXACT`.  levels[0] holds the
     leaves B_j, a level above multiplies adjacent pairs of the one below and
-    carries a last odd node up, and levels[-1] is [D].  One divmod,
+    carries a last odd node up, and levels[-1] is [D].  d is `max_digits`,
+    or D's digit count if smaller and w > 0, where w/D >= 1/D already
+    separates the truncations.  One divmod,
     q, r = divmod(lo * 10**d, D), gives both truncations, since
     floor(hi * 10**d / D) = q + (r + w * 10**d) // D.
 
@@ -416,6 +415,8 @@ class _IntervalText:
     ) -> None:
         self._lo, self._width, self._hi, self._levels = lo, width, _EXACT.add(lo, width), levels
         self._den = levels[-1][0]
+        if width:
+            max_digits = min(max_digits, self._den.adjusted() + 1)
         quotient, remainder = _EXACT.divmod(_EXACT.scaleb(lo, max_digits), self._den)
         carry = _EXACT.divide_int(_EXACT.add(remainder, _EXACT.scaleb(width, max_digits)), self._den)
         self.digits = _shared_digits(str(quotient), str(_EXACT.add(quotient, carry)), max_digits)
@@ -485,11 +486,11 @@ class _LowestTerms:
 
     n and q are exact Decimals in `_EXACT`.  If n/q is in lowest terms, so
     is (n + c*q)/q for any integer c, and m * n/q reduces only by
-    g = gcd(m, q mod m), a gcd of two small ints.  So `add` costs a multiply
-    by a small int and an addition, `scale` a multiply by a small int, one
-    remainder by m and one exact division by g, and `str` reads the digits
-    off the Decimals.  The same steps on a Fraction pay full-size gcds, and
-    `format_rational` converts both ints from binary again on every call.
+    g = gcd(m, q mod m), a gcd of two small ints.  So `+=` costs a multiply
+    by a small int and an addition, `*=` a multiply by a small int, one
+    remainder by m and one exact division by g, each in place, and `str`
+    reads the Decimals' digits.  The same steps on a Fraction pay full-size
+    gcds, and `format_rational` converts both ints from binary every call.
     """
 
     __slots__ = ("_numerator", "_denominator")
@@ -498,16 +499,18 @@ class _LowestTerms:
         self._numerator = _exact_decimal(value.numerator)
         self._denominator = _exact_decimal(value.denominator)
 
-    def add(self, c: int) -> None:
+    def __iadd__(self, c: int) -> _LowestTerms:
         """n/q += c."""
         self._numerator = _EXACT.add(self._numerator, _EXACT.multiply(self._denominator, c))
+        return self
 
-    def scale(self, m: int) -> None:
+    def __imul__(self, m: int) -> _LowestTerms:
         """n/q *= m, for an int m >= 1."""
         divisor = math.gcd(m, int(_EXACT.remainder(self._denominator, m)))
         self._numerator = _EXACT.multiply(self._numerator, m // divisor)
         if divisor > 1:
             self._denominator = _EXACT.divide_int(self._denominator, divisor)
+        return self
 
     def __str__(self) -> str:
         """The value as `format_rational` renders it."""

@@ -121,11 +121,6 @@ class StopReason:
         return {"kind": self.kind, "step": self.step, "straddled": self.straddled}
 
 
-def _step(x, m: int, denominator: int):
-    """Numerator over `denominator` of m * (y - m + 1), where y = x / denominator."""
-    return m * (x - (m - 1) * denominator)
-
-
 @dataclass(frozen=True)
 class RecoveryResult:
     """Certified terms from iterating the floor recurrence on [lo/D, hi/D].
@@ -133,10 +128,10 @@ class RecoveryResult:
     Only the terms, the stop reason, and lo, hi and the smallest residual
     upper bound as numerators over D are stored; the per-step intervals,
     widths and residuals are derived from them on demand, so the result
-    stays the size of one enclosure however many steps ran.  The printed
-    rows, the residuals and the widths, are rendered by stepping
-    `_LowestTerms`, in time linear in the digits per row, and come one row
-    at a time, so a printer holds one row, not the table.
+    stays the size of one enclosure however many steps ran.  Every view
+    runs `_residual_steps` or `_width_steps`: on Fractions for the API, and
+    on `_LowestTerms` for the printed rows, in time linear in the digits
+    per row and one row at a time, so a printer holds one row, not the table.
     """
 
     recovered: tuple[int, ...]
@@ -152,53 +147,53 @@ class RecoveryResult:
         upper = self.min_upper_numerator
         return None if upper is None else Fraction(upper, self.denominator)
 
-    def _replay(self):
-        """(a_k, lo_k, hi_k) for each certified step, replayed from the start."""
-        lo = Fraction(self.lo_numerator, self.denominator)
-        hi = Fraction(self.hi_numerator, self.denominator)
+    def _residual_steps(self, kind, numerator: int):
+        """x_k - a_k for each certified step, where x_1 = numerator/D and x_{k+1} = a_k * (x_k - a_k + 1).
+
+        x is a `kind`, a Fraction or a `_LowestTerms`, formed on the first read.  A `_LowestTerms` steps
+        in place, so each value must be read before the next is asked for.
+        """
+        x = kind(Fraction(numerator, self.denominator))
         for m in self.recovered:
-            yield m, lo, hi
-            lo, hi = _step(lo, m, 1), _step(hi, m, 1)
+            x += -m
+            yield x
+            x += 1
+            x *= m
+
+    def _width_steps(self, kind):
+        """The width entering each certified step, as a `kind`, formed on the first read and stepped as an end is."""
+        width = kind(Fraction(self.hi_numerator - self.lo_numerator, self.denominator))
+        for m in self.recovered:
+            yield width
+            width *= m
+
+    def _residual_ends(self, kind):
+        """The residual steps of lo and of hi."""
+        return [self._residual_steps(kind, n) for n in (self.lo_numerator, self.hi_numerator)]
 
     @property
     def intervals(self) -> tuple[RationalInterval, ...]:
         """The interval the k-th floor was taken from, for each certified step."""
-        return tuple(RationalInterval(lo, hi) for _, lo, hi in self._replay())
+        ends = zip(self.recovered, *self._residual_ends(Fraction))
+        return tuple(RationalInterval(lo + m, hi + m) for m, lo, hi in ends)
 
     @property
     def step_widths(self) -> list[Fraction]:
         """Width of the interval entering each step; grows by the term extracted."""
-        widths = []
-        width = Fraction(self.hi_numerator - self.lo_numerator, self.denominator)
-        for m in self.recovered:
-            widths.append(width)
-            width *= m
-        return widths
+        return list(self._width_steps(Fraction))
 
     @property
     def residual_intervals(self) -> list[RationalInterval]:
         """Enclosures of f_n - a_n for each certified step."""
-        return [RationalInterval(lo - m, hi - m) for m, lo, hi in self._replay()]
+        return list(map(RationalInterval, *self._residual_ends(Fraction)))
 
     def _residual_rows(self):
         """format_rational of the ends of each residual interval, as (lo, hi), one step at a time."""
-        return zip(self._residual_column(self.lo_numerator), self._residual_column(self.hi_numerator))
-
-    def _residual_column(self, numerator: int):
-        """format_rational(x_k - a_k), where x_k is numerator/D after k - 1 steps."""
-        x = _LowestTerms(Fraction(numerator, self.denominator))
-        for m in self.recovered:
-            x.add(-m)
-            yield str(x)
-            x.add(1)
-            x.scale(m)
+        return zip(*(map(str, steps) for steps in self._residual_ends(_LowestTerms)))
 
     def _width_column(self):
         """format_rational of each step width, one step at a time."""
-        width = _LowestTerms(Fraction(self.hi_numerator - self.lo_numerator, self.denominator))
-        for m in self.recovered:
-            yield str(width)
-            width.scale(m)
+        return map(str, self._width_steps(_LowestTerms))
 
     @property
     def denominator_bound(self) -> int | None:
@@ -392,9 +387,12 @@ def _min_upper(terms: list[int], hi: int, last: int, denominator: int) -> int | 
     each residual upper bound hi_k/D - a_k = t_{k+1}/a_k - 1 to within 2
     units, since dividing by a_k >= 2 halves the error carried in.  So the
     steps within 4 units of the smallest are the only candidates for the
-    minimum.  Those among the last `_WALK_BACK` steps are evaluated exactly
-    by stepping back from `last`, hi_k = hi_{k+1} / a_k + (a_k - 1) * D,
-    and the others by one forward pass of composed segment maps from hi.
+    minimum.  From u_k = hi_k - a_k * D = (u_{k+1} + (a_{k+1} - a_k) * D) / a_k,
+    which is >= 0, a_{k+1} <= a_k gives u_k <= u_{k+1} / 2, so only the
+    first step and those whose term exceeds the one before are candidates.
+    Those among the last `_WALK_BACK` steps are evaluated exactly by stepping
+    back from `last`, hi_k = hi_{k+1} / a_k + (a_k - 1) * D, and the others
+    by one forward pass of composed segment maps from hi.
     """
     if not terms:
         return None
@@ -409,7 +407,7 @@ def _min_upper(terms: list[int], hi: int, last: int, denominator: int) -> int | 
         if low is None or upper < low:
             low = upper
             candidates = [(j, u) for j, u in candidates if u <= low + 4]
-        if upper <= low + 4:
+        if upper <= low + 4 and (k == 0 or m > terms[k - 1]):
             candidates.append((k, upper))
     steps = sorted(k for k, _ in candidates)
     wanted = set(steps)

@@ -47,9 +47,7 @@ class ExplicitExhausted(InputError):
 
 
 def _sieve_up_to(bound: int) -> list[int]:
-    """All primes <= bound by the classic sieve of Eratosthenes."""
-    if bound < 2:
-        return []
+    """All primes <= bound, for bound >= 1, by the classic sieve of Eratosthenes."""
     flags = bytearray([1]) * (bound + 1)
     flags[0] = flags[1] = 0
     for p in range(2, math.isqrt(bound) + 1):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import contextlib
+import dataclasses
 import decimal
 import functools
 import io
@@ -16,6 +17,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -256,6 +258,18 @@ class TestRoundtripCommand:
         assert doc["match_length"] == 0
         assert doc["degenerate_tail"] is True
         assert doc["stop"]["kind"] == "ambiguous_floor"
+
+    def test_a_wrong_recovered_term_is_an_internal_error(self, capsys, monkeypatch):
+        recover_ints = recurrence._recover
+
+        def wrong_third_term(*args):
+            run = recover_ints(*args)
+            return dataclasses.replace(run, recovered=run.recovered[:2] + (6,) + run.recovered[3:])
+
+        monkeypatch.setattr(recurrence, "_recover", wrong_third_term)
+        code, out, err = run_cli(["roundtrip", "--terms", "25"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "internal error: step 3: recovered 6 but the sequence says 5\n"
 
 
 class TestResidualsCommand:
@@ -569,12 +583,35 @@ class TestEachFormOnFirstRead:
         assert max(map(len, lengths)) <= exact_arith._LEAF_DIGITS
 
 
+class UnsteppableFraction(Fraction):
+    """A Fraction whose arithmetic raises: one step on it fails."""
+
+    def refuse(self, *args):
+        raise AssertionError("a Fraction was stepped")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = refuse
+
+
 class TestRowsSkipTheFractionReplay:
-    """Residual rows and step widths are printed from the stepper, never from the Fraction replay."""
+    """Residual rows and step widths are printed from `_LowestTerms`, never by stepping a Fraction."""
 
     @staticmethod
     def refuse(*args, **kwargs):
-        raise AssertionError("the Fraction replay was used")
+        raise AssertionError("a Fraction view was read")
+
+    @staticmethod
+    def forbid_fraction_steps(monkeypatch):
+        """Make every Fraction that recurrence.py forms refuse arithmetic, and its Fraction views raise."""
+        monkeypatch.setattr(recurrence, "Fraction", UnsteppableFraction)
+        for name in ("intervals", "residual_intervals", "step_widths"):
+            monkeypatch.setattr(RecoveryResult, name, property(TestRowsSkipTheFractionReplay.refuse))
+
+    def test_the_guard_catches_a_fraction_replay(self, monkeypatch):
+        run = recurrence._recover(2920050977316, 2920050977317, 10**12, 5)
+        self.forbid_fraction_steps(monkeypatch)
+        for steps in (run._width_steps(recurrence.Fraction), *run._residual_ends(recurrence.Fraction)):
+            with pytest.raises(AssertionError, match="a Fraction was stepped"):
+                list(steps)
 
     @pytest.mark.parametrize(
         "argv",
@@ -590,9 +627,7 @@ class TestRowsSkipTheFractionReplay:
     def test_rows_are_printed_without_the_replay(self, capsys, monkeypatch, argv):
         expected = run_cli(argv, capsys)
         assert expected[0] == 0
-        monkeypatch.setattr(RecoveryResult, "_replay", self.refuse)
-        for name in ("residual_intervals", "step_widths"):
-            monkeypatch.setattr(RecoveryResult, name, property(self.refuse))
+        self.forbid_fraction_steps(monkeypatch)
         assert run_cli(argv, capsys) == expected
 
     def test_output_ignores_the_current_decimal_context(self, capsys):

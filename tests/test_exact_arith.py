@@ -111,6 +111,14 @@ class TestConstruction:
         assert hash(a) == hash(b)
         assert a != interval((1, 2), (7, 8))
 
+    def test_repr_gives_both_ends_as_rationals(self):
+        assert repr(RationalInterval(Fraction(-7, 3), 2)) == "[-7/3, 2/1]"
+
+    def test_decimal_digits_print_as_their_text(self):
+        digits = to_decimal(interval((2920, 1000), (2921, 1000)), 5)
+        assert str(digits) == digits.text == "2.92"
+        assert str(DecimalDigits("3", "", 0, True)) == "3"
+
 
 class TestArithmetic:
     @given(
@@ -439,11 +447,14 @@ class TestLowestTerms:
         stepper, value = exact_arith._LowestTerms(start), start
         assert str(stepper) == format_rational(value)
         for c, m in steps:
-            stepper.add(c)
+            same = stepper
+            stepper += c
             value += c
+            assert stepper is same
             assert str(stepper) == format_rational(value)
-            stepper.scale(m)
+            stepper *= m
             value *= m
+            assert stepper is same
             assert str(stepper) == format_rational(value)
 
     def test_large_operands(self):
@@ -451,9 +462,9 @@ class TestLowestTerms:
         assert start.denominator.bit_length() > 2 * OLD_SWITCH_BITS
         stepper, value = exact_arith._LowestTerms(start), start
         for m in (2, 3, 6, 10**20 + 7, 7919):
-            stepper.add(-m)
+            stepper += -m
             value -= m
-            stepper.scale(m)
+            stepper *= m
             value *= m
         assert str(stepper) == format_rational(value)
 

@@ -147,6 +147,12 @@ class TestRecurrenceStep:
         assert (excinfo.value.floor_value, excinfo.value.step) == (-2, 1)
 
 
+class TestStopReason:
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError, match="unknown stop kind: 'bogus'"):
+            StopReason("bogus")
+
+
 class TestComposedMap:
     """The steps `_base` takes on an enclosure are the map (M, C) = `_compose` of the terms it found."""
 
@@ -475,6 +481,22 @@ class TestAdversarialInputs:
     def test_integer_with_four_thousand_zeros(self, monkeypatch):
         run = self.check(monkeypatch, *parse_decimal("3." + "0" * 4000)._lcm_numerators(), 10**6)
         assert set(run.recovered) == {3} and len(run.recovered) == 8384
+
+    def test_equal_terms_compose_once_for_the_smallest_residual(self, monkeypatch):
+        # A term no larger than the one before never holds the smallest
+        # residual alone, so of 8384 equal terms only the first is a candidate.
+        calls = []
+        compose, min_upper = recurrence._compose, recurrence._min_upper
+
+        def counted(*args):
+            with monkeypatch.context() as inner:
+                inner.setattr(recurrence, "_compose", lambda terms: calls.append(terms) or compose(terms))
+                return min_upper(*args)
+
+        monkeypatch.setattr(recurrence, "_min_upper", counted)
+        run = assert_matches_loop(*parse_decimal("3." + "0" * 4000)._lcm_numerators(), 10**6)
+        assert len(run.recovered) == 8384
+        assert len(calls) <= 1
 
     def test_integer_lo_keeps_its_window_exact(self):
         # Rounded down, the window's floor would be 2 and the window would fail.
