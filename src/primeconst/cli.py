@@ -289,40 +289,34 @@ def _cmd_roundtrip(args: argparse.Namespace) -> _Output:
 def _cmd_residuals(args: argparse.Namespace) -> _Output:
     spec = _resolve_sequence(args)
     report = residuals(spec, args.terms, count=args.count)
+    run = report.run
 
     def text() -> Iterable[str]:
-        min_upper = (
-            "none" if report.min_upper is None else format_rational(report.min_upper)
-        )
-        bound = report.denominator_bound
+        min_upper = run.min_residual_upper
+        bound = run.denominator_bound
         lines = [
             f"sequence: {spec}",
             f"terms_used: {report.terms_used}",
             f"certified: {report.certified}",
-            f"count: {report.count}",
-            f"min_upper: {min_upper}",
+            f"count: {len(run.recovered)}",
+            f"min_upper: {'none' if min_upper is None else format_rational(min_upper)}",
             f"denominator_bound: {'none' if bound is None else bound}",
         ]
         yield "\n".join(lines)
-        for step, (lo, hi) in enumerate(report.run._residual_rows(), start=1):
+        for step, (lo, hi) in enumerate(run._residual_rows(), start=1):
             yield f"\nresidual {step}: [{lo}, {hi}]"
 
     def doc() -> Iterable[str]:
-        return _json_chunks(report._json_fields(_ROWS), report.run._residual_rows())
+        return _json_chunks(report._json_fields(_ROWS), run._residual_rows())
 
     return text, doc, 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> _Output:
     spec = _resolve_sequence(args)
-    if spec.kind is SequenceKind.EXPLICIT:
-        terms = list(spec.explicit_terms or ())
-        if args.terms is not None:
-            terms = spec.terms(args.terms)
-    else:
-        if args.terms is None:
-            raise InputError("--terms is required with a built-in sequence")
-        terms = spec.terms(args.terms)
+    if spec.kind is not SequenceKind.EXPLICIT and args.terms is None:
+        raise InputError("--terms is required with a built-in sequence")
+    terms = spec.terms(len(spec.explicit_terms) if args.terms is None else args.terms)
     report = validate_bertrand(terms)
 
     def text() -> str:

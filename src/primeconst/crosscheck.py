@@ -142,11 +142,18 @@ def alpha_decode(alpha: Fraction, index: int) -> int:
     Two floors slice the digit window: floor(alpha * 10**(2**(n+1))) holds
     everything through p_n, and subtracting the shifted previous window
     leaves p_n alone.  Valid for every index up to the term count alpha
-    was built with; beyond that the windows are empty and yield 0.
+    was built with; beyond that the windows are empty and yield 0.  An
+    index above the 12-term cap of `alpha_build` raises TermLimitExceeded,
+    since its window needs 10**(2**(index+1)) as a power.
     """
     if not isinstance(alpha, Fraction):
         raise TypeError(f"alpha must be a Fraction, got {type(alpha).__name__}")
     _check_int(index, "index", 1)
+    if index > _ALPHA_TERM_CAP:
+        raise TermLimitExceeded(
+            f"decoding index {_int_text(index)} needs 10**(2**{_int_text(index + 1)}) as a power; "
+            f"the cap is {_ALPHA_TERM_CAP} terms"
+        )
     wide = 10 ** (2 ** (index + 1))
     narrow = 10 ** (2**index)
     whole_window = alpha.numerator * wide // alpha.denominator

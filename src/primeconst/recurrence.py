@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .constant import _compose, enclose
 from .exact_arith import InputError, RationalInterval, _check_int, _int_text, _LowestTerms, format_rational
@@ -434,7 +433,7 @@ class ResidualReport:
     """Residual enclosures and the denominator bound they certify.
 
     `run` recovers exactly the reported rows; the residual enclosures, their
-    smallest upper end and the bound are derived from it when read.
+    smallest upper end and the bound are read from it.
     """
 
     sequence: SequenceSpec
@@ -442,34 +441,17 @@ class ResidualReport:
     certified: int
     run: RecoveryResult
 
-    @property
-    def residual_intervals(self) -> tuple[RationalInterval, ...]:
-        return tuple(self.run.residual_intervals)
-
-    @cached_property
-    def min_upper(self) -> Fraction | None:
-        """The run's smallest residual upper bound, in lowest terms; its gcd is paid on the first read."""
-        return self.run.min_residual_upper
-
-    @property
-    def denominator_bound(self) -> int | None:
-        return self.run.denominator_bound
-
-    @property
-    def count(self) -> int:
-        """The number of reported rows."""
-        return len(self.run.recovered)
-
     def _json_fields(self, rows) -> dict:
         """The JSON document, in its field order, with `rows` as the value of "residuals"."""
+        min_upper = self.run.min_residual_upper
         return {
             "sequence": self.sequence.label(),
             "terms_used": self.terms_used,
             "certified": self.certified,
-            "count": self.count,
+            "count": len(self.run.recovered),
             "residuals": rows,
-            "min_upper": None if self.min_upper is None else format_rational(self.min_upper),
-            "denominator_bound": self.denominator_bound,
+            "min_upper": None if min_upper is None else format_rational(min_upper),
+            "denominator_bound": self.run.denominator_bound,
         }
 
     def to_json_dict(self) -> dict:
@@ -482,12 +464,15 @@ def residuals(spec: SequenceSpec, terms_used: int, count: int | None = None) -> 
     `count` selects how many leading residuals to report; the default is
     every step the enclosure certifies.  Asking for more than the run
     certifies raises PrecisionExhausted, since uncertified residuals would
-    prove nothing.
+    prove nothing.  A shorter count cuts the one recovery to its first
+    `count` steps: hi after them is M*hi - C*P for the map (M, C) of those
+    terms, and the cut is the run a recovery stopped at `count` returns.
     """
     enclosure = enclose(spec, terms_used)
     if count is not None:
         _check_int(count, "count", 0)
-    run = _recover(*enclosure.ints, terms_used)
+    lo, hi, denominator = enclosure.ints
+    run = _recover(lo, hi, denominator, terms_used)
     certified = len(run.recovered)
     if count is None:
         count = certified
@@ -497,7 +482,10 @@ def residuals(spec: SequenceSpec, terms_used: int, count: int | None = None) -> 
             f"residuals, {_int_text(count)} requested; increase terms_used"
         )
     if count < certified:
-        run = _recover(*enclosure.ints, count)
+        kept = list(run.recovered[:count])
+        M, C = _compose(kept)
+        min_upper = _min_upper(kept, hi, M * hi - C * denominator, denominator)
+        run = RecoveryResult(tuple(kept), StopReason("max_terms"), lo, hi, denominator, min_upper)
     return ResidualReport(sequence=spec, terms_used=terms_used, certified=certified, run=run)
 
 

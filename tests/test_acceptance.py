@@ -199,18 +199,18 @@ def test_criterion_07_residuals_and_bound():
     for n, report in reports.items():
         assert report.certified == n
         bound, smallest = oracle[n]
-        assert report.min_upper == smallest, f"N={n}: min upper residual disagrees with the oracle"
-        assert report.denominator_bound == bound, (
-            f"N={n}: certified B = {report.denominator_bound}, oracle gives {bound}"
+        assert report.run.min_residual_upper == smallest, f"N={n}: min upper residual disagrees with the oracle"
+        assert report.run.denominator_bound == bound, (
+            f"N={n}: certified B = {report.run.denominator_bound}, oracle gives {bound}"
         )
         # r_n > (p_(n+1) - p_n)/p_n >= 2/p_N for n >= 2 (and r_1 > 1/2) caps B.
-        for k, residual in enumerate(report.residual_intervals, start=1):
+        for k, residual in enumerate(report.run.residual_intervals, start=1):
             assert 0 < residual.lo and residual.hi < 1
             assert residual.lo >= Fraction(primes[k] - primes[k - 1], primes[k - 1])
-        assert report.denominator_bound <= primes[n - 1] // 2, (
-            f"N={n}: B = {report.denominator_bound} exceeds the cap {primes[n - 1] // 2}"
+        assert report.run.denominator_bound <= primes[n - 1] // 2, (
+            f"N={n}: B = {report.run.denominator_bound} exceeds the cap {primes[n - 1] // 2}"
         )
-    bound_50, bound_100, bound_320 = (reports[n].denominator_bound for n in (50, 100, 320))
+    bound_50, bound_100, bound_320 = (reports[n].run.denominator_bound for n in (50, 100, 320))
     assert bound_50 <= bound_100 <= bound_320, "bound must be nondecreasing in terms"
     assert bound_320 >= 1000, f"the 320-term run certifies only B = {bound_320}"
     assert elapsed < 1.0, f"took {elapsed:.3f}s, bound is 1s"

@@ -874,8 +874,9 @@ class TestRecoverEdgeBuildsNoFraction:
 
 def joined_residuals_text(spec, report):
     """`residuals` text as one join of its lines, as it was built before the rows were streamed."""
-    min_upper = "none" if report.min_upper is None else format_rational(report.min_upper)
-    bound = report.denominator_bound
+    least = report.run.min_residual_upper
+    min_upper = "none" if least is None else format_rational(least)
+    bound = report.run.denominator_bound
     rows = report.to_json_dict()["residuals"]
     lines = [
         f"sequence: {spec}",

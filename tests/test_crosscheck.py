@@ -110,6 +110,11 @@ class TestAlpha:
         with pytest.raises(TermLimitExceeded):
             alpha_build(13)
 
+    def test_decode_cap(self):
+        # Index 13 would form 10**(2**14); each index past it costs about 2.5x the one before.
+        with pytest.raises(TermLimitExceeded, match="the cap is 12 terms"):
+            alpha_decode(alpha_build(12), 13)
+
     def test_input_validation(self):
         for bad in (0, -1):
             with pytest.raises(InvalidArgument, match="terms must be >= 1"):

@@ -196,7 +196,7 @@ TEST_ONLY_SURFACE = {
     "interval_from_enclosure_json": "an API edge README names; the oracle for the CLI's `recover` edge",
     "parse_rational": "an API edge README names; the oracle for the CLI's `recover` edge",
     "RecoveryResult.step_widths": "criterion 6 reads the widths",
-    "ResidualReport.residual_intervals": "criterion 7 reads the residual enclosures",
+    "RecoveryResult.residual_intervals": "criterion 7 reads the residual enclosures",
     "nondivisor_distribution": "criterion 8 reads the distribution",
     "smallest_nondividing_prime": "the elementwise oracle for `mean`",
 }

@@ -543,18 +543,18 @@ class TestResiduals:
     def test_primes_fifty_terms(self):
         report = residuals(SequenceSpec.primes(), 50)
         assert report.certified == 50
-        assert len(report.residual_intervals) == 50
-        for residual in report.residual_intervals:
+        assert len(report.run.residual_intervals) == 50
+        for residual in report.run.residual_intervals:
             assert 0 < residual.lo and residual.hi < 1
-        assert report.min_upper == Fraction(463, 51983)
-        assert report.denominator_bound == 112
+        assert report.run.min_residual_upper == Fraction(463, 51983)
+        assert report.run.denominator_bound == 112
 
     def test_primes_hundred_terms(self):
-        assert residuals(SequenceSpec.primes(), 100).denominator_bound == 256
+        assert residuals(SequenceSpec.primes(), 100).run.denominator_bound == 256
 
     def test_bound_nondecreasing_in_terms(self):
         bounds = [
-            residuals(SequenceSpec.primes(), n).denominator_bound
+            residuals(SequenceSpec.primes(), n).run.denominator_bound
             for n in (10, 25, 50, 75, 100)
         ]
         assert all(b is not None for b in bounds)
@@ -566,14 +566,40 @@ class TestResiduals:
         # 318, the twin pair 2111/2113, and B = 1051.
         report = residuals(SequenceSpec.primes(), 320)
         assert report.certified == 320
-        assert report.denominator_bound == 1051
+        assert report.run.denominator_bound == 1051
 
     def test_count_selects_leading_rows(self):
         report = residuals(SequenceSpec.primes(), 50, count=5)
-        assert len(report.residual_intervals) == 5
+        assert len(report.run.residual_intervals) == 5
         assert report.certified == 50
         full = residuals(SequenceSpec.primes(), 50)
-        assert report.residual_intervals == full.residual_intervals[:5]
+        assert report.run.residual_intervals == full.run.residual_intervals[:5]
+
+    @pytest.mark.parametrize("walk_back", [0, recurrence._WALK_BACK, 10**9])
+    @pytest.mark.parametrize(
+        "name, terms_used", [("primes", 905), ("primes", 2590), ("doubling", 220), ("naturals", 300)]
+    )
+    def test_count_cuts_the_run_to_a_fresh_recovery(self, monkeypatch, name, terms_used, walk_back):
+        # Doubling ties every step for the smallest residual; the walk-back
+        # limit decides which candidates are stepped back from the last hi.
+        monkeypatch.setattr(recurrence, "_WALK_BACK", walk_back)
+        spec = SequenceSpec.from_name(name)
+        ints = enclose(spec, terms_used).ints
+        certified = len(_recover(*ints, terms_used).recovered)
+        counts = {0, 1, certified // 3, certified - 1025, certified - 1024, certified - 1, certified}
+        for count in sorted(c for c in counts if c >= 0):
+            run = residuals(spec, terms_used, count=count).run
+            asked = terms_used if count == certified else count
+            assert run == _recover(*ints, asked)
+            if walk_back == 0:
+                assert run == loop_recover(*ints, asked)
+
+    def test_count_below_certified_recovers_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(recurrence, "_recover", lambda *args: calls.append(args) or _recover(*args))
+        report = residuals(SequenceSpec.primes(), 2590, count=2589)
+        assert (report.certified, len(report.run.recovered)) == (2590, 2589)
+        assert len(calls) == 1
 
     def test_count_beyond_certified_raises(self):
         with pytest.raises(PrecisionExhausted):
@@ -593,9 +619,9 @@ class TestResiduals:
     def test_boundary_certifies_nothing(self):
         report = residuals(SequenceSpec.boundary(), 10)
         assert report.certified == 0
-        assert report.residual_intervals == ()
-        assert report.min_upper is None
-        assert report.denominator_bound is None
+        assert report.run.residual_intervals == []
+        assert report.run.min_residual_upper is None
+        assert report.run.denominator_bound is None
         with pytest.raises(PrecisionExhausted):
             residuals(SequenceSpec.boundary(), 10, count=1)
 
@@ -607,7 +633,7 @@ class TestResiduals:
         shifted = SequenceSpec.explicit(list(range(4, 26)))
         shifted_interval = enclose(shifted, 20).interval
         other = RationalInterval(shifted_interval.lo - 4, shifted_interval.hi - 4)
-        direct = report.residual_intervals[2]
+        direct = report.run.residual_intervals[2]
         assert max(direct.lo, other.lo) <= min(direct.hi, other.hi)
 
     def test_json_shape(self):
@@ -675,7 +701,7 @@ class TestRoundtrip:
             report = residuals(spec, terms_used, count=count)
         except PrecisionExhausted as exc:
             return str(exc)
-        return list(report.run._residual_rows()), report.min_upper, report.denominator_bound
+        return list(report.run._residual_rows()), report.run.min_residual_upper, report.run.denominator_bound
 
     @staticmethod
     def refuse(*args, **kwargs):
@@ -743,7 +769,7 @@ class TestPrintedRows:
         for count in (0, 1, 2, 10, 450, 904, 905):
             report = residuals(SequenceSpec.primes(), 905, count=count)
             assert list(report.run._residual_rows()) == rows[:count]
-            assert report.residual_intervals == tuple(expected["residual_intervals"][:count])
+            assert report.run.residual_intervals == expected["residual_intervals"][:count]
 
 
 @settings(max_examples=30, deadline=None)
