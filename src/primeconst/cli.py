@@ -60,7 +60,7 @@ _ROWS = "\0"
 
 
 # Refused input, and reading or writing the files named on the command line.
-_USER_ERRORS = (InputError, OSError, UnicodeDecodeError)
+_USER_ERRORS = (InputError, OSError)
 
 
 def _add_sequence_flags(parser: argparse.ArgumentParser) -> None:
@@ -274,12 +274,12 @@ def _cmd_roundtrip(args: argparse.Namespace) -> _Output:
     def text() -> str:
         lines = [
             f"sequence: {spec}",
-            f"terms_used: {report.terms_used}",
-            f"recovered_count: {len(report.recovered)}",
-            f"match_length: {report.match_length}",
+            f"terms_used: {report.enclosure.terms_used}",
+            f"recovered_count: {len(report.run.recovered)}",
+            f"match_length: {len(report.run.recovered)}",
             "mismatches: 0",
-            f"stop: {_stop_text(report.stop)}",
-            f"degenerate_tail: {str(report.degenerate_tail).lower()}",
+            f"stop: {_stop_text(report.run.stop)}",
+            f"degenerate_tail: {str(report.enclosure.validation.all_tail_equalities).lower()}",
         ]
         return "\n".join(lines)
 
@@ -296,7 +296,7 @@ def _cmd_residuals(args: argparse.Namespace) -> _Output:
         bound = run.denominator_bound
         lines = [
             f"sequence: {spec}",
-            f"terms_used: {report.terms_used}",
+            f"terms_used: {report.enclosure.terms_used}",
             f"certified: {report.certified}",
             f"count: {len(run.recovered)}",
             f"min_upper: {'none' if min_upper is None else format_rational(min_upper)}",

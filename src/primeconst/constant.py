@@ -246,8 +246,6 @@ def _enclosure(spec: SequenceSpec, count: int, cap: int | None, planned: _Series
     report = validate_bertrand(terms)
     if not report.ok:
         raise ValidationFailed(report)
-    if cap is not None:
-        _check_int(cap, "max_digits", 1)
     return ConstantEnclosure(spec, count, cap, terms[:count], terms[count], report, planned)
 
 
@@ -260,6 +258,8 @@ def enclose(spec: SequenceSpec, terms_used: int, max_digits: int | None = None) 
     interval can certify.
     """
     _check_int(terms_used, "terms_used", 1)
+    if max_digits is not None:
+        _check_int(max_digits, "max_digits", 1)
     return _enclosure(spec, terms_used, max_digits)
 
 
@@ -291,7 +291,6 @@ def _proposal(spec: SequenceSpec, digits: int) -> tuple[list[int], int]:
 
 def _planned(spec: SequenceSpec, digits: int) -> _Series:
     """The series of a_1..a_N for the smallest N with P_N >= 10**(digits + 2), confirmed exactly."""
-    _check_int(digits, "digits", 1)
     terms, count = _proposal(spec, digits)
     threshold = _EXACT.scaleb(1, digits + 2)
     series = _series(terms[:count])
@@ -317,6 +316,7 @@ def plan_terms(spec: SequenceSpec, digits: int) -> int:
     the series' exact P confirms it or moves it a term at a time.  An explicit
     sequence that runs out first raises ExplicitExhausted for the term after its last.
     """
+    _check_int(digits, "digits", 1)
     return _planned(spec, digits).count
 
 
@@ -328,7 +328,9 @@ def enclose_digits(spec: SequenceSpec, digits: int, max_digits: int | None = Non
     integer-part boundary, which no number of terms resolves, and when an
     explicit sequence has no further term, returning the last enclosure.
     """
+    _check_int(digits, "digits", 1)
     cap = digits if max_digits is None else max_digits
+    _check_int(cap, "max_digits", 1)
     series = _planned(spec, digits)
     enclosure = _enclosure(spec, series.count, cap, series)
     while enclosure.digits.verified < min(digits, cap) and not enclosure.digits.boundary:

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constant import _compose, enclose
+from .constant import ConstantEnclosure, _compose, enclose
 from .exact_arith import InputError, RationalInterval, _check_int, _int_text, _LowestTerms, format_rational
 from .sequences import SequenceSpec
 
@@ -237,9 +237,6 @@ def recover(start: RationalInterval, max_terms: int) -> RecoveryResult:
     return _recover(*start._lcm_numerators(), max_terms)
 
 
-# A window keeps this many bits more than the precision it is meant to
-# carry, so that its rounding stays below the interval's own width.
-_GUARD_BITS = 64
 # At or below this many bits of precision a window is stepped by `_base`.
 _LEAF_BITS = 3000
 # The residual pass keeps this many fractional bits.
@@ -344,14 +341,12 @@ def _outward(x: int, width: int, q: int, precision: int):
     below lo, and hi becomes ceil((x + width) / 2^s) over q', which is not
     below hi.  An integer lo is kept exact, as (x / q) * q' over q', since
     rounded down it would have the floor below it, and every window on an
-    input whose lo stays an integer would fail.  q' keeps the guard bits and
-    the bits of the value's integer part beyond `precision`, so each end
-    moves by less than 2^-precision.  Returns None when that would cut too
-    little to pay.
+    input whose lo stays an integer would fail.  q' keeps the bits of the
+    value's integer part beyond `precision`, so each end moves by a few
+    units of 2^-precision.  Returns None when there is nothing to cut.
     """
-    keep = precision + _GUARD_BITS + max(0, x.bit_length() - q.bit_length())
-    s = q.bit_length() - keep
-    if s <= _GUARD_BITS:
+    s = q.bit_length() - precision - max(0, x.bit_length() - q.bit_length())
+    if s <= 0:
         return None
     window_q = q >> s
     m, r = divmod(x, q)
@@ -432,12 +427,12 @@ def _min_upper(terms: list[int], hi: int, last: int, denominator: int) -> int | 
 class ResidualReport:
     """Residual enclosures and the denominator bound they certify.
 
-    `run` recovers exactly the reported rows; the residual enclosures, their
-    smallest upper end and the bound are read from it.
+    `enclosure` is the one the residuals come from, and `run` recovers
+    exactly the reported rows; the residual enclosures, their smallest
+    upper end and the bound are read from it.
     """
 
-    sequence: SequenceSpec
-    terms_used: int
+    enclosure: ConstantEnclosure
     certified: int
     run: RecoveryResult
 
@@ -445,8 +440,8 @@ class ResidualReport:
         """The JSON document, in its field order, with `rows` as the value of "residuals"."""
         min_upper = self.run.min_residual_upper
         return {
-            "sequence": self.sequence.label(),
-            "terms_used": self.terms_used,
+            "sequence": self.enclosure.sequence.label(),
+            "terms_used": self.enclosure.terms_used,
             "certified": self.certified,
             "count": len(self.run.recovered),
             "residuals": rows,
@@ -486,39 +481,43 @@ def residuals(spec: SequenceSpec, terms_used: int, count: int | None = None) -> 
         M, C = _compose(kept)
         min_upper = _min_upper(kept, hi, M * hi - C * denominator, denominator)
         run = RecoveryResult(tuple(kept), StopReason("max_terms"), lo, hi, denominator, min_upper)
-    return ResidualReport(sequence=spec, terms_used=terms_used, certified=certified, run=run)
+    return ResidualReport(enclosure, certified, run)
 
 
 @dataclass(frozen=True)
 class RoundtripReport:
-    """Outcome of enclosing a sequence constant and recovering the terms back."""
+    """Outcome of enclosing a sequence constant and recovering the terms back.
 
-    sequence: SequenceSpec
-    terms_used: int
-    recovered: tuple[int, ...]
-    match_length: int
-    stop: StopReason
-    degenerate_tail: bool
+    The sequence, the term count and the degenerate tail are the
+    `enclosure`'s, the recovered terms and the stop are the `run`'s.  Every
+    recovered term matched, so the match length is the recovered count.  A
+    degenerate tail, every growth step beyond the first at the upper bound,
+    is the shape for which recovery necessarily stops at once.
+    """
+
+    enclosure: ConstantEnclosure
+    run: RecoveryResult
 
     def to_json_dict(self) -> dict:
+        recovered = len(self.run.recovered)
         return {
-            "sequence": self.sequence.label(),
-            "terms_used": self.terms_used,
-            "recovered_count": len(self.recovered),
-            "match_length": self.match_length,
+            "sequence": self.enclosure.sequence.label(),
+            "terms_used": self.enclosure.terms_used,
+            "recovered_count": recovered,
+            "match_length": recovered,
             "mismatches": 0,
-            "stop": self.stop.to_json_dict(),
-            "degenerate_tail": self.degenerate_tail,
+            "stop": self.run.stop.to_json_dict(),
+            "degenerate_tail": self.enclosure.validation.all_tail_equalities,
         }
 
 
 def roundtrip(spec: SequenceSpec, terms_used: int, max_terms: int | None = None) -> RoundtripReport:
     """Enclose the constant of `spec`, recover terms, and compare exactly.
 
-    Every certified recovered term must equal the corresponding sequence
-    term; any disagreement raises MismatchDetected.  `degenerate_tail`
-    flags prefixes where every growth step beyond the first hits the
-    upper bound, the shape for which recovery necessarily stops at once.
+    Every certified recovered term must equal the corresponding term the
+    enclosure was built from; any disagreement raises MismatchDetected.  A
+    recovery from N terms certifies at most N steps, since after N steps
+    the width is (1/P_N) * P_N = 1, so the enclosure's terms cover the run.
     The enclosure [L/P, (L+1)/P] goes to the recurrence as its integers,
     with no gcd.
     """
@@ -526,15 +525,7 @@ def roundtrip(spec: SequenceSpec, terms_used: int, max_terms: int | None = None)
     if max_terms is None:
         max_terms = terms_used
     run = _recover(*enclosure.ints, max_terms)
-    expected = spec.terms(len(run.recovered))
-    for step, (got, want) in enumerate(zip(run.recovered, expected), start=1):
+    for step, (got, want) in enumerate(zip(run.recovered, enclosure.terms), start=1):
         if got != want:
             raise MismatchDetected(step, got, want)
-    return RoundtripReport(
-        sequence=spec,
-        terms_used=terms_used,
-        recovered=run.recovered,
-        match_length=len(run.recovered),
-        stop=run.stop,
-        degenerate_tail=enclosure.validation.all_tail_equalities,
-    )
+    return RoundtripReport(enclosure, run)

@@ -325,9 +325,13 @@ def smallest_nondividing_prime(value: int) -> int:
 def load_sequence_file(path) -> list[int]:
     """Read one positive integer per line; '#' starts a comment, blanks skipped.
 
-    Raises ParseError with the line number for anything else.
+    Raises ParseError with the line number for anything else, and for a
+    file that is not UTF-8 text.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     terms: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

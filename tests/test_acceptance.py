@@ -123,7 +123,7 @@ def test_criterion_04_roundtrip():
     for spec in (PRIMES, DOUBLING):
         for terms_used in (5, 10, 15, 20, 25):
             report = roundtrip(spec, terms_used)
-            lengths[(str(spec), terms_used)] = report.match_length
+            lengths[(str(spec), terms_used)] = len(report.run.recovered)
     elapsed = time.perf_counter() - started
     assert lengths[("primes", 25)] >= 23
     assert elapsed < 1.0, f"took {elapsed:.3f}s, bound is 1s"
@@ -258,9 +258,9 @@ def test_criterion_11_boundary_negative_control():
         assert enclosure.interval.hi == 3
         assert enclosure.interval.width == Fraction(1, enclosure.product)
     trip = roundtrip(BOUNDARY, 10)
-    assert trip.recovered == ()
-    assert trip.stop.kind == "ambiguous_floor" and trip.stop.straddled == 3
-    assert trip.degenerate_tail
+    assert trip.run.recovered == ()
+    assert trip.run.stop.kind == "ambiguous_floor" and trip.run.stop.straddled == 3
+    assert trip.enclosure.validation.all_tail_equalities
     return "all-tail equalities, hi == 3 exactly, recovery stops degenerately"
 
 

@@ -332,9 +332,9 @@ class TestValidateCommand:
     def test_non_utf8_file_exits_two(self, capsys, tmp_path):
         path = tmp_path / "seq.txt"
         path.write_bytes(b"2\n3\n\xff\n")
-        code, _, err = run_cli(["validate", "--sequence-file", str(path)], capsys)
-        assert code == 2
-        assert err.startswith("error:")
+        code, out, err = run_cli(["validate", "--sequence-file", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: not UTF-8 text: ")
 
     def test_file_prefix_with_terms(self, capsys, tmp_path):
         path = tmp_path / "seq.txt"
@@ -880,7 +880,7 @@ def joined_residuals_text(spec, report):
     rows = report.to_json_dict()["residuals"]
     lines = [
         f"sequence: {spec}",
-        f"terms_used: {report.terms_used}",
+        f"terms_used: {report.enclosure.terms_used}",
         f"certified: {report.certified}",
         f"count: {len(rows)}",
         f"min_upper: {min_upper}",
@@ -1069,6 +1069,15 @@ class TestErrorMapping:
         code, _, err = run_cli(["mean", "--limit", "8"], capsys)
         assert code == 1
         assert "internal error" in err
+
+    def test_unicode_decode_error_is_internal(self, capsys, monkeypatch):
+        def explode(args):
+            b"\xff".decode("utf-8")
+
+        monkeypatch.setitem(cli._HANDLERS, "mean", explode)
+        code, _, err = run_cli(["mean", "--limit", "8"], capsys)
+        assert code == 1
+        assert err.startswith("internal error: ")
 
     def test_bare_value_error_is_internal(self, capsys, monkeypatch):
         def explode(args):

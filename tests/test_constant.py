@@ -397,6 +397,17 @@ class TestEnclose:
         with pytest.raises(TypeError, match="terms_used must be int"):
             enclose(SequenceSpec.primes(), terms_used)
 
+    def test_bad_cap_is_refused_before_any_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("terms fetched or planned before the cap was checked")
+
+        monkeypatch.setattr(constant, "_planned", refuse)
+        monkeypatch.setattr(SequenceSpec, "terms", refuse)
+        with pytest.raises(InvalidArgument, match="max_digits must be >= 1, got 0"):
+            enclose_digits(SequenceSpec.primes(), 10**5, max_digits=0)
+        with pytest.raises(InvalidArgument, match="max_digits must be >= 1, got 0"):
+            enclose(SequenceSpec.primes(), 10**5, max_digits=0)
+
     def test_insufficient_terms(self):
         with pytest.raises(InsufficientTerms):
             enclose(SequenceSpec.explicit([2, 3]), 2)

@@ -1,5 +1,6 @@
 """Tests for floor-recurrence recovery, residuals, and denominator bounds."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -18,6 +19,8 @@ from primeconst.recurrence import (
     FloorBelowTwo,
     PrecisionExhausted,
     RecoveryResult,
+    ResidualReport,
+    RoundtripReport,
     StopReason,
     _recover,
     recover,
@@ -517,7 +520,7 @@ class TestAdversarialInputs:
         lo = enclosure.ints[0]
         run = self.check(monkeypatch, lo, lo + 1, enclosure.product, terms_used)
         report = roundtrip(spec, terms_used)
-        assert (report.recovered, report.stop) == (run.recovered, run.stop)
+        assert (report.run.recovered, report.run.stop) == (run.recovered, run.stop)
 
 
 class TestRecoveryMemory:
@@ -651,15 +654,28 @@ class TestRoundtrip:
     @pytest.mark.parametrize("terms_used", [5, 10, 15, 20, 25])
     def test_full_recovery_for_builtins(self, spec, terms_used):
         report = roundtrip(spec, terms_used)
-        assert report.match_length == terms_used
-        assert report.recovered == tuple(spec.terms(terms_used))
-        assert report.stop.kind == "max_terms"
-        assert not report.degenerate_tail
+        assert len(report.run.recovered) == terms_used
+        assert report.run.recovered == tuple(spec.terms(terms_used))
+        assert report.run.stop.kind == "max_terms"
+        assert not report.enclosure.validation.all_tail_equalities
+
+    def test_reports_hold_the_enclosure_and_the_run(self):
+        assert [f.name for f in dataclasses.fields(RoundtripReport)] == ["enclosure", "run"]
+        assert [f.name for f in dataclasses.fields(ResidualReport)] == ["enclosure", "certified", "run"]
+
+    def test_terms_are_fetched_once(self, monkeypatch):
+        # The recovered terms are compared with the terms the enclosure holds.
+        calls = []
+        terms = SequenceSpec.terms
+        monkeypatch.setattr(SequenceSpec, "terms", lambda spec, count: calls.append(count) or terms(spec, count))
+        report = roundtrip(SequenceSpec.primes(), 2590)
+        assert len(report.run.recovered) == 2590
+        assert calls == [2591]
 
     def test_recovery_cap(self):
         report = roundtrip(SequenceSpec.primes(), 10, max_terms=4)
-        assert report.match_length == 4
-        assert report.stop.kind == "max_terms"
+        assert len(report.run.recovered) == 4
+        assert report.run.stop.kind == "max_terms"
 
     @pytest.mark.parametrize("terms_used", [12.0, True])
     def test_rejects_non_int_terms_used(self, terms_used):
@@ -690,7 +706,7 @@ class TestRoundtrip:
         monkeypatch.setattr(ConstantEnclosure, "interval", property(self.refuse))
         monkeypatch.setattr("primeconst.recurrence.recover", self.refuse)
         report = roundtrip(spec, terms_used, max_terms=max_terms)
-        assert (report.recovered, report.stop) == (run.recovered, run.stop)
+        assert (report.run.recovered, report.run.stop) == (run.recovered, run.stop)
         # `residuals` takes the same path, with max_terms as its count.
         assert self.residual_outcome(spec, terms_used, max_terms) == expected_residuals
 
@@ -709,11 +725,11 @@ class TestRoundtrip:
 
     def test_boundary_stops_degenerately(self):
         report = roundtrip(SequenceSpec.boundary(), 10)
-        assert report.match_length == 0
-        assert report.recovered == ()
-        assert report.stop.kind == "ambiguous_floor"
-        assert report.stop.straddled == 3
-        assert report.degenerate_tail
+        assert len(report.run.recovered) == 0
+        assert report.run.recovered == ()
+        assert report.run.stop.kind == "ambiguous_floor"
+        assert report.run.stop.straddled == 3
+        assert report.enclosure.validation.all_tail_equalities
 
     def test_json_shape(self):
         doc = roundtrip(SequenceSpec.primes(), 10).to_json_dict()
@@ -786,5 +802,5 @@ def test_certified_floors_are_never_wrong_generated(start, seeds):
     # roundtrip raises MismatchDetected if any certified floor disagrees
     # with the source sequence; that must never happen.
     report = roundtrip(spec, len(terms) - 1)
-    assert report.stop.kind in ("max_terms", "ambiguous_floor")
-    assert report.recovered == tuple(terms[: report.match_length])
+    assert report.run.stop.kind in ("max_terms", "ambiguous_floor")
+    assert report.run.recovered == tuple(terms[: len(report.run.recovered)])
