@@ -235,7 +235,7 @@ def _ints_from_value(value: str) -> tuple[int, int, int]:
     try:
         doc = json.loads(path.read_text(encoding="utf-8"), parse_int=_parse_int_literal)
         return _over_lcm(*_enclosure_ends(doc))
-    except (json.JSONDecodeError, ValueError, RecursionError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, InputError) as exc:
         raise InputError(f"{value}: not a valid enclosure document: {exc}") from None
 
 

@@ -298,7 +298,9 @@ def _planned(spec: SequenceSpec, digits: int) -> _Series:
     while series.count > 1 and _EXACT.divide_int(series.product, terms[series.count - 1]) >= threshold:
         series = series.shortened(terms[series.count - 1])
     while series.product < threshold:
-        series = series.extended(spec.term(series.count + 1))
+        if series.count == len(terms):
+            terms = spec.terms(series.count + 1)
+        series = series.extended(terms[series.count])
     return series
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_arith import InputError, _check_int, _int_text
-from .sequences import _SHARED_SIEVE
+from .sequences import SequenceSpec
 
 __all__ = [
     "DistributionRow",
@@ -73,7 +73,7 @@ class NonDivisorDistribution:
 def nondivisor_distribution(rows: int) -> NonDivisorDistribution:
     """Exact distribution rows for the first `rows` primes."""
     _check_int(rows, "rows", 1)
-    primes = _SHARED_SIEVE.first(rows)
+    primes = SequenceSpec.primes().terms(rows)
     out: list[DistributionRow] = []
     running_product = 1
     for index, prime in enumerate(primes, start=1):
@@ -100,15 +100,15 @@ def nondivisor_mean(limit: int) -> Fraction:
     Counts, for each prime p_k, how many n in the block have p_k as their
     smallest non-dividing prime: the multiples of p_1 * ... * p_{k-1} that
     are not multiples of p_1 * ... * p_k.  This closed form is exactly the
-    elementwise average but runs in O(log limit) divisions.
+    elementwise average but runs in O(log limit) divisions.  It reads the
+    first k = limit.bit_length() primes, which suffice: p_1 * ... * p_k >= 2**k > limit.
     """
     _check_int(limit, "limit", 1)
     total = 0
     running_product = 1
-    k = 0
-    while running_product <= limit:
-        k += 1
-        prime = _SHARED_SIEVE.nth(k)
+    for prime in SequenceSpec.primes().terms(limit.bit_length()):
+        if running_product > limit:
+            break
         next_product = running_product * prime
         count = limit // running_product - limit // next_product
         total += prime * count
@@ -131,7 +131,7 @@ def alpha_build(terms: int) -> Fraction:
         )
     top_exponent = 2 ** (terms + 1)
     numerator = 0
-    for i, prime in enumerate(_SHARED_SIEVE.first(terms), start=1):
+    for i, prime in enumerate(SequenceSpec.primes().terms(terms), start=1):
         numerator += prime * 10 ** (top_exponent - 2 ** (i + 1))
     return Fraction(numerator, 10**top_exponent)
 

@@ -405,7 +405,7 @@ def _min_upper(terms: list[int], hi: int, last: int, denominator: int) -> int | 
             candidates.append((k, upper))
     steps = sorted(k for k, _ in candidates)
     wanted = set(steps)
-    near = max(steps[0], len(terms) - _WALK_BACK)
+    near = next((k for k in steps if k >= len(terms) - _WALK_BACK), len(terms))
     uppers = []
     done = 0
     for k in steps:
@@ -463,9 +463,10 @@ def residuals(spec: SequenceSpec, terms_used: int, count: int | None = None) -> 
     `count` steps: hi after them is M*hi - C*P for the map (M, C) of those
     terms, and the cut is the run a recovery stopped at `count` returns.
     """
-    enclosure = enclose(spec, terms_used)
+    _check_int(terms_used, "terms_used", 1)
     if count is not None:
         _check_int(count, "count", 0)
+    enclosure = enclose(spec, terms_used)
     lo, hi, denominator = enclosure.ints
     run = _recover(lo, hi, denominator, terms_used)
     certified = len(run.recovered)
@@ -521,9 +522,10 @@ def roundtrip(spec: SequenceSpec, terms_used: int, max_terms: int | None = None)
     The enclosure [L/P, (L+1)/P] goes to the recurrence as its integers,
     with no gcd.
     """
+    _check_int(terms_used, "terms_used", 1)
+    max_terms = terms_used if max_terms is None else max_terms
+    _check_int(max_terms, "max_terms", 0)
     enclosure = enclose(spec, terms_used)
-    if max_terms is None:
-        max_terms = terms_used
     run = _recover(*enclosure.ints, max_terms)
     for step, (got, want) in enumerate(zip(run.recovered, enclosure.terms), start=1):
         if got != want:

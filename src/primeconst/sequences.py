@@ -9,8 +9,8 @@ reports exact violation positions and also
 flags the degenerate case where every step beyond the first achieves the
 upper bound, which makes the associated constant rational.
 
-Prime generation uses a shared growable sieve so repeated requests do not
-re-sieve from scratch.
+`SequenceSpec.terms` reads every term; its primes come from one private
+growable sieve, so repeated requests do not re-sieve from scratch.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .exact_arith import InputError, InvalidArgument, ParseError, _check_int, _i
 
 __all__ = [
     "ExplicitExhausted",
-    "PrimeSieve",
     "SequenceKind",
     "SequenceSpec",
     "TooShort",
@@ -46,55 +45,29 @@ class ExplicitExhausted(InputError):
     """Raised when more terms are requested than an explicit sequence holds."""
 
 
-def _sieve_up_to(bound: int) -> list[int]:
-    """All primes <= bound, for bound >= 1, by the classic sieve of Eratosthenes."""
-    flags = bytearray([1]) * (bound + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(bound) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(range(p * p, bound + 1, p)))
-    return list(itertools.compress(range(bound + 1), flags))
+_sieved: list[int] = []
+_sieve_bound = 0
 
 
-class PrimeSieve:
-    """Growable prime cache.
+def _primes(count: int) -> list[int]:
+    """The first `count` primes, for a count already checked.
 
-    The sieve re-runs over a doubled bound whenever a request outgrows the
-    cache, so a run of increasing requests costs only a constant factor
-    more than sieving once at the final size.
+    When a request outgrows the cache, the sieve of Eratosthenes runs again
+    up to the largest of 64, twice the last bound and, from n = 6 on, the
+    bound in p_n < n(ln n + ln ln n).  A run of increasing requests so costs
+    only a constant factor more than sieving once at the final size.
     """
-
-    def __init__(self) -> None:
-        self._primes: list[int] = []
-        self._bound = 0
-
-    @staticmethod
-    def _bound_for(count: int) -> int:
-        # Upper bound for the count-th prime: p_n < n(ln n + ln ln n) for n >= 6.
-        if count < 6:
-            return 15
-        x = float(count)
-        return int(x * (math.log(x) + math.log(math.log(x)))) + 10
-
-    def _ensure(self, count: int) -> None:
-        while len(self._primes) < count:
-            self._bound = max(self._bound_for(count), self._bound * 2, 64)
-            self._primes = _sieve_up_to(self._bound)
-
-    def first(self, count: int) -> list[int]:
-        """The first `count` primes, in order."""
-        _check_int(count, "count", 0)
-        self._ensure(count)
-        return self._primes[:count]
-
-    def nth(self, index: int) -> int:
-        """The index-th prime, 1-based: nth(1) == 2."""
-        _check_int(index, "index", 1)
-        self._ensure(index)
-        return self._primes[index - 1]
-
-
-_SHARED_SIEVE = PrimeSieve()
+    global _sieved, _sieve_bound
+    while len(_sieved) < count:
+        estimate = int(count * (math.log(count) + math.log(math.log(count)))) + 10 if count >= 6 else 0
+        _sieve_bound = bound = max(estimate, _sieve_bound * 2, 64)
+        flags = bytearray([1]) * (bound + 1)
+        flags[0] = flags[1] = 0
+        for p in range(2, math.isqrt(bound) + 1):
+            if flags[p]:
+                flags[p * p :: p] = bytearray(len(range(p * p, bound + 1, p)))
+        _sieved = list(itertools.compress(range(bound + 1), flags))
+    return _sieved[:count]
 
 
 class SequenceKind(str, Enum):
@@ -165,34 +138,11 @@ class SequenceSpec:
     def from_file(cls, path) -> "SequenceSpec":
         return cls.explicit(load_sequence_file(path))
 
-    def term(self, index: int) -> int:
-        """The index-th term, 1-based."""
-        _check_int(index, "index", 1)
-        if self.kind is SequenceKind.PRIMES:
-            return _SHARED_SIEVE.nth(index)
-        if self.kind is SequenceKind.EXPLICIT:
-            assert self.explicit_terms is not None
-            if index > len(self.explicit_terms):
-                raise ExplicitExhausted(
-                    f"explicit sequence has {len(self.explicit_terms)} terms, "
-                    f"term {_int_text(index)} requested"
-                )
-            return self.explicit_terms[index - 1]
-        return self._formula_term(index)
-
-    def _formula_term(self, index: int) -> int:
-        """The index-th term of the naturals, doubling or boundary sequence, for an index already checked."""
-        if self.kind is SequenceKind.NATURALS:
-            return index + 1
-        if self.kind is SequenceKind.DOUBLING:
-            return 2 ** (index - 1) + 2
-        return 2 ** (index - 1) + 1
-
     def terms(self, count: int) -> list[int]:
         """The first `count` terms, in order."""
         _check_int(count, "count", 0)
         if self.kind is SequenceKind.PRIMES:
-            return _SHARED_SIEVE.first(count)
+            return _primes(count)
         if self.kind is SequenceKind.EXPLICIT:
             assert self.explicit_terms is not None
             if count > len(self.explicit_terms):
@@ -201,7 +151,10 @@ class SequenceSpec:
                     f"{_int_text(count)} requested"
                 )
             return list(self.explicit_terms[:count])
-        return [self._formula_term(k) for k in range(1, count + 1)]
+        if self.kind is SequenceKind.NATURALS:
+            return list(range(2, count + 2))
+        offset = 2 if self.kind is SequenceKind.DOUBLING else 1
+        return [2**k + offset for k in range(count)]
 
     def label(self) -> str | list[int]:
         """JSON-friendly identity: the kind name, or the inline term list."""
@@ -316,10 +269,10 @@ def smallest_nondividing_prime(value: int) -> int:
     product of the first k primes divides `value`.
     """
     _check_int(value, "value", 1)
-    for index in itertools.count(1):
-        p = _SHARED_SIEVE.nth(index)
-        if value % p:
-            return p
+    count = 1
+    while all(value % p == 0 for p in _primes(count)):
+        count *= 2
+    return next(p for p in _primes(count) if value % p)
 
 
 def load_sequence_file(path) -> list[int]:

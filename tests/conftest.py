@@ -66,6 +66,22 @@ def interval_text(lo, hi, factors, max_digits):
     return exact_arith._IntervalText(decimal_lo, decimal_width, tree, max_digits)
 
 
+def each_term(spec):
+    """The terms of `spec` in order, read from `terms` in prefixes of doubling length.
+
+    Past the end of an explicit sequence it raises what `terms` raises for
+    one term more, so a caller sees the refusal a one-term-longer read gives.
+    """
+    done = 0
+    while True:
+        size = 2 * done + 1
+        if spec.explicit_terms is not None:
+            length = len(spec.explicit_terms)
+            size = min(size, length) if done < length else length + 1
+        yield from spec.terms(size)[done:]
+        done = size
+
+
 def midpoint(interval):
     """The centre of a `RationalInterval`, exactly."""
     return (interval.lo + interval.hi) / 2

@@ -239,6 +239,24 @@ class TestRecoverCommand:
         assert (code, out) == (2, "")
         assert "not a valid enclosure document" in err
 
+    def test_non_utf8_enclosure_file(self, capsys, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"lo": "29/10", "hi": "3\xff"}')
+        code, out, err = run_cli(["recover", "--value", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: not a valid enclosure document: ")
+
+    def test_value_error_while_reading_a_document_is_internal(self, capsys, tmp_path, monkeypatch):
+        # Only the decoder's and the parser's refusals mean a bad document.
+        def explode(*args):
+            raise ValueError("synthetic failure")
+
+        path = tmp_path / "enc.json"
+        path.write_text('{"lo": "29/10", "hi": "3"}')
+        monkeypatch.setattr(cli, "_over_lcm", explode)
+        code, out, err = run_cli(["recover", "--value", str(path)], capsys)
+        assert (code, out, err) == (1, "", "internal error: synthetic failure\n")
+
     def test_below_two_value_is_user_error(self, capsys):
         code, _, err = run_cli(["recover", "--value", "1.5"], capsys)
         assert code == 2

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import str_length
+from conftest import each_term, str_length
 from primeconst import constant
 from primeconst.constant import (
     InsufficientTerms,
@@ -59,9 +59,10 @@ def plan_terms_oracle(spec, digits):
     threshold = 10 ** (digits + 2)
     running = 1
     count = 0
+    terms = each_term(spec)
     while running < threshold:
         count += 1
-        running *= spec.term(count)
+        running *= next(terms)
     return count
 
 
@@ -236,7 +237,7 @@ class TestBinarySplitting:
         assert series.numerator == horner_numerator(terms) * terms[-1]
         enclosure = enclose(SequenceSpec.primes(), count, max_digits=10)
         assert enclosure.product == math.prod(terms)
-        lo = horner_numerator(terms) * terms[-1] + SequenceSpec.primes().term(count + 1)
+        lo = horner_numerator(terms) * terms[-1] + SequenceSpec.primes().terms(count + 1)[-1]
         assert enclosure.ints == (lo, lo + 1, math.prod(terms))
 
     def test_twenty_thousand_digit_primes_enclosure(self):
@@ -544,6 +545,16 @@ class TestPlanTermsAgainstLoop:
         expected = outcome(plan_terms_oracle, spec, 400)
         assert expected[0] is ExplicitExhausted
         assert outcome(plan_terms, spec, 400) == expected
+
+    def test_extension_past_the_proposal_reads_the_sequence_once(self, monkeypatch):
+        # Terms below 2 stop the float proposal; the exact loop then walks the
+        # rest of the list it already holds, and asks for one term more only at the end.
+        spec = SequenceSpec.explicit([2, 3] + [1] * 20_000)
+        calls, terms = [], SequenceSpec.terms
+        monkeypatch.setattr(SequenceSpec, "terms", lambda spec, count: calls.append(count) or terms(spec, count))
+        with pytest.raises(ExplicitExhausted, match=r"^explicit sequence has 20002 terms, 20003 requested$"):
+            plan_terms(spec, 5)
+        assert calls == [20_003]
 
     @pytest.mark.parametrize("length", [3, 60, 133, 134, 135, 400])
     @pytest.mark.parametrize("digits", [5, 100, 224, 300])

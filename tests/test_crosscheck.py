@@ -59,7 +59,10 @@ class TestNondivisorMean:
         assert nondivisor_mean(8) == Fraction(11, 4)
 
     def test_matches_elementwise_average(self):
-        for limit in list(range(1, 61)) + [997, 5000, 20000]:
+        # 210, 2310 and 30030 are primorials: at each, running_product <= limit
+        # decides whether the next prime is the last one read.
+        primorial_edges = [209, 210, 211, 2309, 2310, 2311, 30029, 30030, 30031]
+        for limit in list(range(1, 61)) + [997, 5000, 20000] + primorial_edges:
             brute = Fraction(
                 sum(smallest_nondividing_prime(n) for n in range(1, limit + 1)), limit
             )

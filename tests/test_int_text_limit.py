@@ -133,14 +133,13 @@ class TestLibrary:
             lambda: nondivisor_mean(-(10**5000)),
             lambda: alpha_build(-(10**5000)),
             lambda: smallest_nondividing_prime(-(10**5000)),
-            lambda: SequenceSpec.explicit(HUGE_TERMS).term(10**5000),
             lambda: SequenceSpec.explicit(HUGE_TERMS).terms(10**5000),
             lambda: enclose(SequenceSpec.explicit(HUGE_TERMS), 10**5000),
             lambda: residuals(SequenceSpec.primes(), 5, count=10**5000),
         ],
         ids=["interval order", "nonpositive interval", "check_int", "terms count",
              "max_terms", "mean limit", "alpha terms", "nondividing prime",
-             "explicit term", "explicit terms", "insufficient terms", "residual count"],
+             "explicit terms", "insufficient terms", "residual count"],
     )
     def test_error_messages(self, call):
         with pytest.raises(ValueError) as excinfo:

@@ -27,7 +27,7 @@ from primeconst.recurrence import (
     residuals,
     roundtrip,
 )
-from primeconst.sequences import PrimeSieve, SequenceSpec
+from primeconst.sequences import SequenceSpec
 
 FIRST_TWELVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -462,7 +462,7 @@ class TestAgainstTheLoop:
         enclosure = enclose(SequenceSpec.primes(), 20488)
         lo = enclosure.ints[0]
         run = _recover(lo, lo + 1, enclosure.product, 10**9)
-        assert run.recovered == tuple(PrimeSieve().first(20488))
+        assert run.recovered == tuple(SequenceSpec.primes().terms(20488))
         assert run.stop == StopReason("width_exceeds_one", step=20489)
 
 
@@ -530,7 +530,7 @@ class TestRecoveryMemory:
         # within 16 times P's size.
         enclosure = enclose(SequenceSpec.primes(), 5300)
         lo, _, product = enclosure.ints
-        terms = PrimeSieve().first(5300)
+        terms = SequenceSpec.primes().terms(5300)
         terms_bytes = sys.getsizeof(terms) + sum(sys.getsizeof(term) for term in terms)
         tracemalloc.start()
         try:
@@ -671,6 +671,22 @@ class TestRoundtrip:
         report = roundtrip(SequenceSpec.primes(), 2590)
         assert len(report.run.recovered) == 2590
         assert calls == [2591]
+
+    def test_bad_counts_are_refused_before_any_term_is_fetched(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("terms fetched before the counts were checked")
+
+        monkeypatch.setattr(SequenceSpec, "terms", refuse)
+        primes = SequenceSpec.primes()
+        with pytest.raises(InvalidArgument, match=r"^max_terms must be >= 0, got -1$"):
+            roundtrip(primes, 10**5, max_terms=-1)
+        with pytest.raises(InvalidArgument, match=r"^count must be >= 0, got -1$"):
+            residuals(primes, 10**5, count=-1)
+        # With both counts bad, terms_used is named first.
+        with pytest.raises(InvalidArgument, match=r"^terms_used must be >= 1, got 0$"):
+            roundtrip(primes, 0, max_terms=-1)
+        with pytest.raises(InvalidArgument, match=r"^terms_used must be >= 1, got 0$"):
+            residuals(primes, 0, count=-1)
 
     def test_recovery_cap(self):
         report = roundtrip(SequenceSpec.primes(), 10, max_terms=4)

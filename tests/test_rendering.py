@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import int_text_unlimited, interval_text, str_length
+from conftest import each_term, int_text_unlimited, interval_text, str_length
 from primeconst import cli, exact_arith
 from primeconst.constant import enclose, enclose_digits
 from primeconst.exact_arith import RationalInterval, format_rational, to_decimal
@@ -63,10 +63,10 @@ def fraction_rendering(terms, max_digits):
 def oracle_terms_for_digits(spec, digits, cap):
     """The term count `enclose_digits` settles on, planned and extended one term at a time."""
     threshold = 10 ** (digits + 2)
-    count, running = 0, 1
+    count, running, terms = 0, 1, each_term(spec)
     while running < threshold:
         count += 1
-        running *= spec.term(count)
+        running *= next(terms)
     while True:
         shown = fraction_rendering(spec.terms(count + 1), cap)["digits"]
         if shown.verified >= min(digits, cap) or shown.boundary:

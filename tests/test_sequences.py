@@ -1,4 +1,4 @@
-"""Tests for sequence sources, the sieve, and admissibility validation."""
+"""Tests for sequence sources, the prime sieve behind them, and admissibility validation."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +7,6 @@ from primeconst import sequences
 from primeconst.exact_arith import InvalidArgument, ParseError
 from primeconst.sequences import (
     ExplicitExhausted,
-    PrimeSieve,
     SequenceKind,
     SequenceSpec,
     TooShort,
@@ -30,38 +29,44 @@ def trial_division_primes(count):
 
 
 class TestPrimeSieve:
+    """The private sieve, read as `SequenceSpec.terms` reads it."""
+
     def test_first_eight(self):
-        assert PrimeSieve().first(8) == [2, 3, 5, 7, 11, 13, 17, 19]
+        assert SequenceSpec.primes().terms(8) == [2, 3, 5, 7, 11, 13, 17, 19]
 
     def test_matches_trial_division(self):
-        assert PrimeSieve().first(1000) == trial_division_primes(1000)
+        assert SequenceSpec.primes().terms(1000) == trial_division_primes(1000)
 
-    def test_growth_across_calls(self):
-        sieve = PrimeSieve()
-        small = sieve.first(10)
-        assert sieve.nth(2000) == 17389
-        assert sieve.first(10) == small
+    def test_growth_across_calls(self, monkeypatch):
+        monkeypatch.setattr(sequences, "_sieved", [])
+        monkeypatch.setattr(sequences, "_sieve_bound", 0)
+        primes = SequenceSpec.primes()
+        small = primes.terms(10)
+        assert sequences._sieve_bound == 64
+        # 18 primes lie below 64; the 19th doubles the bound past the estimate 86.
+        assert primes.terms(19)[-1] == 67
+        assert sequences._sieve_bound == 128
+        assert primes.terms(2000)[-1] == 17389
+        assert sequences._sieve_bound == 19268
+        assert primes.terms(10) == small
 
     def test_nth_is_one_based(self):
-        sieve = PrimeSieve()
-        assert sieve.nth(1) == 2
-        assert sieve.nth(25) == 97
+        primes = SequenceSpec.primes()
+        assert primes.terms(1)[-1] == 2
+        assert primes.terms(25)[-1] == 97
 
     def test_input_validation(self):
-        sieve = PrimeSieve()
         with pytest.raises(ValueError):
-            sieve.first(-1)
-        with pytest.raises(ValueError):
-            sieve.nth(0)
+            SequenceSpec.primes().terms(-1)
+        assert SequenceSpec.primes().terms(0) == []
 
-    @pytest.mark.parametrize("method", ["first", "nth"])
     @pytest.mark.parametrize("bad", [True, False, 3.0])
-    def test_rejects_bools_and_floats(self, method, bad):
+    def test_rejects_bools_and_floats(self, bad):
         with pytest.raises(TypeError):
-            getattr(PrimeSieve(), method)(bad)
+            SequenceSpec.primes().terms(bad)
 
     def test_strictly_increasing_and_gapless(self):
-        primes = PrimeSieve().first(500)
+        primes = SequenceSpec.primes().terms(500)
         assert all(a < b for a, b in zip(primes, primes[1:]))
         in_between = set(range(2, primes[-1] + 1)) - set(primes)
         assert all(any(n % p == 0 for p in primes if p * p <= n) for n in in_between)
@@ -84,19 +89,16 @@ class TestBuiltinSequences:
     def test_term_matches_terms(self, name):
         spec = SequenceSpec.from_name(name)
         listed = spec.terms(12)
-        assert [spec.term(k) for k in range(1, 13)] == listed
+        assert [spec.terms(k)[-1] for k in range(1, 13)] == listed
 
-    @pytest.mark.parametrize("method", ["term", "terms"])
+    @pytest.mark.parametrize("method", ["terms"])
     @pytest.mark.parametrize("bad", [True, False, 3.0])
     @pytest.mark.parametrize("name", ["primes", "naturals", "doubling", "boundary"])
     def test_rejects_bools_and_floats(self, name, method, bad):
         with pytest.raises(TypeError):
             getattr(SequenceSpec.from_name(name), method)(bad)
 
-    @pytest.mark.parametrize(
-        "method, value, message",
-        [("term", 0, "index must be >= 1, got 0"), ("terms", -1, "count must be >= 0, got -1")],
-    )
+    @pytest.mark.parametrize("method, value, message", [("terms", -1, "count must be >= 0, got -1")])
     def test_range_messages(self, method, value, message):
         for spec in (SequenceSpec.primes(), SequenceSpec.naturals(), SequenceSpec.explicit([2, 3])):
             with pytest.raises(InvalidArgument) as excinfo:
@@ -111,7 +113,8 @@ class TestBuiltinSequences:
             checked.append(args)
             check(*args)
 
-        expected = [spec.term(k) for k in range(1, 51)]
+        offset = {"naturals": None, "doubling": 2, "boundary": 1}[name]
+        expected = [k + 1 if offset is None else 2 ** (k - 1) + offset for k in range(1, 51)]
         monkeypatch.setattr(sequences, "_check_int", counting_check)
         assert spec.terms(50) == expected
         assert checked == [(50, "count", 0)]
@@ -131,14 +134,12 @@ class TestExplicitSequences:
     def test_terms_and_term(self):
         spec = SequenceSpec.explicit([4, 5, 6])
         assert spec.terms(3) == [4, 5, 6]
-        assert spec.term(2) == 5
+        assert spec.terms(2)[-1] == 5
 
     def test_exhaustion(self):
         spec = SequenceSpec.explicit([4, 5, 6])
-        with pytest.raises(ExplicitExhausted):
+        with pytest.raises(ExplicitExhausted, match=r"^explicit sequence has 3 terms, 4 requested$"):
             spec.terms(4)
-        with pytest.raises(ExplicitExhausted):
-            spec.term(4)
 
     def test_rejects_floats_and_bools(self):
         # int() would silently turn these into (2, 3, 5) and (1, 3).
