@@ -7,11 +7,11 @@ checks admissibility, `mean` and `alpha` run the independent
 cross-checks, and `bench` times large runs.
 
 Exit codes: 0 on success, 2 for invalid input or a failed validation,
-1 for an internal error.  Input is invalid when the package raises an
-`InputError` or a file named on the command line cannot be read or
-written; any other exception is an internal error.  All output is
-deterministic for a given invocation except `bench` timings, which live
-under a "timing" key.
+1 for an internal error, 141 (128 + SIGPIPE) when stdout is closed early.
+Input is invalid when the package raises an `InputError` or a file named
+on the command line cannot be read or written; any other exception is an
+internal error.  All output is deterministic for a given invocation except
+`bench` timings, which live under a "timing" key.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from .constant import _enclosure_ends, enclose, enclose_digits
 from .crosscheck import alpha_build, alpha_decode, nondivisor_mean
 from .exact_arith import (
     InputError,
+    InvalidArgument,
+    ParseError,
     RationalInterval,
     _decimal_ints,
     _over_lcm,
@@ -225,18 +227,16 @@ def _ints_from_value(value: str) -> tuple[int, int, int]:
     """
     try:
         return _decimal_ints(value)
-    except InputError:
+    except ParseError:
         pass
     path = Path(value)
     if not path.exists():
-        raise InputError(
-            f"--value is neither a decimal literal nor an existing file: {value!r}"
-        )
+        raise ParseError(f"--value is neither a decimal literal nor an existing file: {value!r}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"), parse_int=_parse_int_literal)
         return _over_lcm(*_enclosure_ends(doc))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, InputError) as exc:
-        raise InputError(f"{value}: not a valid enclosure document: {exc}") from None
+        raise ParseError(f"{value}: not a valid enclosure document: {exc}") from None
 
 
 def _cmd_recover(args: argparse.Namespace) -> _Output:
@@ -315,7 +315,7 @@ def _cmd_residuals(args: argparse.Namespace) -> _Output:
 def _cmd_validate(args: argparse.Namespace) -> _Output:
     spec = _resolve_sequence(args)
     if spec.kind is not SequenceKind.EXPLICIT and args.terms is None:
-        raise InputError("--terms is required with a built-in sequence")
+        raise InvalidArgument("--terms is required with a built-in sequence")
     terms = spec.terms(len(spec.explicit_terms) if args.terms is None else args.terms)
     report = validate_bertrand(terms)
 
@@ -524,7 +524,13 @@ def main(argv: list[str] | None = None) -> int:
             if args.out:
                 _write_file(args.out, render)
             else:
-                _write(sys.stdout, render)
+                try:
+                    _write(sys.stdout, render)
+                    sys.stdout.flush()
+                except BrokenPipeError:
+                    # A reader such as `head` closed stdout: no message, the shell's 128 + SIGPIPE, a quiet exit flush.
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                    return 141
         finally:
             if limit is not None:
                 sys.set_int_max_str_digits(limit)

@@ -61,7 +61,6 @@ from .sequences import ExplicitExhausted, SequenceKind, SequenceSpec, Validation
 
 __all__ = [
     "ConstantEnclosure",
-    "InsufficientTerms",
     "ValidationFailed",
     "enclose",
     "enclose_digits",
@@ -71,10 +70,6 @@ __all__ = [
 
 # Terms per leaf of the product tree, multiplied as Python ints.
 _RUN = 64
-
-
-class InsufficientTerms(InputError):
-    """Raised when a sequence cannot supply the terms an enclosure needs."""
 
 
 class ValidationFailed(InputError):
@@ -240,7 +235,7 @@ def _enclosure(spec: SequenceSpec, count: int, cap: int | None, planned: _Series
     try:
         terms = spec.terms(count + 1)
     except ExplicitExhausted as exc:
-        raise InsufficientTerms(
+        raise ExplicitExhausted(
             f"need {_int_text(count + 1)} terms of {spec} for a {_int_text(count)}-term enclosure"
         ) from exc
     report = validate_bertrand(terms)
@@ -339,7 +334,7 @@ def enclose_digits(spec: SequenceSpec, digits: int, max_digits: int | None = Non
         series = series.extended(enclosure.lookahead)
         try:
             enclosure = _enclosure(spec, series.count, cap, series)
-        except InsufficientTerms:
+        except ExplicitExhausted:
             break
     return enclosure
 

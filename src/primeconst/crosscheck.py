@@ -22,13 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_arith import InputError, _check_int, _int_text
+from .exact_arith import InvalidArgument, _check_int, _int_text
 from .sequences import SequenceSpec
 
 __all__ = [
     "DistributionRow",
     "NonDivisorDistribution",
-    "TermLimitExceeded",
     "alpha_build",
     "alpha_decode",
     "nondivisor_distribution",
@@ -36,10 +35,6 @@ __all__ = [
 ]
 
 _ALPHA_TERM_CAP = 12
-
-
-class TermLimitExceeded(InputError):
-    """Raised when an alpha expansion would need astronomically many digits."""
 
 
 @dataclass(frozen=True)
@@ -125,7 +120,7 @@ def alpha_build(terms: int) -> Fraction:
     """
     _check_int(terms, "terms", 1)
     if terms > _ALPHA_TERM_CAP:
-        raise TermLimitExceeded(
+        raise InvalidArgument(
             f"alpha with {_int_text(terms)} terms needs 10**(2**{_int_text(terms + 1)}) as a denominator; "
             f"the cap is {_ALPHA_TERM_CAP} terms"
         )
@@ -143,14 +138,14 @@ def alpha_decode(alpha: Fraction, index: int) -> int:
     everything through p_n, and subtracting the shifted previous window
     leaves p_n alone.  Valid for every index up to the term count alpha
     was built with; beyond that the windows are empty and yield 0.  An
-    index above the 12-term cap of `alpha_build` raises TermLimitExceeded,
+    index above the 12-term cap of `alpha_build` raises InvalidArgument,
     since its window needs 10**(2**(index+1)) as a power.
     """
     if not isinstance(alpha, Fraction):
         raise TypeError(f"alpha must be a Fraction, got {type(alpha).__name__}")
     _check_int(index, "index", 1)
     if index > _ALPHA_TERM_CAP:
-        raise TermLimitExceeded(
+        raise InvalidArgument(
             f"decoding index {_int_text(index)} needs 10**(2**{_int_text(index + 1)}) as a power; "
             f"the cap is {_ALPHA_TERM_CAP} terms"
         )

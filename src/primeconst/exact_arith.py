@@ -50,7 +50,6 @@ __all__ = [
     "DecimalDigits",
     "InputError",
     "InvalidArgument",
-    "NonPositiveInterval",
     "ParseError",
     "RationalInterval",
     "format_rational",
@@ -61,19 +60,15 @@ __all__ = [
 
 
 class InputError(ValueError):
-    """Input the package refuses, on which the CLI exits 2; every package error but MismatchDetected is one."""
+    """Refused input, on which the CLI exits 2: the base of every package error but MismatchDetected, never raised."""
 
 
 class InvalidArgument(InputError):
-    """Raised when a count, size or limit argument is missing or out of its range."""
+    """Raised when an argument is missing or out of its range: a count, size or limit, a term list or an interval."""
 
 
 class ParseError(InputError):
     """Raised when textual input is not in the accepted format."""
-
-
-class NonPositiveInterval(InputError):
-    """Raised when decimal rendering is asked for an interval not strictly above zero."""
 
 
 # Pieces this narrow are handed to Decimal(int) whole.
@@ -319,7 +314,7 @@ def to_decimal(interval: RationalInterval, max_digits: int) -> DecimalDigits:
     """
     _check_int(max_digits, "max_digits", 1)
     if interval.lo <= 0:
-        raise NonPositiveInterval(
+        raise InvalidArgument(
             "decimal rendering requires a strictly positive interval, "
             f"got lo={_fraction_text(interval.lo)}"
         )

@@ -41,13 +41,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constant import ConstantEnclosure, _compose, enclose
-from .exact_arith import InputError, RationalInterval, _check_int, _int_text, _LowestTerms, format_rational
+from .exact_arith import InputError, InvalidArgument, RationalInterval, _check_int, _int_text, _LowestTerms, format_rational
 from .sequences import SequenceSpec
 
 __all__ = [
     "FloorBelowTwo",
     "MismatchDetected",
-    "PrecisionExhausted",
     "RecoveryResult",
     "ResidualReport",
     "RoundtripReport",
@@ -73,10 +72,6 @@ class FloorBelowTwo(InputError):
             f"certified floor {_int_text(floor_value)} < 2 at step {step}; "
             "input is not an enclosure of an admissible constant"
         )
-
-
-class PrecisionExhausted(InputError):
-    """Raised when more certified steps are requested than the enclosure supports."""
 
 
 class MismatchDetected(RuntimeError):
@@ -458,7 +453,7 @@ def residuals(spec: SequenceSpec, terms_used: int, count: int | None = None) -> 
 
     `count` selects how many leading residuals to report; the default is
     every step the enclosure certifies.  Asking for more than the run
-    certifies raises PrecisionExhausted, since uncertified residuals would
+    certifies raises InvalidArgument, since uncertified residuals would
     prove nothing.  A shorter count cuts the one recovery to its first
     `count` steps: hi after them is M*hi - C*P for the map (M, C) of those
     terms, and the cut is the run a recovery stopped at `count` returns.
@@ -473,7 +468,7 @@ def residuals(spec: SequenceSpec, terms_used: int, count: int | None = None) -> 
     if count is None:
         count = certified
     if count > certified:
-        raise PrecisionExhausted(
+        raise InvalidArgument(
             f"enclosure from {terms_used} terms certifies only {certified} "
             f"residuals, {_int_text(count)} requested; increase terms_used"
         )

@@ -27,7 +27,6 @@ __all__ = [
     "ExplicitExhausted",
     "SequenceKind",
     "SequenceSpec",
-    "TooShort",
     "ValidationReport",
     "Violation",
     "ViolationKind",
@@ -35,10 +34,6 @@ __all__ = [
     "smallest_nondividing_prime",
     "validate_bertrand",
 ]
-
-
-class TooShort(InputError):
-    """Raised when an operation needs at least two terms and got fewer."""
 
 
 class ExplicitExhausted(InputError):
@@ -235,7 +230,7 @@ def validate_bertrand(terms) -> ValidationReport:
     """
     terms = list(terms)
     if len(terms) < 2:
-        raise TooShort(f"validation needs at least 2 terms, got {len(terms)}")
+        raise InvalidArgument(f"validation needs at least 2 terms, got {len(terms)}")
     violations: list[Violation] = []
     for position, value in enumerate(terms, start=1):
         if not isinstance(value, int) or isinstance(value, bool) or value < 2:

@@ -9,15 +9,21 @@ conversion, 4300 digits, whatever the environment sets (for example
 PYTHONINTMAXSTRDIGITS=0), so a library `str()` or `int()` of a big integer
 fails here as it would for a user.  A test whose own oracle converts a big
 integer wraps only that expression in `int_text_unlimited()`.
+
+A test that starts an interpreter passes it `checkout_env()`, so the child
+imports the package from this checkout whether or not it is installed.
 """
 
 import contextlib
 import math
+import os
 import sys
+from pathlib import Path
 
 import pytest
 
 DEFAULT_INT_MAX_STR_DIGITS = 4300
+SRC = Path(__file__).resolve().parents[1] / "src"
 _SAVED_LIMIT = pytest.StashKey[int]()
 
 
@@ -44,6 +50,11 @@ def int_text_unlimited():
         yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def checkout_env():
+    """The environment for a child interpreter, with this checkout's `src` first on PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
 def str_length(n):

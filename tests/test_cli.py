@@ -24,7 +24,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import int_text_unlimited
+from conftest import checkout_env, int_text_unlimited
 from primeconst import cli, constant, exact_arith, recurrence
 from primeconst.constant import ConstantEnclosure, enclose, enclose_digits, interval_from_enclosure_json
 from primeconst.exact_arith import ParseError, RationalInterval, format_rational, parse_decimal, parse_rational
@@ -1029,6 +1029,21 @@ class TestStreamedOutput:
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
         assert [path.name for path in tmp_path.iterdir()] == ["rows"]
 
+    def test_out_to_a_fifo_closed_early_is_refused(self, capsys, tmp_path):
+        # Unlike a closed stdout, a named target that cannot be written is refused.
+        fifo = tmp_path / "rows"
+        os.mkfifo(fifo)
+
+        def read_a_little():
+            with open(fifo, "rb") as stream:
+                stream.read(100)
+
+        reader = threading.Thread(target=read_a_little, daemon=True)
+        reader.start()
+        code, out, err = run_cli(["residuals", "--terms", "300", "--out", str(fifo)], capsys)
+        reader.join(timeout=60)
+        assert (code, out, err) == (2, "", "error: [Errno 32] Broken pipe\n")
+
     def test_out_through_a_symlink_replaces_its_target(self, capsys, tmp_path):
         argv = ["residuals", "--terms", "120"]
         expected = run_cli(argv, capsys)[1]
@@ -1190,6 +1205,7 @@ class TestRealProcess:
              "--digits", "12"],
             capture_output=True,
             text=True,
+            env=checkout_env(),
             timeout=60,
         )
         assert proc.returncode == 0
@@ -1211,7 +1227,25 @@ class TestRealProcess:
             command + ["recover", "--value", "2.920050977316"],
             capture_output=True,
             text=True,
+            env=checkout_env(),
             timeout=60,
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("recovered: 2 3 5 7 11 13")
+
+    def test_closed_stdout_exits_quietly(self):
+        # As `residuals --terms 3000 | head -c 100` does: the table is far
+        # larger than a pipe holds, so the reader leaves while rows are still
+        # being written.  That is no refusal: the exit is a shell's 128 +
+        # SIGPIPE, and the interpreter's last flush prints nothing either.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "primeconst", "residuals", "--terms", "3000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=checkout_env(),
+        )
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b"")
+        assert head.startswith(b"sequence: primes\nterms_used: 3000\n")

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import each_term, str_length
 from primeconst import constant
 from primeconst.constant import (
-    InsufficientTerms,
     ValidationFailed,
     _series,
     enclose,
@@ -73,7 +72,8 @@ def enclose_digits_oracle(spec, digits, max_digits=None):
     while enclosure.digits.verified < min(digits, cap) and not enclosure.digits.boundary:
         try:
             enclosure = enclose(spec, enclosure.terms_used + 1, max_digits=cap)
-        except InsufficientTerms:
+        except ExplicitExhausted as exc:
+            assert str(exc).startswith(f"need {enclosure.terms_used + 2} terms of ")
             break
     return enclosure
 
@@ -410,11 +410,11 @@ class TestEnclose:
             enclose(SequenceSpec.primes(), 10**5, max_digits=0)
 
     def test_insufficient_terms(self):
-        with pytest.raises(InsufficientTerms):
+        with pytest.raises(ExplicitExhausted, match=r"^need 3 terms of explicit\[2,3\] for a 2-term enclosure$"):
             enclose(SequenceSpec.explicit([2, 3]), 2)
 
     def test_other_term_errors_propagate(self, monkeypatch):
-        # Only running out of explicit terms means InsufficientTerms.
+        # Only running out of explicit terms means ExplicitExhausted.
         def broken(self, count):
             raise RuntimeError("synthetic failure")
 

@@ -7,7 +7,6 @@ import pytest
 from conftest import midpoint
 from primeconst.constant import enclose
 from primeconst.crosscheck import (
-    TermLimitExceeded,
     alpha_build,
     alpha_decode,
     nondivisor_distribution,
@@ -110,12 +109,14 @@ class TestAlpha:
         assert alpha_decode(alpha_build(2), 3) == 0
 
     def test_term_cap(self):
-        with pytest.raises(TermLimitExceeded):
+        message = r"^alpha with 13 terms needs 10\*\*\(2\*\*14\) as a denominator; the cap is 12 terms$"
+        with pytest.raises(InvalidArgument, match=message):
             alpha_build(13)
 
     def test_decode_cap(self):
         # Index 13 would form 10**(2**14); each index past it costs about 2.5x the one before.
-        with pytest.raises(TermLimitExceeded, match="the cap is 12 terms"):
+        message = r"^decoding index 13 needs 10\*\*\(2\*\*14\) as a power; the cap is 12 terms$"
+        with pytest.raises(InvalidArgument, match=message):
             alpha_decode(alpha_build(12), 13)
 
     def test_input_validation(self):

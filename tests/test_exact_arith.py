@@ -20,7 +20,6 @@ from primeconst.constant import enclose
 from primeconst.exact_arith import (
     DecimalDigits,
     InvalidArgument,
-    NonPositiveInterval,
     ParseError,
     RationalInterval,
     format_rational,
@@ -161,9 +160,9 @@ class TestToDecimal:
         assert digits.boundary
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(NonPositiveInterval):
+        with pytest.raises(InvalidArgument, match=r"^decimal rendering requires a strictly positive interval, got lo=0$"):
             to_decimal(interval(0, 1), 3)
-        with pytest.raises(NonPositiveInterval):
+        with pytest.raises(InvalidArgument, match=r"^decimal rendering requires a strictly positive interval, got lo=-1/2$"):
             to_decimal(interval((-1, 2), (1, 2)), 3)
 
     def test_rejects_bad_max_digits(self):

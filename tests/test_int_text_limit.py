@@ -9,17 +9,15 @@ CPython accepts.  The oracles are `str()` and `int()` inside
 """
 
 import json
-import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DEFAULT_INT_MAX_STR_DIGITS, int_text_unlimited
+from conftest import DEFAULT_INT_MAX_STR_DIGITS, checkout_env, int_text_unlimited
 from primeconst import cli, exact_arith
 from primeconst.constant import enclose, enclose_digits
 from primeconst.crosscheck import alpha_build, nondivisor_mean
@@ -27,7 +25,6 @@ from primeconst.exact_arith import RationalInterval, format_rational, parse_deci
 from primeconst.recurrence import recover, residuals
 from primeconst.sequences import SequenceSpec, load_sequence_file, smallest_nondividing_prime
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 # Terms of an admissible sequence file, each about 10^5000.
 HUGE_TERMS = [10**5000 + k for k in range(4)]
 
@@ -50,10 +47,9 @@ def test_session_runs_under_the_default_limit():
 
 def python_with_limit(limit, *args):
     """A fresh interpreter with the given int-to-text limit, importing the package from this checkout."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
         [sys.executable, "-X", f"int_max_str_digits={limit}", *args],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=checkout_env(), timeout=60,
     )
 
 

@@ -9,7 +9,9 @@ and every function, class and method of the package has a reader outside
 its own definition, in the package, in `perfbench` or in a README code
 block, unless `TEST_ONLY_SURFACE` names it with its reason.  Every
 exception the package defines but `MismatchDetected` is an `InputError`,
-the one package class the CLI catches to exit with code 2.
+the one package class the CLI catches to exit with code 2, which no source
+file raises itself; `PACKAGE_ERRORS` lists every exception class with the
+reason it stays.
 """
 
 import ast
@@ -268,7 +270,8 @@ def package_classes():
     }
 
 
-def test_every_package_error_is_an_input_error():
+def package_errors():
+    """{name: its ancestors' names} for each exception class the package defines."""
     classes = package_classes()
 
     def ancestors(name):
@@ -280,9 +283,41 @@ def test_every_package_error_is_an_input_error():
         value = getattr(builtins, name, None)
         return isinstance(value, type) and issubclass(value, BaseException)
 
-    errors = {name for name in classes if any(map(is_builtin_exception, ancestors(name)))}
+    lineages = {name: list(ancestors(name)) for name in classes}
+    return {name: lineage for name, lineage in lineages.items() if any(map(is_builtin_exception, lineage))}
+
+
+def test_every_package_error_is_an_input_error():
+    errors = package_errors()
     assert "MismatchDetected" in errors
-    assert sorted(name for name in errors - {"InputError", "MismatchDetected"} if "InputError" not in ancestors(name)) == []
+    assert sorted(name for name in set(errors) - {"InputError", "MismatchDetected"} if "InputError" not in errors[name]) == []
+
+
+# The package's exception classes, and why each stays: a class earns its
+# place by data it carries or by a caller that tells it apart.
+PACKAGE_ERRORS = {
+    "InputError": "the base the CLI maps to exit 2; only its subclasses are raised",
+    "InvalidArgument": "an argument out of its range: a count, size or limit, a term list or an interval",
+    "ParseError": "text not in the accepted format; `recover --value` tries a file only on it",
+    "ExplicitExhausted": "a finite sequence ran out; `enclose_digits` catches it and stops adding terms",
+    "ValidationFailed": "carries the `ValidationReport` of the refused terms",
+    "FloorBelowTwo": "carries the floor below 2 and the step it was certified at",
+    "MismatchDetected": "an internal bug, not refused input, so the CLI exits 1 on it",
+}
+
+
+def test_exception_classes_are_the_listed_ones():
+    assert sorted(package_errors()) == sorted(PACKAGE_ERRORS)
+
+
+def test_input_error_is_never_raised_itself():
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "InputError"
+    ]
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from primeconst.constant import ConstantEnclosure, _compose, enclose, enclose_di
 from primeconst.exact_arith import InvalidArgument, RationalInterval, format_rational, parse_decimal
 from primeconst.recurrence import (
     FloorBelowTwo,
-    PrecisionExhausted,
     RecoveryResult,
     ResidualReport,
     RoundtripReport,
@@ -605,7 +604,8 @@ class TestResiduals:
         assert len(calls) == 1
 
     def test_count_beyond_certified_raises(self):
-        with pytest.raises(PrecisionExhausted):
+        message = r"^enclosure from 15 terms certifies only 15 residuals, 16 requested; increase terms_used$"
+        with pytest.raises(InvalidArgument, match=message):
             residuals(SequenceSpec.primes(), 15, count=16)
 
     @pytest.mark.parametrize("count", [12.0, True, False, "3"])
@@ -625,7 +625,8 @@ class TestResiduals:
         assert report.run.residual_intervals == []
         assert report.run.min_residual_upper is None
         assert report.run.denominator_bound is None
-        with pytest.raises(PrecisionExhausted):
+        message = r"^enclosure from 10 terms certifies only 0 residuals, 1 requested; increase terms_used$"
+        with pytest.raises(InvalidArgument, match=message):
             residuals(SequenceSpec.boundary(), 10, count=1)
 
     def test_residual_matches_shifted_sequence_route(self):
@@ -731,7 +732,8 @@ class TestRoundtrip:
         """The rows, smallest upper end and bound `residuals` reports, or the message it refuses with."""
         try:
             report = residuals(spec, terms_used, count=count)
-        except PrecisionExhausted as exc:
+        except InvalidArgument as exc:
+            assert str(exc).endswith("; increase terms_used")
             return str(exc)
         return list(report.run._residual_rows()), report.run.min_residual_upper, report.run.denominator_bound
 

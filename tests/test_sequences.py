@@ -9,7 +9,6 @@ from primeconst.sequences import (
     ExplicitExhausted,
     SequenceKind,
     SequenceSpec,
-    TooShort,
     ViolationKind,
     load_sequence_file,
     smallest_nondividing_prime,
@@ -202,9 +201,9 @@ class TestValidateBertrand:
         ]
 
     def test_too_short(self):
-        with pytest.raises(TooShort):
+        with pytest.raises(InvalidArgument, match=r"^validation needs at least 2 terms, got 0$"):
             validate_bertrand([])
-        with pytest.raises(TooShort):
+        with pytest.raises(InvalidArgument, match=r"^validation needs at least 2 terms, got 1$"):
             validate_bertrand([7])
 
     def test_json_shape(self):
