@@ -15,7 +15,8 @@ integer numerators over one denominator, [lo/D, hi/D], and `_IntervalText`
 renders any interval from those integers, held as exact Decimals with a
 product tree of D, without forming a `Fraction`.
 The rows the floor recurrence prints, one per step, are stepped and
-rendered in lowest terms by `_LowestTerms`, in time linear in their digits.
+rendered in lowest terms by `_lowest_terms_steps`, one divmod by the step's
+term and at most one fma per step, in time linear in their digits.
 
 Conversion between integers and text is exact and subquadratic at every
 size.  `_exact_decimal` renders every integer: it splits it on bits and
@@ -41,7 +42,7 @@ from __future__ import annotations
 import decimal
 import math
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -476,40 +477,34 @@ class _IntervalText:
         return f"{numerator}/{denominator}"
 
 
-class _LowestTerms:
-    """A rational n/q in lowest terms, stepped and printed in time linear in its digits.
+def _lowest_terms_steps(numerator: int, denominator: int, steps: Iterable[tuple[int, int]]) -> Iterator[str]:
+    """format_rational of x after each step x -> a*x + c, for (a, c) in `steps`, ints with a >= 1.
 
-    n and q are exact Decimals in `_EXACT`.  If n/q is in lowest terms, so
-    is (n + c*q)/q for any integer c, and m * n/q reduces only by
-    g = gcd(m, q mod m), a gcd of two small ints.  So `+=` costs a multiply
-    by a small int and an addition, `*=` a multiply by a small int, one
-    remainder by m and one exact division by g, each in place, and `str`
-    reads the Decimals' digits.  The same steps on a Fraction pay full-size
-    gcds, and `format_rational` converts both ints from binary every call.
+    x starts as numerator/denominator, two ints with denominator > 0,
+    reduced by their gcd when the first step is asked for.  With x = n/q in
+    lowest terms and g = gcd(a, q), a*x + c is ((a/g)*n + c*(q/g)) / (q/g),
+    again in lowest terms, since neither n nor a/g shares a factor with q/g.
+    One divmod, q = Q*a + R, gives q/g: Q when R = 0, so g = a, as at nearly
+    every step of an enclosure's rows, and else Q*(a/g) + R/g for
+    g = gcd(a, R), a gcd of small ints, with n multiplied by a/g.  One fma
+    adds c*(q/g).  n and q stay exact Decimals in `_EXACT`, so a step costs
+    time linear in their digits, and the text is read off their digits.
     """
-
-    __slots__ = ("_numerator", "_denominator")
-
-    def __init__(self, value: Fraction) -> None:
-        self._numerator = _exact_decimal(value.numerator)
-        self._denominator = _exact_decimal(value.denominator)
-
-    def __iadd__(self, c: int) -> _LowestTerms:
-        """n/q += c."""
-        self._numerator = _EXACT.add(self._numerator, _EXACT.multiply(self._denominator, c))
-        return self
-
-    def __imul__(self, m: int) -> _LowestTerms:
-        """n/q *= m, for an int m >= 1."""
-        divisor = math.gcd(m, int(_EXACT.remainder(self._denominator, m)))
-        self._numerator = _EXACT.multiply(self._numerator, m // divisor)
-        if divisor > 1:
-            self._denominator = _EXACT.divide_int(self._denominator, divisor)
-        return self
-
-    def __str__(self) -> str:
-        """The value as `format_rational` renders it."""
-        return f"{self._numerator}/{self._denominator}"
+    divisor = math.gcd(numerator, denominator)
+    numerator, denominator = _exact_decimal(numerator // divisor), _exact_decimal(denominator // divisor)
+    for a, c in steps:
+        quotient, remainder = _EXACT.divmod(denominator, a)
+        if remainder:
+            remainder = int(remainder)
+            divisor = math.gcd(a, remainder)
+            if divisor > 1:
+                denominator = _EXACT.fma(quotient, a // divisor, remainder // divisor)
+            numerator = _EXACT.multiply(numerator, a // divisor)
+        else:
+            denominator = quotient
+        if c:
+            numerator = _EXACT.fma(denominator, c, numerator)
+        yield f"{numerator}/{denominator}"
 
 
 _DECIMAL_RE = re.compile(r"^(\d+)(?:\.(\d+))?$")

@@ -41,7 +41,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constant import ConstantEnclosure, _compose, enclose
-from .exact_arith import InputError, InvalidArgument, RationalInterval, _check_int, _int_text, _LowestTerms, format_rational
+from .exact_arith import (
+    InputError,
+    InvalidArgument,
+    RationalInterval,
+    _check_int,
+    _int_text,
+    _lowest_terms_steps,
+    format_rational,
+)
 from .sequences import SequenceSpec
 
 __all__ = [
@@ -122,10 +130,13 @@ class RecoveryResult:
     Only the terms, the stop reason, and lo, hi and the smallest residual
     upper bound as numerators over D are stored; the per-step intervals,
     widths and residuals are derived from them on demand, so the result
-    stays the size of one enclosure however many steps ran.  Every view
-    runs `_residual_steps` or `_width_steps`: on Fractions for the API, and
-    on `_LowestTerms` for the printed rows, in time linear in the digits
-    per row and one row at a time, so a printer holds one row, not the table.
+    stays the size of one enclosure however many steps ran.  The API's
+    views step Fractions, by `_residual_steps` and `_width_steps`.  The
+    printed rows step the same values by `exact_arith._lowest_terms_steps`,
+    one divmod and at most one fma per step, in time linear in the digits
+    per row and one row at a time, so a printer holds one row, not the
+    table.  A Fraction step pays two full-size gcds, and the Fraction views
+    cannot be read off the rows, since int() of a Decimal is quadratic.
     """
 
     recovered: tuple[int, ...]
@@ -141,53 +152,62 @@ class RecoveryResult:
         upper = self.min_upper_numerator
         return None if upper is None else Fraction(upper, self.denominator)
 
-    def _residual_steps(self, kind, numerator: int):
-        """x_k - a_k for each certified step, where x_1 = numerator/D and x_{k+1} = a_k * (x_k - a_k + 1).
-
-        x is a `kind`, a Fraction or a `_LowestTerms`, formed on the first read.  A `_LowestTerms` steps
-        in place, so each value must be read before the next is asked for.
-        """
-        x = kind(Fraction(numerator, self.denominator))
+    def _residual_steps(self, numerator: int):
+        """x_k - a_k for each certified step, where x_1 = numerator/D and x_{k+1} = a_k * (x_k - a_k + 1)."""
+        x = Fraction(numerator, self.denominator)
         for m in self.recovered:
             x += -m
             yield x
             x += 1
             x *= m
 
-    def _width_steps(self, kind):
-        """The width entering each certified step, as a `kind`, formed on the first read and stepped as an end is."""
-        width = kind(Fraction(self.hi_numerator - self.lo_numerator, self.denominator))
+    def _width_steps(self):
+        """The width entering each certified step, stepped as an end is."""
+        width = Fraction(self.hi_numerator - self.lo_numerator, self.denominator)
         for m in self.recovered:
             yield width
             width *= m
 
-    def _residual_ends(self, kind):
+    def _residual_ends(self):
         """The residual steps of lo and of hi."""
-        return [self._residual_steps(kind, n) for n in (self.lo_numerator, self.hi_numerator)]
+        return [self._residual_steps(n) for n in (self.lo_numerator, self.hi_numerator)]
 
     @property
     def intervals(self) -> tuple[RationalInterval, ...]:
         """The interval the k-th floor was taken from, for each certified step."""
-        ends = zip(self.recovered, *self._residual_ends(Fraction))
+        ends = zip(self.recovered, *self._residual_ends())
         return tuple(RationalInterval(lo + m, hi + m) for m, lo, hi in ends)
 
     @property
     def step_widths(self) -> list[Fraction]:
         """Width of the interval entering each step; grows by the term extracted."""
-        return list(self._width_steps(Fraction))
+        return list(self._width_steps())
 
     @property
     def residual_intervals(self) -> list[RationalInterval]:
         """Enclosures of f_n - a_n for each certified step."""
-        return list(map(RationalInterval, *self._residual_ends(Fraction)))
+        return list(map(RationalInterval, *self._residual_ends()))
+
+    def _term_pairs(self):
+        """(a_{k-1}, a_k) for each certified step k, with a_0 = 1."""
+        return zip((1, *self.recovered), self.recovered)
 
     def _residual_rows(self):
-        """format_rational of the ends of each residual interval, as (lo, hi), one step at a time."""
-        return zip(*(map(str, steps) for steps in self._residual_ends(_LowestTerms)))
+        """format_rational of the ends of each residual interval, as (lo, hi), one step at a time.
+
+        With a_0 = 1 and r_0 = x_1 - 1, each end's residual is
+        r_k = a_{k-1} * r_{k-1} + a_{k-1} - a_k.
+        """
+        q = self.denominator
+        return zip(*(
+            _lowest_terms_steps(n - q, q, ((before, before - term) for before, term in self._term_pairs()))
+            for n in (self.lo_numerator, self.hi_numerator)
+        ))
 
     def _width_column(self):
-        """format_rational of each step width, one step at a time."""
-        return map(str, self._width_steps(_LowestTerms))
+        """format_rational of each step width, one step at a time: w_k = a_{k-1} * w_{k-1}, with w_0 = w_1."""
+        width = self.hi_numerator - self.lo_numerator
+        return _lowest_terms_steps(width, self.denominator, ((before, 0) for before, _ in self._term_pairs()))
 
     @property
     def denominator_bound(self) -> int | None:

@@ -611,7 +611,7 @@ class UnsteppableFraction(Fraction):
 
 
 class TestRowsSkipTheFractionReplay:
-    """Residual rows and step widths are printed from `_LowestTerms`, never by stepping a Fraction."""
+    """Residual rows and step widths are printed by `exact_arith._lowest_terms_steps`, never from a Fraction."""
 
     @staticmethod
     def refuse(*args, **kwargs):
@@ -627,7 +627,7 @@ class TestRowsSkipTheFractionReplay:
     def test_the_guard_catches_a_fraction_replay(self, monkeypatch):
         run = recurrence._recover(2920050977316, 2920050977317, 10**12, 5)
         self.forbid_fraction_steps(monkeypatch)
-        for steps in (run._width_steps(recurrence.Fraction), *run._residual_ends(recurrence.Fraction)):
+        for steps in (run._width_steps(), *run._residual_ends()):
             with pytest.raises(AssertionError, match="a Fraction was stepped"):
                 list(steps)
 

@@ -427,7 +427,16 @@ class TestDecimalConverter:
         assert to_decimal(iv, max_digits) == str_to_decimal(iv, max_digits)
 
 
-class TestLowestTerms:
+def fraction_steps(value, steps):
+    """format_rational of value after each step x -> a*x + c, stepped on a Fraction."""
+    texts = []
+    for a, c in steps:
+        value = a * value + c
+        texts.append(format_rational(value))
+    return texts
+
+
+class TestLowestTermsSteps:
     """The row stepper against the same steps on a Fraction, printed by format_rational."""
 
     @settings(max_examples=200, deadline=None)
@@ -435,37 +444,25 @@ class TestLowestTerms:
         start=st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**40),
         steps=st.lists(
             st.tuples(
-                st.integers(-(10**25), 10**25),
                 # Past 10**19, a term no longer fits one word of the decimal module.
                 st.one_of(st.integers(1, 60), st.integers(1, 10**30), st.sampled_from((10**19, 10**19 + 1, 2**64))),
+                st.one_of(st.just(0), st.integers(-(10**25), 10**25)),
             ),
             max_size=40,
         ),
+        # The start need not be in lowest terms.
+        scale=st.integers(1, 10**6),
     )
-    def test_matches_fraction_steps(self, start, steps):
-        stepper, value = exact_arith._LowestTerms(start), start
-        assert str(stepper) == format_rational(value)
-        for c, m in steps:
-            same = stepper
-            stepper += c
-            value += c
-            assert stepper is same
-            assert str(stepper) == format_rational(value)
-            stepper *= m
-            value *= m
-            assert stepper is same
-            assert str(stepper) == format_rational(value)
+    def test_matches_fraction_steps(self, start, steps, scale):
+        n, q = start.numerator * scale, start.denominator * scale
+        assert list(exact_arith._lowest_terms_steps(n, q, steps)) == fraction_steps(start, steps)
 
     def test_large_operands(self):
         start = enclose(SequenceSpec.primes(), 5300).interval.lo
         assert start.denominator.bit_length() > 2 * OLD_SWITCH_BITS
-        stepper, value = exact_arith._LowestTerms(start), start
-        for m in (2, 3, 6, 10**20 + 7, 7919):
-            stepper += -m
-            value -= m
-            stepper *= m
-            value *= m
-        assert str(stepper) == format_rational(value)
+        steps = [(m, -m * m) for m in (2, 3, 6, 10**20 + 7, 7919)]
+        n, q = start.numerator, start.denominator
+        assert list(exact_arith._lowest_terms_steps(n, q, steps)) == fraction_steps(start, steps)
 
 
 class TestExactnessGuard:

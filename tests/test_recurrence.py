@@ -323,6 +323,55 @@ class TestAgainstFractionOracle:
         assert retained < 500_000
 
 
+def row_step_branches(values, terms):
+    """The branch of `_lowest_terms_steps` that steps each value but the last into the next.
+
+    The k-th value steps by the k-th term a, and the branch is told by
+    g = gcd(a, q) for the value's lowest-terms denominator q.
+    """
+    branches = set()
+    for value, a in zip(values[:-1], terms):
+        g = math.gcd(a, value.denominator)
+        branches.add("a divides q" if g == a else "g = 1" if g == 1 else "1 < g < a")
+    return branches
+
+
+class TestRowStepBranches:
+    """Fixed runs whose printed rows and widths reach each branch of the row stepper, against the oracle."""
+
+    @pytest.mark.parametrize(
+        "start, max_terms, ends, widths",
+        [
+            pytest.param(
+                lambda: enclose(SequenceSpec.primes(), 50).interval, 50,
+                {"a divides q", "g = 1"}, {"a divides q"}, id="primes enclosure",
+            ),
+            # A term shares only part of the denominator, on lo's end.
+            pytest.param(
+                lambda: enclose(SequenceSpec.from_name("naturals"), 20).interval, 20,
+                {"a divides q", "1 < g < a"}, {"a divides q"}, id="naturals enclosure",
+            ),
+            pytest.param(
+                lambda: parse_decimal("2.920050977316"), 100,
+                {"a divides q", "g = 1"}, {"a divides q", "g = 1"}, id="2.920050977316",
+            ),
+            pytest.param(
+                lambda: parse_decimal("2.718281828459045"), 100,
+                {"a divides q", "g = 1", "1 < g < a"}, {"a divides q", "g = 1", "1 < g < a"}, id="e",
+            ),
+            # lo's rows are 0/1 (see test_integer_point_rows).
+            pytest.param(lambda: parse_decimal("3.0"), 100, {"g = 1"}, {"g = 1"}, id="3.0"),
+        ],
+    )
+    def test_branches_reached(self, start, max_terms, ends, widths):
+        run = assert_matches_oracle(start(), max_terms)
+        lo_branches, hi_branches = (
+            row_step_branches([getattr(r, end) for r in run.residual_intervals], run.recovered) for end in ("lo", "hi")
+        )
+        assert lo_branches | hi_branches == ends
+        assert row_step_branches(run.step_widths, run.recovered) == widths
+
+
 def loop_recover(lo, hi, denominator, max_terms):
     """The one-term recurrence loop `_recover` ran before its windows, kept as the differential oracle.
 
