@@ -35,6 +35,7 @@ from .exact_arith import (
     ParseError,
     RationalInterval,
     _decimal_ints,
+    _lowest_terms_steps,
     _over_lcm,
     _parse_int_literal,
     format_rational,
@@ -262,7 +263,7 @@ def _cmd_recover(args: argparse.Namespace) -> _Output:
         return "\n".join(lines)
 
     def doc() -> Iterable[str]:
-        return _json_chunks({**run._json_fields(_ROWS), "warnings": warnings}, run._width_column())
+        return _json_chunks({**run._json_fields(_ROWS), "warnings": warnings}, run._widths(_lowest_terms_steps))
 
     return text, doc, 0
 
@@ -303,11 +304,11 @@ def _cmd_residuals(args: argparse.Namespace) -> _Output:
             f"denominator_bound: {'none' if bound is None else bound}",
         ]
         yield "\n".join(lines)
-        for step, (lo, hi) in enumerate(run._residual_rows(), start=1):
+        for step, (lo, hi) in enumerate(run._ends(_lowest_terms_steps), start=1):
             yield f"\nresidual {step}: [{lo}, {hi}]"
 
     def doc() -> Iterable[str]:
-        return _json_chunks(report._json_fields(_ROWS), run._residual_rows())
+        return _json_chunks(report._json_fields(_ROWS), run._ends(_lowest_terms_steps))
 
     return text, doc, 0
 

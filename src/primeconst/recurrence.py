@@ -31,14 +31,16 @@ applied once to the full numerators.  That (M, C) is the series' pair
 certified on a window are certified on the interval it contains, and the
 last steps, where windows fail, run on the full numerators, so the terms,
 the stop and FloorBelowTwo are the one-step loop's.  The smallest
-residual upper bound comes from a fixed-point pass backward from the final
-hi, evaluated exactly at its few candidates.
+residual upper bound comes, on first read, from a fixed-point pass backward
+from the final hi, evaluated exactly at its few candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import starmap
 
 from .constant import ConstantEnclosure, _compose, enclose
 from .exact_arith import (
@@ -123,20 +125,29 @@ class StopReason:
         return {"kind": self.kind, "step": self.step, "straddled": self.straddled}
 
 
+def _fraction_steps(numerator: int, denominator: int, steps):
+    """x after each step x -> a*x + c, for (a, c) in `steps`, from x = numerator/denominator, as Fractions."""
+    x = Fraction(numerator, denominator)
+    for a, c in steps:
+        x = a * x + c if c else a * x
+        yield x
+
+
 @dataclass(frozen=True)
 class RecoveryResult:
     """Certified terms from iterating the floor recurrence on [lo/D, hi/D].
 
-    Only the terms, the stop reason, and lo, hi and the smallest residual
-    upper bound as numerators over D are stored; the per-step intervals,
-    widths and residuals are derived from them on demand, so the result
-    stays the size of one enclosure however many steps ran.  The API's
-    views step Fractions, by `_residual_steps` and `_width_steps`.  The
-    printed rows step the same values by `exact_arith._lowest_terms_steps`,
-    one divmod and at most one fma per step, in time linear in the digits
-    per row and one row at a time, so a printer holds one row, not the
-    table.  A Fraction step pays two full-size gcds, and the Fraction views
-    cannot be read off the rows, since int() of a Decimal is quadratic.
+    Only the terms, the stop reason, and lo, hi and hi after the last step
+    as numerators over D are stored, so the result stays the size of one
+    enclosure however many steps ran; the smallest residual upper bound is
+    found from them on first read.  Each per-step view hands the steps
+    x -> a*x + c of `_steps` to a stepper: `_fraction_steps` for the API's
+    Fractions, `exact_arith._lowest_terms_steps` for the printed rows, one
+    row at a time.  The rows have their own stepper because converting ints
+    to text is the cost (at 10^4 digits a Fraction step by small ints takes
+    about 45 us, format_rational of its value 2.2 ms), and the Fraction
+    views are not read off the rows, since Fraction(n, q) pays a full-size
+    gcd.
     """
 
     recovered: tuple[int, ...]
@@ -144,7 +155,12 @@ class RecoveryResult:
     lo_numerator: int
     hi_numerator: int
     denominator: int
-    min_upper_numerator: int | None
+    end_numerator: int
+
+    @cached_property
+    def min_upper_numerator(self) -> int | None:
+        """The smallest residual upper bound, as a numerator over D; None when no step was certified."""
+        return _min_upper(self.recovered, self.hi_numerator, self.end_numerator, self.denominator)
 
     @property
     def min_residual_upper(self) -> Fraction | None:
@@ -152,62 +168,39 @@ class RecoveryResult:
         upper = self.min_upper_numerator
         return None if upper is None else Fraction(upper, self.denominator)
 
-    def _residual_steps(self, numerator: int):
-        """x_k - a_k for each certified step, where x_1 = numerator/D and x_{k+1} = a_k * (x_k - a_k + 1)."""
-        x = Fraction(numerator, self.denominator)
-        for m in self.recovered:
-            x += -m
-            yield x
-            x += 1
-            x *= m
+    def _steps(self):
+        """(a_{k-1}, a_{k-1} - a_k) for each certified step k, with a_0 = 1."""
+        return ((before, before - term) for before, term in zip((1, *self.recovered), self.recovered))
 
-    def _width_steps(self):
-        """The width entering each certified step, stepped as an end is."""
-        width = Fraction(self.hi_numerator - self.lo_numerator, self.denominator)
-        for m in self.recovered:
-            yield width
-            width *= m
+    def _ends(self, stepper):
+        """The residuals of lo and of hi at each certified step, as pairs, by `stepper`.
 
-    def _residual_ends(self):
-        """The residual steps of lo and of hi."""
-        return [self._residual_steps(n) for n in (self.lo_numerator, self.hi_numerator)]
+        Each end's residual is r_k = a_{k-1} * r_{k-1} + a_{k-1} - a_k,
+        from r_0 = x_1 - 1.
+        """
+        q = self.denominator
+        return zip(*(stepper(n - q, q, self._steps()) for n in (self.lo_numerator, self.hi_numerator)))
+
+    def _widths(self, stepper):
+        """The width entering each certified step, by `stepper`: w_k = a_{k-1} * w_{k-1}, from w_0 = w_1."""
+        steps = ((before, 0) for before, _ in self._steps())
+        return stepper(self.hi_numerator - self.lo_numerator, self.denominator, steps)
 
     @property
     def intervals(self) -> tuple[RationalInterval, ...]:
         """The interval the k-th floor was taken from, for each certified step."""
-        ends = zip(self.recovered, *self._residual_ends())
-        return tuple(RationalInterval(lo + m, hi + m) for m, lo, hi in ends)
+        ends = zip(self.recovered, self._ends(_fraction_steps))
+        return tuple(RationalInterval(lo + m, hi + m) for m, (lo, hi) in ends)
 
     @property
     def step_widths(self) -> list[Fraction]:
         """Width of the interval entering each step; grows by the term extracted."""
-        return list(self._width_steps())
+        return list(self._widths(_fraction_steps))
 
     @property
     def residual_intervals(self) -> list[RationalInterval]:
         """Enclosures of f_n - a_n for each certified step."""
-        return list(map(RationalInterval, *self._residual_ends()))
-
-    def _term_pairs(self):
-        """(a_{k-1}, a_k) for each certified step k, with a_0 = 1."""
-        return zip((1, *self.recovered), self.recovered)
-
-    def _residual_rows(self):
-        """format_rational of the ends of each residual interval, as (lo, hi), one step at a time.
-
-        With a_0 = 1 and r_0 = x_1 - 1, each end's residual is
-        r_k = a_{k-1} * r_{k-1} + a_{k-1} - a_k.
-        """
-        q = self.denominator
-        return zip(*(
-            _lowest_terms_steps(n - q, q, ((before, before - term) for before, term in self._term_pairs()))
-            for n in (self.lo_numerator, self.hi_numerator)
-        ))
-
-    def _width_column(self):
-        """format_rational of each step width, one step at a time: w_k = a_{k-1} * w_{k-1}, with w_0 = w_1."""
-        width = self.hi_numerator - self.lo_numerator
-        return _lowest_terms_steps(width, self.denominator, ((before, 0) for before, _ in self._term_pairs()))
+        return list(starmap(RationalInterval, self._ends(_fraction_steps)))
 
     @property
     def denominator_bound(self) -> int | None:
@@ -233,7 +226,7 @@ class RecoveryResult:
         }
 
     def to_json_dict(self) -> dict:
-        return self._json_fields(list(self._width_column()))
+        return self._json_fields(list(self._widths(_lowest_terms_steps)))
 
 
 def recover(start: RationalInterval, max_terms: int) -> RecoveryResult:
@@ -268,8 +261,9 @@ def _recover(lo: int, hi: int, denominator: int, max_terms: int) -> RecoveryResu
     `_windows` finds the terms at full precision.  Where it stops short of
     `max_terms`, the base loop has just failed to step the full-size
     numerators, and the checks of `recover`, in its order, name the stop
-    or raise FloorBelowTwo.  `_min_upper` then finds the smallest residual
-    upper bound.
+    or raise FloorBelowTwo.  The result keeps hi after the last step, from
+    which `_min_upper` finds the smallest residual upper bound when it is
+    first read.
     """
     _check_int(max_terms, "max_terms", 0)
     recovered, _, _, x, width = _windows(lo, hi - lo, denominator, max_terms, exact=True)
@@ -283,8 +277,7 @@ def _recover(lo: int, hi: int, denominator: int, max_terms: int) -> RecoveryResu
         if x + width < (m + 1) * denominator:
             raise FloorBelowTwo(m, step=step)
         stop = StopReason("ambiguous_floor", step=step, straddled=m + 1)
-    min_upper = _min_upper(recovered, hi, x + width, denominator)
-    return RecoveryResult(tuple(recovered), stop, lo, hi, denominator, min_upper)
+    return RecoveryResult(tuple(recovered), stop, lo, hi, denominator, x + width)
 
 
 def _windows(x: int, width: int, q: int, budget: int, exact: bool = False):
@@ -389,7 +382,7 @@ def _base(x: int, width: int, q: int, budget: int):
     return terms, x, width
 
 
-def _min_upper(terms: list[int], hi: int, last: int, denominator: int) -> int | None:
+def _min_upper(terms: tuple[int, ...], hi: int, last: int, denominator: int) -> int | None:
     """min over k of hi_k - a_k * D, where hi_k is hi after k - 1 steps and `last` hi after all.
 
     A backward pass in `_FIXED_BITS`-bit fixed point from t = last/D gives
@@ -465,7 +458,7 @@ class ResidualReport:
         }
 
     def to_json_dict(self) -> dict:
-        return self._json_fields([list(row) for row in self.run._residual_rows()])
+        return self._json_fields([list(row) for row in self.run._ends(_lowest_terms_steps)])
 
 
 def residuals(spec: SequenceSpec, terms_used: int, count: int | None = None) -> ResidualReport:
@@ -493,10 +486,9 @@ def residuals(spec: SequenceSpec, terms_used: int, count: int | None = None) -> 
             f"residuals, {_int_text(count)} requested; increase terms_used"
         )
     if count < certified:
-        kept = list(run.recovered[:count])
+        kept = run.recovered[:count]
         M, C = _compose(kept)
-        min_upper = _min_upper(kept, hi, M * hi - C * denominator, denominator)
-        run = RecoveryResult(tuple(kept), StopReason("max_terms"), lo, hi, denominator, min_upper)
+        run = RecoveryResult(kept, StopReason("max_terms"), lo, hi, denominator, M * hi - C * denominator)
     return ResidualReport(enclosure, certified, run)
 
 

@@ -627,7 +627,7 @@ class TestRowsSkipTheFractionReplay:
     def test_the_guard_catches_a_fraction_replay(self, monkeypatch):
         run = recurrence._recover(2920050977316, 2920050977317, 10**12, 5)
         self.forbid_fraction_steps(monkeypatch)
-        for steps in (run._width_steps(), *run._residual_ends()):
+        for steps in (run._widths(recurrence._fraction_steps), run._ends(recurrence._fraction_steps)):
             with pytest.raises(AssertionError, match="a Fraction was stepped"):
                 list(steps)
 

@@ -1,7 +1,8 @@
 """The package's public surface, read from the source with `ast`.
 
 The package root exports exactly the names README's Library section
-imports; every name a submodule lists in `__all__` is defined in it; no
+imports, and that section's code runs and gives each value its comments
+name; every name a submodule lists in `__all__` is defined in it; no
 source or test file imports a name it never uses, where a name listed in
 `__all__` counts as used; every function, method and attribute that
 the traced benchmark (`perfbench/worker.py`) wraps or reads still exists;
@@ -80,6 +81,24 @@ def readme_library_imports():
 def test_root_exports_match_readme():
     exported = declared_all(parse(PACKAGE / "__init__.py"))
     assert sorted(exported) == sorted(readme_library_imports())
+
+
+def test_readme_library_block_values():
+    # Each line `expression  # value` of the Library block must evaluate to
+    # an object whose repr is the comment, up to the ": " of a gloss.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL).group(1)
+    namespace = {}
+    checked = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("  # ")
+        if not comment:
+            exec(code, namespace)
+            continue
+        value = comment.split(": ", 1)[0]
+        assert repr(eval(code, namespace)) == value, line
+        checked.append(value)
+    assert len(checked) == 8
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)

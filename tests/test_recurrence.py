@@ -14,7 +14,13 @@ from hypothesis import given, settings, strategies as st
 from conftest import int_text_unlimited
 from primeconst import cli, recurrence
 from primeconst.constant import ConstantEnclosure, _compose, enclose, enclose_digits
-from primeconst.exact_arith import InvalidArgument, RationalInterval, format_rational, parse_decimal
+from primeconst.exact_arith import (
+    InvalidArgument,
+    RationalInterval,
+    _lowest_terms_steps,
+    format_rational,
+    parse_decimal,
+)
 from primeconst.recurrence import (
     FloorBelowTwo,
     RecoveryResult,
@@ -108,7 +114,7 @@ def assert_matches_oracle(start, max_terms):
     run = recover(start, max_terms)
     assert {name: getattr(run, name) for name in expected} == expected
     residual_rows, widths = oracle_row_texts(expected)
-    assert list(run._residual_rows()) == residual_rows
+    assert list(run._ends(_lowest_terms_steps)) == residual_rows
     assert run.to_json_dict()["widths"] == widths
     return run
 
@@ -286,10 +292,10 @@ class TestAgainstFractionOracle:
 
     def test_integer_point_rows(self):
         run = assert_matches_oracle(iv(3, 3), 2)
-        assert list(run._residual_rows()) == [("0/1", "0/1"), ("0/1", "0/1")]
+        assert list(run._ends(_lowest_terms_steps)) == [("0/1", "0/1"), ("0/1", "0/1")]
         assert run.to_json_dict()["widths"] == ["0/1", "0/1"]
         run = assert_matches_oracle(parse_decimal("3.0"), 10)
-        assert list(run._residual_rows()) == [("0/1", "1/10"), ("0/1", "3/10"), ("0/1", "9/10")]
+        assert list(run._ends(_lowest_terms_steps)) == [("0/1", "1/10"), ("0/1", "3/10"), ("0/1", "9/10")]
 
     def test_stop_kinds_each_reached(self):
         assert_matches_oracle(iv((5, 2), 3), 10)
@@ -378,6 +384,8 @@ def loop_recover(lo, hi, denominator, max_terms):
     Each step is a full-size multiply-by-small on the numerators over the
     common denominator, so the loop is quadratic; `_recover` must give the
     same RecoveryResult, field by field, and raise the same FloorBelowTwo.
+    Returns that result and the smallest residual upper numerator, which
+    the loop finds by comparing every step's and which is not a field.
     """
 
     def _step(x, m, denominator):
@@ -405,11 +413,20 @@ def loop_recover(lo, hi, denominator, max_terms):
         if min_upper is None or upper < min_upper:
             min_upper = upper
         x, y = _step(x, m, denominator), _step(y, m, denominator)
-    return RecoveryResult(tuple(recovered), stop, lo, hi, denominator, min_upper)
+    return RecoveryResult(tuple(recovered), stop, lo, hi, denominator, y), min_upper
+
+
+def assert_same_run(run, expected):
+    """`run` against a `loop_recover` result: every field, the smallest residual upper numerator and the bound."""
+    result, min_upper = expected
+    assert run == result
+    assert run.min_upper_numerator == min_upper
+    bound = None if min_upper is None or min_upper <= 0 else result.denominator // min_upper
+    assert run.denominator_bound == bound
 
 
 def assert_matches_loop(lo, hi, denominator, max_terms):
-    """`_recover` on [lo/D, hi/D] against `loop_recover`: every field, or the same FloorBelowTwo."""
+    """`_recover` on [lo/D, hi/D] against `loop_recover`: every field and the minimum, or the same FloorBelowTwo."""
     try:
         expected = loop_recover(lo, hi, denominator, max_terms)
     except FloorBelowTwo as oracle_error:
@@ -418,7 +435,7 @@ def assert_matches_loop(lo, hi, denominator, max_terms):
         assert (excinfo.value.floor_value, excinfo.value.step) == (oracle_error.floor_value, oracle_error.step)
         return None
     run = _recover(lo, hi, denominator, max_terms)
-    assert run == expected
+    assert_same_run(run, expected)
     return run
 
 
@@ -503,8 +520,8 @@ class TestAgainstTheLoop:
             # or forward from the first; each way must give the loop's.
             for walk_back in (recurrence._WALK_BACK, 0, 10**9):
                 monkeypatch.setattr(recurrence, "_WALK_BACK", walk_back)
-                assert _recover(lo, lo + 1, product, cap) == expected
-        assert len(expected.recovered) == terms_used // 3
+                assert_same_run(_recover(lo, lo + 1, product, cap), expected)
+        assert len(expected[0].recovered) == terms_used // 3
 
     def test_primes_enclosure_ten_to_the_five_digits(self):
         enclosure = enclose(SequenceSpec.primes(), 20488)
@@ -575,7 +592,7 @@ class TestRecoveryMemory:
     def test_peak_stays_a_multiple_of_the_operands(self):
         # Memory must grow with the operands, not with steps x operand size
         # (5300 x 9.3 kB here).  Past the terms themselves, the peak stays
-        # within 16 times P's size.
+        # within 16 times P's size, the smallest residual's pass included.
         enclosure = enclose(SequenceSpec.primes(), 5300)
         lo, _, product = enclosure.ints
         terms = SequenceSpec.primes().terms(5300)
@@ -583,11 +600,45 @@ class TestRecoveryMemory:
         tracemalloc.start()
         try:
             run = _recover(lo, lo + 1, product, 5300)
+            assert run.denominator_bound is not None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(run.recovered) == 5300
         assert peak < terms_bytes + 16 * product.bit_length() // 8
+
+
+def count_min_upper(monkeypatch):
+    """Count the calls of `recurrence._min_upper`."""
+    calls = []
+    min_upper = recurrence._min_upper
+    monkeypatch.setattr(recurrence, "_min_upper", lambda *args: calls.append(None) or min_upper(*args))
+    return calls
+
+
+class TestSmallestResidualOnFirstRead:
+    """A result finds its smallest residual upper bound when it is first read, and only then."""
+
+    def test_roundtrip_never_finds_it(self, monkeypatch):
+        calls = count_min_upper(monkeypatch)
+        report = roundtrip(SequenceSpec.primes(), 2590)
+        assert report.to_json_dict()["recovered_count"] == 2590
+        assert calls == []
+
+    def test_residuals_finds_it_once_for_its_cut(self, monkeypatch):
+        calls = count_min_upper(monkeypatch)
+        report = residuals(SequenceSpec.primes(), 2590, count=2589)
+        assert calls == []
+        assert report.run.denominator_bound is not None
+        assert report.run.min_residual_upper is not None
+        assert len(calls) == 1
+
+    def test_each_result_finds_it_once(self, monkeypatch):
+        calls = count_min_upper(monkeypatch)
+        run = _recover(*enclose(SequenceSpec.primes(), 905).ints, 905)
+        first = run.denominator_bound, run.min_residual_upper
+        assert (run.denominator_bound, run.min_residual_upper) == first
+        assert len(calls) == 1
 
 
 class TestResiduals:
@@ -641,9 +692,14 @@ class TestResiduals:
         for count in sorted(c for c in counts if c >= 0):
             run = residuals(spec, terms_used, count=count).run
             asked = terms_used if count == certified else count
-            assert run == _recover(*ints, asked)
+            fresh = _recover(*ints, asked)
+            assert run == fresh
+            assert (run.min_upper_numerator, run.denominator_bound) == (
+                fresh.min_upper_numerator,
+                fresh.denominator_bound,
+            )
             if walk_back == 0:
-                assert run == loop_recover(*ints, asked)
+                assert_same_run(run, loop_recover(*ints, asked))
 
     def test_count_below_certified_recovers_once(self, monkeypatch):
         calls = []
@@ -784,7 +840,7 @@ class TestRoundtrip:
         except InvalidArgument as exc:
             assert str(exc).endswith("; increase terms_used")
             return str(exc)
-        return list(report.run._residual_rows()), report.run.min_residual_upper, report.run.denominator_bound
+        return list(report.run._ends(_lowest_terms_steps)), report.run.min_residual_upper, report.run.denominator_bound
 
     @staticmethod
     def refuse(*args, **kwargs):
@@ -851,7 +907,7 @@ class TestPrintedRows:
         rows, _ = oracle_row_texts(expected)
         for count in (0, 1, 2, 10, 450, 904, 905):
             report = residuals(SequenceSpec.primes(), 905, count=count)
-            assert list(report.run._residual_rows()) == rows[:count]
+            assert list(report.run._ends(_lowest_terms_steps)) == rows[:count]
             assert report.run.residual_intervals == expected["residual_intervals"][:count]
 
 
