@@ -87,8 +87,15 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
         "--format", choices=("text", "json"), default="text", help="output format"
     )
     parser.add_argument(
-        "--out", metavar="PATH", default=None, help="write output to a file instead of stdout"
+        "--out", metavar="PATH", type=_out_path, default=None, help="write output to a file instead of stdout"
     )
+
+
+def _out_path(text: str) -> str:
+    """`--out`'s file name; an empty one names no file, so argparse refuses it."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file name, got ''")
+    return text
 
 
 def _resolve_sequence(args: argparse.Namespace) -> SequenceSpec:
@@ -263,7 +270,7 @@ def _cmd_recover(args: argparse.Namespace) -> _Output:
         return "\n".join(lines)
 
     def doc() -> Iterable[str]:
-        return _json_chunks({**run._json_fields(_ROWS), "warnings": warnings}, run._widths(_lowest_terms_steps))
+        return _json_chunks({**run._json_fields(_ROWS), "warnings": warnings}, run._widths())
 
     return text, doc, 0
 
@@ -476,10 +483,10 @@ def _write_file(path: str, render: Callable) -> None:
     A regular file, or a name not yet taken, gets a new file beside it (for
     a symlink, beside its target), with the old file's permission bits,
     renamed onto it once whole; on any failure the new file is removed, so
-    the old bytes stay or the name stays free.  A write-protected file is
-    refused, as opening it would be.  What is not a regular file, such as
-    /dev/null, a FIFO or /dev/fd/N, cannot be replaced and is written
-    directly.
+    the old bytes stay or the name stays free, and an error names `path`,
+    not the new file.  A write-protected file is refused, as opening it
+    would be.  What is not a regular file, such as /dev/null, a FIFO or
+    /dev/fd/N, cannot be replaced and is written directly.
     """
     try:
         mode = os.stat(path).st_mode
@@ -492,8 +499,12 @@ def _write_file(path: str, render: Callable) -> None:
     target = os.path.realpath(path)
     if mode is not None and not os.access(target, os.W_OK):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
-    temporary = Path(f"{target}.{os.getpid()}.tmp")
-    stream = open(temporary, "x", encoding="utf-8")
+    # A name that does not grow with the target's, so it fits wherever the target's does.
+    temporary = Path(os.path.dirname(target), f".primeconst.{os.getpid()}.tmp")
+    try:
+        stream = open(temporary, "x", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with stream:
             if mode is not None:
@@ -522,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
         if limit is not None:
             sys.set_int_max_str_digits(0)
         try:
-            if args.out:
+            if args.out is not None:
                 _write_file(args.out, render)
             else:
                 try:

@@ -19,74 +19,14 @@ Two cross-checks anchor the series value from outside the series code:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_arith import InvalidArgument, _check_int, _int_text
 from .sequences import SequenceSpec
 
-__all__ = [
-    "DistributionRow",
-    "NonDivisorDistribution",
-    "alpha_build",
-    "alpha_decode",
-    "nondivisor_distribution",
-    "nondivisor_mean",
-]
+__all__ = ["alpha_build", "alpha_decode", "nondivisor_mean"]
 
 _ALPHA_TERM_CAP = 12
-
-
-@dataclass(frozen=True)
-class DistributionRow:
-    """One prime's share of the smallest-non-dividing-prime distribution.
-
-    `probability` is the natural density of {n : the smallest non-dividing
-    prime of n is `prime`}, and `contribution` is prime * probability.
-    """
-
-    index: int
-    prime: int
-    probability: Fraction
-    contribution: Fraction
-
-
-@dataclass(frozen=True)
-class NonDivisorDistribution:
-    """Leading rows of the distribution plus their exact totals.
-
-    `contribution_total` over the first K rows equals the K-th partial sum
-    of the defining series of the primes constant, which ties the
-    probabilistic route to the series route exactly.
-    """
-
-    rows: tuple[DistributionRow, ...]
-    probability_total: Fraction
-    contribution_total: Fraction
-
-
-def nondivisor_distribution(rows: int) -> NonDivisorDistribution:
-    """Exact distribution rows for the first `rows` primes."""
-    _check_int(rows, "rows", 1)
-    primes = SequenceSpec.primes().terms(rows)
-    out: list[DistributionRow] = []
-    running_product = 1
-    for index, prime in enumerate(primes, start=1):
-        probability = Fraction(prime - 1, running_product * prime)
-        out.append(
-            DistributionRow(
-                index=index,
-                prime=prime,
-                probability=probability,
-                contribution=prime * probability,
-            )
-        )
-        running_product *= prime
-    return NonDivisorDistribution(
-        rows=tuple(out),
-        probability_total=sum(r.probability for r in out),
-        contribution_total=sum(r.contribution for r in out),
-    )
 
 
 def nondivisor_mean(limit: int) -> Fraction:

@@ -488,23 +488,27 @@ def _lowest_terms_steps(numerator: int, denominator: int, steps: Iterable[tuple[
     every step of an enclosure's rows, and else Q*(a/g) + R/g for
     g = gcd(a, R), a gcd of small ints, with n multiplied by a/g.  One fma
     adds c*(q/g).  n and q stay exact Decimals in `_EXACT`, so a step costs
-    time linear in their digits, and the text is read off their digits.
+    time linear in their digits, and the text is read off their digits; q's
+    text is kept until q changes, since with g = 1 it does not.
     """
     divisor = math.gcd(numerator, denominator)
     numerator, denominator = _exact_decimal(numerator // divisor), _exact_decimal(denominator // divisor)
+    denominator_text = None
     for a, c in steps:
         quotient, remainder = _EXACT.divmod(denominator, a)
         if remainder:
             remainder = int(remainder)
             divisor = math.gcd(a, remainder)
             if divisor > 1:
-                denominator = _EXACT.fma(quotient, a // divisor, remainder // divisor)
+                denominator, denominator_text = _EXACT.fma(quotient, a // divisor, remainder // divisor), None
             numerator = _EXACT.multiply(numerator, a // divisor)
         else:
-            denominator = quotient
+            denominator, denominator_text = quotient, None
         if c:
             numerator = _EXACT.fma(denominator, c, numerator)
-        yield f"{numerator}/{denominator}"
+        if denominator_text is None:
+            denominator_text = str(denominator)
+        yield f"{numerator}/{denominator_text}"
 
 
 _DECIMAL_RE = re.compile(r"^(\d+)(?:\.(\d+))?$")

@@ -140,10 +140,11 @@ class RecoveryResult:
     Only the terms, the stop reason, and lo, hi and hi after the last step
     as numerators over D are stored, so the result stays the size of one
     enclosure however many steps ran; the smallest residual upper bound is
-    found from them on first read.  Each per-step view hands the steps
-    x -> a*x + c of `_steps` to a stepper: `_fraction_steps` for the API's
-    Fractions, `exact_arith._lowest_terms_steps` for the printed rows, one
-    row at a time.  The rows have their own stepper because converting ints
+    found from them on first read.  Each per-step view steps x -> a*x + c
+    for the (a, c) of `_steps`.  The ends go to a stepper: `_fraction_steps`
+    for the API's intervals, `exact_arith._lowest_terms_steps` for the
+    printed rows, one row at a time; the widths are only printed, so they
+    go to the latter.  The rows have their own stepper because converting ints
     to text is the cost (at 10^4 digits a Fraction step by small ints takes
     about 45 us, format_rational of its value 2.2 ms), and the Fraction
     views are not read off the rows, since Fraction(n, q) pays a full-size
@@ -181,21 +182,16 @@ class RecoveryResult:
         q = self.denominator
         return zip(*(stepper(n - q, q, self._steps()) for n in (self.lo_numerator, self.hi_numerator)))
 
-    def _widths(self, stepper):
-        """The width entering each certified step, by `stepper`: w_k = a_{k-1} * w_{k-1}, from w_0 = w_1."""
+    def _widths(self):
+        """The printed width entering each certified step: w_k = a_{k-1} * w_{k-1}, from w_0 = w_1."""
         steps = ((before, 0) for before, _ in self._steps())
-        return stepper(self.hi_numerator - self.lo_numerator, self.denominator, steps)
+        return _lowest_terms_steps(self.hi_numerator - self.lo_numerator, self.denominator, steps)
 
     @property
     def intervals(self) -> tuple[RationalInterval, ...]:
         """The interval the k-th floor was taken from, for each certified step."""
         ends = zip(self.recovered, self._ends(_fraction_steps))
         return tuple(RationalInterval(lo + m, hi + m) for m, (lo, hi) in ends)
-
-    @property
-    def step_widths(self) -> list[Fraction]:
-        """Width of the interval entering each step; grows by the term extracted."""
-        return list(self._widths(_fraction_steps))
 
     @property
     def residual_intervals(self) -> list[RationalInterval]:
@@ -226,7 +222,7 @@ class RecoveryResult:
         }
 
     def to_json_dict(self) -> dict:
-        return self._json_fields(list(self._widths(_lowest_terms_steps)))
+        return self._json_fields(list(self._widths()))
 
 
 def recover(start: RationalInterval, max_terms: int) -> RecoveryResult:

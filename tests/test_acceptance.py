@@ -22,7 +22,7 @@ from fractions import Fraction
 from conftest import midpoint
 from primeconst import cli
 from primeconst.constant import enclose
-from primeconst.crosscheck import alpha_build, alpha_decode, nondivisor_distribution, nondivisor_mean
+from primeconst.crosscheck import alpha_build, alpha_decode, nondivisor_mean
 from primeconst.recurrence import recover, residuals, roundtrip
 from primeconst.sequences import SequenceSpec, validate_bertrand
 
@@ -152,7 +152,7 @@ def test_criterion_06_width_laws():
             enclosure = enclose(spec, terms_used)
             assert enclosure.interval.width == Fraction(1, enclosure.product)
         run = recover(enclose(spec, 50).interval, max_terms=50)
-        widths = run.step_widths
+        widths = [interval.width for interval in run.intervals]
         for k in range(len(widths) - 1):
             assert widths[k + 1] == widths[k] * run.recovered[k]
             checked_steps += 1
@@ -219,9 +219,15 @@ def test_criterion_07_residuals_and_bound():
 
 @criterion(8, "expectation identity")
 def test_criterion_08_expectation_identity():
-    for k in range(1, 51):
-        distribution = nondivisor_distribution(k)
-        assert distribution.contribution_total == enclose(PRIMES, k).partial_sum
+    # The smallest prime not dividing n is p_i with density
+    # (p_i - 1)/(p_1 * ... * p_i), so the first K primes contribute
+    # the sum over i <= K of p_i * (p_i - 1)/(p_1 * ... * p_i).
+    expectation = Fraction(0)
+    product = 1
+    for k, prime in enumerate(first_primes(50), start=1):
+        product *= prime
+        expectation += Fraction(prime * (prime - 1), product)
+        assert expectation == enclose(PRIMES, k).partial_sum
     return "sum of p*(1-1/p)/product == partial sum, exact for K <= 50"
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import decimal
+import errno
 import functools
 import io
 import json
@@ -621,15 +622,14 @@ class TestRowsSkipTheFractionReplay:
     def forbid_fraction_steps(monkeypatch):
         """Make every Fraction that recurrence.py forms refuse arithmetic, and its Fraction views raise."""
         monkeypatch.setattr(recurrence, "Fraction", UnsteppableFraction)
-        for name in ("intervals", "residual_intervals", "step_widths"):
+        for name in ("intervals", "residual_intervals"):
             monkeypatch.setattr(RecoveryResult, name, property(TestRowsSkipTheFractionReplay.refuse))
 
     def test_the_guard_catches_a_fraction_replay(self, monkeypatch):
         run = recurrence._recover(2920050977316, 2920050977317, 10**12, 5)
         self.forbid_fraction_steps(monkeypatch)
-        for steps in (run._widths(recurrence._fraction_steps), run._ends(recurrence._fraction_steps)):
-            with pytest.raises(AssertionError, match="a Fraction was stepped"):
-                list(steps)
+        with pytest.raises(AssertionError, match="a Fraction was stepped"):
+            list(run._ends(recurrence._fraction_steps))
 
     @pytest.mark.parametrize(
         "argv",
@@ -1013,7 +1013,25 @@ class TestStreamedOutput:
         argv = ["residuals", "--terms", "120", "--format", "json", "--out", os.devnull]
         assert run_cli(argv, capsys) == (0, "", "")
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
-        assert not os.path.exists(f"{os.devnull}.{os.getpid()}.tmp")
+        assert not os.path.exists(os.path.join(os.path.dirname(os.devnull), f".primeconst.{os.getpid()}.tmp"))
+
+    def test_out_takes_the_longest_name_the_directory_allows(self, capsys, tmp_path):
+        # The new file's name does not grow with the target's.
+        expected = run_cli(["mean", "--limit", "8"], capsys)[1]
+        target = tmp_path / ("f" * os.pathconf(tmp_path, "PC_NAME_MAX"))
+        assert run_cli(["mean", "--limit", "8", "--out", str(target)], capsys) == (0, "", "")
+        assert target.read_text(encoding="utf-8") == expected
+        assert [path.name for path in tmp_path.iterdir()] == [target.name]
+
+    def test_an_empty_out_is_refused(self, capsys, monkeypatch, tmp_path):
+        # An empty name is no file; it must not fall back to stdout or the working directory.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["mean", "--limit", "8", "--out", ""])
+        captured = capsys.readouterr()
+        assert (excinfo.value.code, captured.out) == (2, "")
+        assert "argument --out: expected a file name, got ''" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_streams_into_a_fifo(self, capsys, tmp_path):
         argv = ["residuals", "--terms", "120", "--format", "json"]
@@ -1069,10 +1087,11 @@ class TestStreamedOutput:
         assert [path.name for path in tmp_path.iterdir()] == ["rows.txt"]
 
     def test_unwritable_out_of_a_streamed_table_is_user_error(self, capsys, tmp_path):
+        # The error names the path as given, not the file written beside it.
         target = tmp_path / "missing" / "rows.json"
         code, out, err = run_cli(["residuals", "--terms", "50", "--format", "json", "--out", str(target)], capsys)
         assert (code, out) == (2, "")
-        assert err.startswith("error:")
+        assert err == f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(target)!r}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_render_memory_is_bounded_by_the_largest_row(self, tmp_path):

@@ -6,49 +6,9 @@ import pytest
 
 from conftest import midpoint
 from primeconst.constant import enclose
-from primeconst.crosscheck import (
-    alpha_build,
-    alpha_decode,
-    nondivisor_distribution,
-    nondivisor_mean,
-)
+from primeconst.crosscheck import alpha_build, alpha_decode, nondivisor_mean
 from primeconst.exact_arith import InvalidArgument, RationalInterval, to_decimal
 from primeconst.sequences import SequenceSpec, smallest_nondividing_prime
-
-
-class TestDistribution:
-    def test_first_three_rows_exact(self):
-        result = nondivisor_distribution(3)
-        rows = [(r.index, r.prime, r.probability, r.contribution) for r in result.rows]
-        assert rows == [
-            (1, 2, Fraction(1, 2), Fraction(1)),
-            (2, 3, Fraction(1, 3), Fraction(1)),
-            (3, 5, Fraction(2, 15), Fraction(2, 3)),
-        ]
-
-    def test_probability_mass(self):
-        # The leftover mass is exactly the density of multiples of the
-        # product of all listed primes.
-        for k in (1, 2, 5, 10):
-            result = nondivisor_distribution(k)
-            running = 1
-            for prime in SequenceSpec.primes().terms(k):
-                running *= prime
-            assert result.probability_total == 1 - Fraction(1, running)
-
-    def test_contribution_total_equals_partial_sum(self):
-        for k in range(1, 51):
-            result = nondivisor_distribution(k)
-            assert result.contribution_total == enclose(SequenceSpec.primes(), k).partial_sum
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            nondivisor_distribution(0)
-
-    @pytest.mark.parametrize("bad", [True, False, 3.0])
-    def test_rejects_bools_and_floats(self, bad):
-        with pytest.raises(TypeError):
-            nondivisor_distribution(bad)
 
 
 class TestNondivisorMean:

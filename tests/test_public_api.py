@@ -211,15 +211,16 @@ def test_attributes_the_worker_reads_exist(module, cls, name):
     assert name in class_members(module, cls)
 
 
-# The package's definitions that only tests and README's prose read, and why each stays.
+# The package's definitions that no package code, perfbench or README code
+# block reads, and the reason a library user has to call each.
 TEST_ONLY_SURFACE = {
-    "ConstantEnclosure.partial_sum": "an API edge README names; criterion 8 compares it with the crosscheck",
-    "interval_from_enclosure_json": "an API edge README names; the oracle for the CLI's `recover` edge",
-    "parse_rational": "an API edge README names; the oracle for the CLI's `recover` edge",
-    "RecoveryResult.step_widths": "criterion 6 reads the widths",
-    "RecoveryResult.residual_intervals": "criterion 7 reads the residual enclosures",
-    "nondivisor_distribution": "criterion 8 reads the distribution",
-    "smallest_nondividing_prime": "the elementwise oracle for `mean`",
+    "ConstantEnclosure.partial_sum": "the paper's partial sum g_N of the defining series",
+    "parse_rational": "parses any `a/b` the CLI prints, at any length, where `Fraction(text)` "
+    "refuses more digits than the interpreter's int-to-text limit",
+    "interval_from_enclosure_json": "reads a saved `constant --format json` document back, for `recover()`",
+    "RecoveryResult.residual_intervals": "the paper's residual enclosures of f_n - a_n; "
+    "perfbench/worker.py wraps it by name",
+    "smallest_nondividing_prime": "the elementwise definition that `mean` averages",
 }
 
 

@@ -76,7 +76,6 @@ def fraction_recover(start, max_terms):
         "recovered": tuple(recovered),
         "stop": stop,
         "intervals": tuple(intervals),
-        "step_widths": [i.hi - i.lo for i in intervals],
         "residual_intervals": residual_intervals,
         "min_residual_upper": min_upper,
         "denominator_bound": (
@@ -90,12 +89,12 @@ def oracle_row_texts(expected):
     """The rows `residuals` and `recover --format json` print, rendered the direct way.
 
     `expected` is a `fraction_recover` result: each residual interval and
-    width is a lowest-terms Fraction from the replay, printed by
+    interval width is a lowest-terms Fraction from the replay, printed by
     `format_rational`.
     """
     return (
         [(format_rational(r.lo), format_rational(r.hi)) for r in expected["residual_intervals"]],
-        [format_rational(w) for w in expected["step_widths"]],
+        [format_rational(i.width) for i in expected["intervals"]],
     )
 
 
@@ -200,7 +199,7 @@ class TestRecover:
         assert run.recovered == (3, 3, 3)
         assert run.stop.kind == "width_exceeds_one"
         assert run.stop.step == 4
-        assert run.step_widths == [
+        assert [i.width for i in run.intervals] == [
             Fraction(1, 10),
             Fraction(3, 10),
             Fraction(9, 10),
@@ -226,7 +225,7 @@ class TestRecover:
         for spec in (SequenceSpec.primes(), SequenceSpec.naturals(), SequenceSpec.doubling()):
             enclosure = enclose(spec, 50)
             run = recover(enclosure.interval, max_terms=50)
-            widths = run.step_widths
+            widths = [i.width for i in run.intervals]
             assert widths[0] == Fraction(1, enclosure.product)
             for k in range(len(widths) - 1):
                 assert widths[k + 1] == widths[k] * run.recovered[k]
@@ -375,7 +374,7 @@ class TestRowStepBranches:
             row_step_branches([getattr(r, end) for r in run.residual_intervals], run.recovered) for end in ("lo", "hi")
         )
         assert lo_branches | hi_branches == ends
-        assert row_step_branches(run.step_widths, run.recovered) == widths
+        assert row_step_branches([i.width for i in run.intervals], run.recovered) == widths
 
 
 def loop_recover(lo, hi, denominator, max_terms):
