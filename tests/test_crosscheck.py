@@ -11,6 +11,21 @@ from primeconst.exact_arith import InvalidArgument, RationalInterval, to_decimal
 from primeconst.sequences import SequenceSpec, smallest_nondividing_prime
 
 
+class TestDistribution:
+    def test_contribution_total_equals_partial_sum(self):
+        # p_i is the smallest non-divisor with density (p_i - 1)/(p_1 * ... * p_i);
+        # the first K rows' mass leaves exactly the multiples of the product.
+        contribution_total = probability_total = Fraction(0)
+        product = 1
+        for k, prime in enumerate(SequenceSpec.primes().terms(50), start=1):
+            product *= prime
+            probability = Fraction(prime - 1, product)
+            probability_total += probability
+            contribution_total += prime * probability
+            assert probability_total == 1 - Fraction(1, product)
+            assert contribution_total == enclose(SequenceSpec.primes(), k).partial_sum
+
+
 class TestNondivisorMean:
     def test_block_of_eight(self):
         # Values over 1..8 are 2,3,2,3,2,5,2,3 summing to 22.
