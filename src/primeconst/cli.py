@@ -241,7 +241,7 @@ def _ints_from_value(value: str) -> tuple[int, int, int]:
     if not path.exists():
         raise ParseError(f"--value is neither a decimal literal nor an existing file: {value!r}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"), parse_int=_parse_int_literal)
+        doc = json.loads(path.read_text(encoding="utf-8-sig"), parse_int=_parse_int_literal)
         return _over_lcm(*_enclosure_ends(doc))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, InputError) as exc:
         raise ParseError(f"{value}: not a valid enclosure document: {exc}") from None

@@ -30,9 +30,9 @@ applied once to the full numerators.  That (M, C) is the series' pair
 (P, S) of the same terms, so `constant._compose` forms both.  Floors
 certified on a window are certified on the interval it contains, and the
 last steps, where windows fail, run on the full numerators, so the terms,
-the stop and FloorBelowTwo are the one-step loop's.  The smallest
-residual upper bound comes, on first read, from a fixed-point pass backward
-from the final hi, evaluated exactly at its few candidates.
+the stop and FloorBelowTwo are the one-step loop's.  The smallest residual
+upper bound comes, on first read, from a fixed-point pass backward from the
+final hi, evaluated exactly at its few candidates by composed maps.
 """
 
 from __future__ import annotations
@@ -245,9 +245,9 @@ def recover(start: RationalInterval, max_terms: int) -> RecoveryResult:
 _LEAF_BITS = 3000
 # The residual pass keeps this many fractional bits.
 _FIXED_BITS = 128
-# Residual candidates this close to the last step are evaluated backward,
-# one exact division by a term per step, where a forward segment map would
-# cost a product of the whole prefix.
+# The smallest residual's exact pass jumps back from the last step over at
+# most this many terms: one division by their product, quadratic in CPython,
+# in place of forward segment maps that cost products of the whole prefix.
 _WALK_BACK = 1024
 
 
@@ -382,15 +382,19 @@ def _min_upper(terms: tuple[int, ...], hi: int, last: int, denominator: int) -> 
     """min over k of hi_k - a_k * D, where hi_k is hi after k - 1 steps and `last` hi after all.
 
     A backward pass in `_FIXED_BITS`-bit fixed point from t = last/D gives
-    each residual upper bound hi_k/D - a_k = t_{k+1}/a_k - 1 to within 2
-    units, since dividing by a_k >= 2 halves the error carried in.  So the
-    steps within 4 units of the smallest are the only candidates for the
-    minimum.  From u_k = hi_k - a_k * D = (u_{k+1} + (a_{k+1} - a_k) * D) / a_k,
-    which is >= 0, a_{k+1} <= a_k gives u_k <= u_{k+1} / 2, so only the
-    first step and those whose term exceeds the one before are candidates.
-    Those among the last `_WALK_BACK` steps are evaluated exactly by stepping
-    back from `last`, hi_k = hi_{k+1} / a_k + (a_k - 1) * D, and the others
-    by one forward pass of composed segment maps from hi.
+    each residual upper bound hi_k/D - a_k = t_{k+1}/a_k - 1.  Each rounding
+    floors, and dividing by a_k >= 2 halves the error carried in, so each
+    computed bound lies in (true - 2, true], and the steps within 4 units of
+    the smallest are the only candidates for the minimum.  From
+    u_k = hi_k - a_k * D = (u_{k+1} + (a_{k+1} - a_k) * D) / a_k, which is
+    >= 0, a_{k+1} <= a_k gives u_k <= u_{k+1} / 2, so only the first step and
+    those whose term exceeds the one before are candidates.  One pass of
+    composed segment maps carries hi forward through them, except that a
+    candidate k whose terms from k on number at most `_WALK_BACK` and have at
+    most a quarter of D's bits is reached back from `last`, by the inverse
+    of their map (M, C): hi_k = (last + C * D) // M.  That division costs
+    about D's size times M's, a forward map two products of D by the terms
+    before k, so it pays only where M is small.
     """
     if not terms:
         return None
@@ -407,23 +411,14 @@ def _min_upper(terms: tuple[int, ...], hi: int, last: int, denominator: int) -> 
             candidates = [(j, u) for j, u in candidates if u <= low + 4]
         if upper <= low + 4 and (k == 0 or m > terms[k - 1]):
             candidates.append((k, upper))
-    steps = sorted(k for k, _ in candidates)
-    wanted = set(steps)
-    near = next((k for k in steps if k >= len(terms) - _WALK_BACK), len(terms))
-    uppers = []
-    done = 0
-    for k in steps:
-        if k >= near:
-            break
+    size, uppers, done = denominator.bit_length(), [], 0
+    for k in sorted(k for k, _ in candidates):
+        if len(terms) - k <= _WALK_BACK and 4 * sum(map(int.bit_length, terms[k:])) <= size:
+            M, C = _compose(terms[k:])
+            hi, done = (last + C * denominator) // M, k
         M, C = _compose(terms[done:k])
-        hi = M * hi - C * denominator
-        done = k
+        hi, done = M * hi - C * denominator, k
         uppers.append(hi - terms[k] * denominator)
-    for k in range(len(terms) - 1, near - 1, -1):
-        m = terms[k]
-        last = last // m + (m - 1) * denominator
-        if k in wanted:
-            uppers.append(last - m * denominator)
     return min(uppers)
 
 

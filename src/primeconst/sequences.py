@@ -235,10 +235,12 @@ def validate_bertrand(terms) -> ValidationReport:
     for position, value in enumerate(terms, start=1):
         if not isinstance(value, int) or isinstance(value, bool) or value < 2:
             violations.append(Violation(position, ViolationKind.NOT_INTEGER_GE2))
+    # A pair holding a bool or a non-int is not compared; with no term refused above, there is none.
+    typed = not violations
     equalities: list[int] = []
     tail_all_equal = True
     for position, (a, b) in enumerate(zip(terms, terms[1:]), start=1):
-        if not isinstance(a, int) or not isinstance(b, int):
+        if not typed and (type(a) is bool or type(b) is bool or not isinstance(a, int) or not isinstance(b, int)):
             continue
         if b <= a:
             violations.append(Violation(position, ViolationKind.NOT_INCREASING))
@@ -274,10 +276,10 @@ def load_sequence_file(path) -> list[int]:
     """Read one positive integer per line; '#' starts a comment, blanks skipped.
 
     Raises ParseError with the line number for anything else, and for a
-    file that is not UTF-8 text.
+    file that is not UTF-8 text.  A leading byte-order mark is skipped.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     terms: list[int] = []

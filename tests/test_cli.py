@@ -247,6 +247,30 @@ class TestRecoverCommand:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {path}: not a valid enclosure document: ")
 
+    def test_enclosure_file_with_byte_order_mark(self, capsys, tmp_path):
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        assert cli.main(["constant", "--sequence", "primes", "--terms", "20", "--format", "json", "--out", str(plain)]) == 0
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for fmt in ("text", "json"):
+            outputs = [run_cli(["recover", "--value", str(path), "--format", fmt], capsys) for path in (plain, marked)]
+            assert outputs[0] == outputs[1]
+            assert outputs[0][0] == 0
+
+    @pytest.mark.parametrize("encode", [lambda text: "{\ufeff" + text[1:], lambda text: "\ufeff\ufeff" + text])
+    def test_byte_order_mark_inside_an_enclosure_file(self, capsys, tmp_path, encode):
+        path = tmp_path / "enc.json"
+        path.write_text(encode('{"lo": "29/10", "hi": "3"}'), encoding="utf-8")
+        code, out, err = run_cli(["recover", "--value", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: not a valid enclosure document: ")
+
+    def test_utf16_enclosure_file(self, capsys, tmp_path):
+        path = tmp_path / "enc.json"
+        path.write_text('{"lo": "29/10", "hi": "3"}', encoding="utf-16")
+        code, out, err = run_cli(["recover", "--value", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: not a valid enclosure document: ")
+
     def test_value_error_while_reading_a_document_is_internal(self, capsys, tmp_path, monkeypatch):
         # Only the decoder's and the parser's refusals mean a bad document.
         def explode(*args):
@@ -354,6 +378,17 @@ class TestValidateCommand:
         code, out, err = run_cli(["validate", "--sequence-file", str(path)], capsys)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {path}: not UTF-8 text: ")
+
+    def test_file_with_byte_order_mark(self, capsys, tmp_path):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(b"2\n3\n5\n7\n")
+        marked.write_bytes(b"\xef\xbb\xbf2\n3\n5\n7\n")
+        for fmt in ("text", "json"):
+            outputs = [
+                run_cli(["validate", "--sequence-file", str(path), "--format", fmt], capsys) for path in (plain, marked)
+            ]
+            assert outputs[0] == outputs[1]
+            assert outputs[0][0] == 0
 
     def test_file_prefix_with_terms(self, capsys, tmp_path):
         path = tmp_path / "seq.txt"

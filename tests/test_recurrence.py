@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 import math
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -515,8 +516,8 @@ class TestAgainstTheLoop:
         lo, _, product = enclosure.ints
         for cap in (10**9, terms_used, terms_used // 3):
             expected = loop_recover(lo, lo + 1, product, cap)
-            # The smallest residual is evaluated backward from the last step
-            # or forward from the first; each way must give the loop's.
+            # The smallest residual is reached by a jump back from the last
+            # step or forward from the first; each way must give the loop's.
             for walk_back in (recurrence._WALK_BACK, 0, 10**9):
                 monkeypatch.setattr(recurrence, "_WALK_BACK", walk_back)
                 assert_same_run(_recover(lo, lo + 1, product, cap), expected)
@@ -640,6 +641,123 @@ class TestSmallestResidualOnFirstRead:
         assert len(calls) == 1
 
 
+WALK_BACKS = (0, recurrence._WALK_BACK, 10**9)
+
+
+def every_step_min_upper(terms, hi, last, denominator):
+    """min over k of hi_k - a_k * D, stepping hi by the one-term map: the oracle for `_min_upper`."""
+    uppers = []
+    for a in terms:
+        uppers.append(hi - a * denominator)
+        hi = a * (hi - (a - 1) * denominator)
+    assert hi == last
+    return min(uppers, default=None)
+
+
+def random_decimal(seed, digits=2000):
+    """(lo, hi, D) of a decimal with a random integer part from 2 to 9 and `digits` random digits after the point."""
+    rng = random.Random(seed)
+    return parse_decimal(f"{rng.randint(2, 9)}." + "".join(rng.choices("0123456789", k=digits)))._lcm_numerators()
+
+
+MIN_UPPER_STARTS = {
+    "doubling-100": lambda: enclose(SequenceSpec.doubling(), 100).ints,
+    "doubling-300": lambda: enclose(SequenceSpec.doubling(), 300).ints,
+    **{f"random-decimal-{seed}": functools.partial(random_decimal, seed) for seed in (1, 9, 10)},
+    "primes-905": lambda: enclose(SequenceSpec.primes(), 905).ints,
+    "primes-2590": lambda: enclose(SequenceSpec.primes(), 2590).ints,
+    "naturals-600": lambda: enclose(SequenceSpec.naturals(), 600).ints,
+    "3.000...": lambda: parse_decimal("3." + "0" * 4000)._lcm_numerators(),
+}
+
+
+@functools.cache
+def min_upper_case(name):
+    """The arguments `_min_upper` takes for the recovery of MIN_UPPER_STARTS[name], and the oracle's minimum."""
+    run = _recover(*MIN_UPPER_STARTS[name](), 10**6)
+    args = (run.recovered, run.hi_numerator, run.end_numerator, run.denominator)
+    return args, every_step_min_upper(*args)
+
+
+def counting_terms(terms, bits):
+    """`terms` as ints that record the size of every number of more than `bits` bits divided by them."""
+    divided = []
+
+    class Term(int):
+        def __rfloordiv__(self, other):
+            if other.bit_length() > bits:
+                divided.append(other.bit_length())
+            return int.__rfloordiv__(self, other)
+
+    return tuple(map(Term, terms)), divided
+
+
+class TestOnePassMinimum:
+    """`_min_upper` finds its candidates' exact bounds in one pass of composed maps, with no step-by-step walk."""
+
+    @staticmethod
+    def check(lo, hi, denominator, max_terms):
+        """`_min_upper` of the recovery of [lo/D, hi/D] against the every-step oracle, at each jump limit."""
+        try:
+            run = _recover(lo, hi, denominator, max_terms)
+        except FloorBelowTwo:
+            return
+        args = (run.recovered, run.hi_numerator, run.end_numerator, run.denominator)
+        expected = every_step_min_upper(*args)
+        for walk_back in WALK_BACKS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(recurrence, "_WALK_BACK", walk_back)
+                assert recurrence._min_upper(*args) == expected
+
+    @pytest.mark.parametrize("walk_back", WALK_BACKS)
+    @pytest.mark.parametrize("name", list(MIN_UPPER_STARTS))
+    def test_against_every_step(self, monkeypatch, name, walk_back):
+        args, expected = min_upper_case(name)
+        monkeypatch.setattr(recurrence, "_WALK_BACK", walk_back)
+        assert recurrence._min_upper(*args) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(start=st.one_of(start_intervals(), lowest_terms_edge_intervals()), max_terms=st.integers(0, 80))
+    def test_random_starts(self, start, max_terms):
+        self.check(*start._lcm_numerators(), max_terms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=window_intervals())
+    def test_random_windows(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("name", ["doubling-300", "random-decimal-1"])
+    def test_no_full_size_number_is_divided_by_a_term(self, name):
+        # A step-by-step walk back from the last step would divide the
+        # full-size hi by every term it passes: 300 times on the doubling
+        # enclosure.
+        (terms, hi, last, denominator), expected = min_upper_case(name)
+        counted, divided = counting_terms(terms, 4096)
+        assert denominator.bit_length() > 4096
+        assert recurrence._min_upper(counted, hi, last, denominator) == expected
+        assert divided == []
+
+    @pytest.mark.parametrize(
+        "name, jumps", [("primes-905", True), ("primes-2590", True), ("random-decimal-9", False), ("random-decimal-10", False)]
+    )
+    def test_jump_back_only_over_a_short_product(self, monkeypatch, name, jumps):
+        # The primes' minimum lies near the end: one division by the product
+        # of the last few terms replaces a forward map over most of the run.
+        # These random decimals' minimum lies past the middle of the run, but
+        # the terms from there on, which grow along it, hold over a quarter of
+        # D's bits; dividing by their product would cost more than the map.
+        (terms, hi, last, denominator), expected = min_upper_case(name)
+        composed = []
+        monkeypatch.setattr(recurrence, "_compose", lambda segment: composed.append(segment) or _compose(segment))
+        assert recurrence._min_upper(terms, hi, last, denominator) == expected
+        suffixes = [segment for segment in composed if segment and segment == terms[-len(segment):]]
+        assert bool(suffixes) == jumps
+        if jumps:
+            assert all(len(segment) <= len(terms) // 2 for segment in composed)
+        else:
+            assert 2 * max(map(len, composed)) > len(terms)
+
+
 class TestResiduals:
     def test_primes_fifty_terms(self):
         report = residuals(SequenceSpec.primes(), 50)
@@ -681,8 +799,8 @@ class TestResiduals:
         "name, terms_used", [("primes", 905), ("primes", 2590), ("doubling", 220), ("naturals", 300)]
     )
     def test_count_cuts_the_run_to_a_fresh_recovery(self, monkeypatch, name, terms_used, walk_back):
-        # Doubling ties every step for the smallest residual; the walk-back
-        # limit decides which candidates are stepped back from the last hi.
+        # Doubling ties every step for the smallest residual; the jump's
+        # limit decides which candidates are reached back from the last hi.
         monkeypatch.setattr(recurrence, "_WALK_BACK", walk_back)
         spec = SequenceSpec.from_name(name)
         ints = enclose(spec, terms_used).ints

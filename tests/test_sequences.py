@@ -193,6 +193,13 @@ class TestValidateBertrand:
         kinds = {(v.index, v.kind) for v in report.violations}
         assert (2, ViolationKind.NOT_INTEGER_GE2) in kinds
 
+    @pytest.mark.parametrize("terms, index", [([True, 3], 1), ([2, False, 3], 2)])
+    def test_bool_term_reports_only_its_type(self, terms, index):
+        # Compared as ints, True would exceed its pair's bound and False would
+        # break the order; a bool is refused as a float is.
+        report = validate_bertrand(terms)
+        assert [(v.index, v.kind) for v in report.violations] == [(index, ViolationKind.NOT_INTEGER_GE2)]
+
     def test_violation_in_the_middle(self):
         terms = [2, 3, 5, 9, 20, 21]
         report = validate_bertrand(terms)
@@ -319,6 +326,26 @@ class TestSequenceFile:
                 load_sequence_file(path)
         else:
             assert load_sequence_file(path) == [2, expected]
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        marked, plain = tmp_path / "marked.txt", tmp_path / "plain.txt"
+        marked.write_bytes(b"\xef\xbb\xbf2\n3\n5\n7\n")
+        plain.write_bytes(b"2\n3\n5\n7\n")
+        assert load_sequence_file(marked) == load_sequence_file(plain) == [2, 3, 5, 7]
+
+    @pytest.mark.parametrize("text, lineno", [("\ufeff\ufeff2\n3\n", 1), ("2\n\ufeff3\n", 2), ("2\ufeff\n3\n", 1)])
+    def test_byte_order_mark_elsewhere_is_refused(self, tmp_path, text, lineno):
+        path = tmp_path / "seq.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f":{lineno}: not an integer"):
+            load_sequence_file(path)
+
+    def test_utf16_file_is_refused(self, tmp_path):
+        # A UTF-16 file starts with its own byte-order mark, which is not UTF-8.
+        path = tmp_path / "seq.txt"
+        path.write_text("2\n3\n", encoding="utf-16")
+        with pytest.raises(ParseError, match="not UTF-8 text"):
+            load_sequence_file(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
