@@ -237,11 +237,11 @@ def _ints_from_value(value: str) -> tuple[int, int, int]:
         return _decimal_ints(value)
     except ParseError:
         pass
-    path = Path(value)
-    if not path.exists():
+    # os.path.exists is False, not an error, for "" and for a name too long to be a file.
+    if not os.path.exists(value):
         raise ParseError(f"--value is neither a decimal literal nor an existing file: {value!r}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8-sig"), parse_int=_parse_int_literal)
+        doc = json.loads(Path(value).read_text(encoding="utf-8-sig"), parse_int=_parse_int_literal)
         return _over_lcm(*_enclosure_ends(doc))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, InputError) as exc:
         raise ParseError(f"{value}: not a valid enclosure document: {exc}") from None
@@ -499,8 +499,9 @@ def _write_file(path: str, render: Callable) -> None:
     target = os.path.realpath(path)
     if mode is not None and not os.access(target, os.W_OK):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
-    # A name that does not grow with the target's, so it fits wherever the target's does.
-    temporary = Path(os.path.dirname(target), f".primeconst.{os.getpid()}.tmp")
+    # A name that does not grow with the target's, so it fits wherever the target's does,
+    # and is random, so a file left by a killed run whose pid comes back is not in the way.
+    temporary = Path(os.path.dirname(target), f".primeconst.{os.urandom(8).hex()}.tmp")
     try:
         stream = open(temporary, "x", encoding="utf-8")
     except OSError as exc:

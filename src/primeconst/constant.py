@@ -28,8 +28,9 @@ takes the pair of each 64-term run from it and combines the runs
 bottom-up in exact Decimals, whose large products libmpdec forms by
 number-theoretic transform.  The P of every range is kept, as the one
 product tree of P_N that the renderer descends for its lowest-terms gcds
-(`exact_arith._IntervalText`).  `plan_terms` takes its term count from a
-float sum of log10 a_k and confirms it on that exact P.  An enclosure
+(`exact_arith._IntervalText`).  `plan_terms` starts from a float sum of
+log10 a_k, whose error bound keeps the start at or below the term count,
+and counts up on that exact P.  An enclosure
 builds each form from its terms on first read, by one route: (L, L + 1, P)
 as ints by `_compose`, and the Decimal series by `_series`, for the renderer.
 """
@@ -102,11 +103,6 @@ class _Series:
         """The series of a_1..a_N, a."""
         levels = tuple(level[:-1] + (_EXACT.multiply(level[-1], a),) for level in self.levels)
         return _Series(self.count + 1, levels, _EXACT.multiply(_EXACT.add(self.numerator, a - 1), a))
-
-    def shortened(self, a: int) -> _Series:
-        """The series of a_1..a_{N-1}, for a = a_N, by exact division."""
-        levels = tuple(level[:-1] + (_EXACT.divide_int(level[-1], a),) for level in self.levels)
-        return _Series(self.count - 1, levels, _EXACT.subtract(_EXACT.divide_int(self.numerator, a), a - 1))
 
 
 def _compose(terms: Sequence[int]) -> tuple[int, int]:
@@ -259,39 +255,42 @@ def enclose(spec: SequenceSpec, terms_used: int, max_digits: int | None = None) 
 
 
 def _proposal(spec: SequenceSpec, digits: int) -> tuple[list[int], int]:
-    """Terms of `spec`, and the count at which a float sum of their log10 first reaches digits + 2.
+    """Terms of `spec`, and a start at or below the smallest N with P_N >= 10**(digits + 2).
 
-    Of an explicit sequence only the terms before the first below 2 are summed,
-    and their count is taken if the sum stops short.  A built-in one gives more.
+    The start is the first count whose float sum of log10 a_k reaches
+    digits + 2 - e, where e = (n + 2) * s * 2**-52, for n terms summing to s,
+    bounds the rounding of the log10s and of the running sum (Higham,
+    Accuracy and Stability of Numerical Algorithms, 4.2).  Of an explicit
+    sequence only the terms before the first below 2 are summed, and their
+    count is taken if the sum stops short.  A built-in one gives more.
     """
     target = digits + 2
     if spec.kind is SequenceKind.EXPLICIT:
         terms = list(spec.explicit_terms)
         prefix = len(terms) if min(terms) >= 2 else next(i for i, a in enumerate(terms) if a < 2)
         sums = list(itertools.accumulate(map(math.log10, terms[:prefix])))
-        return terms, min(bisect.bisect_left(sums, target) + 1, prefix)
-    count = _RUN
-    if spec.kind is SequenceKind.PRIMES:
-        # One sieve: ln P_N = theta(p_N) is a little below p_N, so p_N lies just past
-        # (digits + 2) * ln 10, and pi(x) <= x / (ln x - 1.1) for x >= 60184 (Dusart 2010).
-        x = 1.01 * target * math.log(10) + 10
-        count = int(x / (math.log(x) - 1.1)) + 4
-    while True:
-        terms = spec.terms(count)
-        sums = list(itertools.accumulate(map(math.log10, terms)))
-        if sums[-1] >= target:
-            return terms, bisect.bisect_left(sums, target) + 1
-        count *= 2
+    else:
+        count = _RUN
+        if spec.kind is SequenceKind.PRIMES:
+            # One sieve: ln P_N = theta(p_N) is a little below p_N, so p_N lies just past
+            # (digits + 2) * ln 10, and pi(x) <= x / (ln x - 1.1) for x >= 60184 (Dusart 2010).
+            x = 1.01 * target * math.log(10) + 10
+            count = int(x / (math.log(x) - 1.1)) + 4
+        while True:
+            terms = spec.terms(count)
+            sums = list(itertools.accumulate(map(math.log10, terms)))
+            if sums[-1] >= target:
+                break
+            count *= 2
+    e = (len(sums) + 2) * sums[-1] * 2**-52 if sums else 0.0
+    return terms, min(bisect.bisect_left(sums, target - e) + 1, len(sums))
 
 
 def _planned(spec: SequenceSpec, digits: int) -> _Series:
-    """The series of a_1..a_N for the smallest N with P_N >= 10**(digits + 2), confirmed exactly."""
+    """The series of a_1..a_N for the smallest N with P_N >= 10**(digits + 2), counted up exactly."""
     terms, count = _proposal(spec, digits)
     threshold = _EXACT.scaleb(1, digits + 2)
     series = _series(terms[:count])
-    # Up to the proposal every term is >= 2, so P_{N-1} = P_N / a_N; past a smaller one the second loop scans.
-    while series.count > 1 and _EXACT.divide_int(series.product, terms[series.count - 1]) >= threshold:
-        series = series.shortened(terms[series.count - 1])
     while series.product < threshold:
         if series.count == len(terms):
             terms = spec.terms(series.count + 1)
@@ -309,9 +308,10 @@ def plan_terms(spec: SequenceSpec, digits: int) -> int:
     has 99 at places 225-226, so 224 digits of it need one more term.
     `enclose_digits` adds the terms that such a case needs.
 
-    A float sum of log10 a_k proposes N; P_N >= 10**(digits + 2) > P_N / a_N on
-    the series' exact P confirms it or moves it a term at a time.  An explicit
-    sequence that runs out first raises ExplicitExhausted for the term after its last.
+    A float sum of log10 a_k, less a bound on its rounding error, gives a
+    start at or below N; the series' exact P counts up from there a term at
+    a time.  An explicit sequence that runs out first raises
+    ExplicitExhausted for the term after its last.
     """
     _check_int(digits, "digits", 1)
     return _planned(spec, digits).count

@@ -285,10 +285,9 @@ def _windows(x: int, width: int, q: int, budget: int, exact: bool = False):
     applies the window's map once to the numerators here.  A window
     contains the interval, so a floor certified on it is certified here.
     Where there is too little to cut, `_base` steps the numerators here.
-    A window stops at its first pass without progress, or at once if its
-    first floor is not certified.  Returns the terms, their map (M, C),
-    under which a numerator x over q becomes M*x - C*q, and the final lo
-    and width numerators.
+    A window stops at its first pass without progress.  Returns the terms,
+    their map (M, C), under which a numerator x over q becomes M*x - C*q,
+    and the final lo and width numerators.
 
     `exact` marks the caller's own interval at full precision, whose map
     nobody needs, so it is not formed.  A pass without progress there
@@ -296,10 +295,6 @@ def _windows(x: int, width: int, q: int, budget: int, exact: bool = False):
     after each such pass, so input on which windows keep failing costs
     about what the base loop costs.
     """
-    if not exact:
-        m, r = divmod(x, q)
-        if m < 2 or width >= q - r:
-            return [], 1, 0, x, width
     terms: list[int] = []
     M, C = 1, 0
     fallback = 1

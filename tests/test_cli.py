@@ -226,6 +226,14 @@ class TestRecoverCommand:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("value", ["", "2." + "9" * 300 + "x"], ids=["empty", "longer-than-a-file-name"])
+    def test_neither_a_decimal_nor_a_file(self, capsys, value):
+        # Path("") is the working directory, and a name past NAME_MAX makes
+        # the file system raise: neither is a file the value names.
+        code, out, err = run_cli(["recover", "--value", value], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --value is neither a decimal literal nor an existing file: {value!r}\n"
+
     def test_junk_enclosure_file(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json")
@@ -733,11 +741,10 @@ def oracle_interval_from_value(value):
         return parse_decimal(value)
     except ParseError:
         pass
-    path = Path(value)
-    if not path.exists():
+    if not os.path.exists(value):
         raise ParseError(f"--value is neither a decimal literal nor an existing file: {value!r}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"), parse_int=exact_arith._parse_int_literal)
+        doc = json.loads(Path(value).read_text(encoding="utf-8"), parse_int=exact_arith._parse_int_literal)
         return interval_from_enclosure_json(doc)
     except (json.JSONDecodeError, ValueError, RecursionError) as exc:
         raise ParseError(f"{value}: not a valid enclosure document: {exc}") from None
@@ -1048,7 +1055,19 @@ class TestStreamedOutput:
         argv = ["residuals", "--terms", "120", "--format", "json", "--out", os.devnull]
         assert run_cli(argv, capsys) == (0, "", "")
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
-        assert not os.path.exists(os.path.join(os.path.dirname(os.devnull), f".primeconst.{os.getpid()}.tmp"))
+        assert not list(Path(os.devnull).parent.glob(".primeconst.*.tmp"))
+
+    def test_out_passes_a_temporary_left_by_a_killed_run(self, capsys, tmp_path):
+        # A run killed mid-write leaves its temporary behind, and a later run
+        # may get the same pid; the old name, pid and all, must not block it.
+        expected = run_cli(["mean", "--limit", "8"], capsys)[1]
+        stale = tmp_path / f".primeconst.{os.getpid()}.tmp"
+        stale.write_text("partial")
+        target = tmp_path / "out.txt"
+        assert run_cli(["mean", "--limit", "8", "--out", str(target)], capsys) == (0, "", "")
+        assert target.read_text(encoding="utf-8") == expected
+        assert stale.read_text() == "partial"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [stale.name, "out.txt"]
 
     def test_out_takes_the_longest_name_the_directory_allows(self, capsys, tmp_path):
         # The new file's name does not grow with the target's.

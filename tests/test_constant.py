@@ -1,8 +1,8 @@
 """Tests for partial sums, enclosures, and term planning.
 
 The Horner-form series numerator, the one-term-at-a-time planning loop and
-the fresh-enclosure extension loop, which the binary splitting, the
-confirmed float plan and the one-term series extension replaced, are kept
+the fresh-enclosure extension loop, which the binary splitting, the count
+up from a float start and the one-term series extension replaced, are kept
 here as differential oracles.
 """
 
@@ -98,6 +98,14 @@ def outcome(fn, *args):
         return fn(*args)
     except Exception as exc:  # compared, not swallowed
         return type(exc), str(exc)
+
+
+def assert_plans_like_the_loop(spec, digits):
+    """plan_terms gives the loop's count or error, and `_proposal` starts at or below that count."""
+    expected = outcome(plan_terms_oracle, spec, digits)
+    assert outcome(plan_terms, spec, digits) == expected, digits
+    if isinstance(expected, int):
+        assert constant._proposal(spec, digits)[1] <= expected, digits
 
 
 class TestProduct:
@@ -249,18 +257,21 @@ class TestBinarySplitting:
 
 
 class TestOneTermSteps:
-    """`_Series.extended` and `shortened` against a series built afresh."""
+    """`_Series.extended` against a series built afresh."""
 
     @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=str)
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129, 300])
     def test_extended_and_shortened(self, spec, n):
+        # One term on from n, and from a start a few terms short of n + 1, as
+        # the planner counts up from a start below the count it returns.
         terms = spec.terms(n + 1)
         fresh = _series(terms[: n + 1])
         extended = _series(terms[:n]).extended(terms[n])
         assert (extended.count, extended.product, extended.numerator) == (n + 1, fresh.product, fresh.numerator)
-        shortened = fresh.shortened(terms[n])
-        before = _series(terms[:n])
-        assert (shortened.count, shortened.product, shortened.numerator) == (n, before.product, before.numerator)
+        shortened = _series(terms[: max(0, n - 3)])
+        while shortened.count <= n:
+            shortened = shortened.extended(terms[shortened.count])
+        assert (shortened.count, shortened.product, shortened.numerator) == (n + 1, fresh.product, fresh.numerator)
         for series in (extended, shortened):
             levels = [[int(node) for node in level] for level in series.levels]
             for below, above in zip(levels, levels[1:]):
@@ -507,11 +518,11 @@ class TestPlanTermsAgainstLoop:
     @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=str)
     def test_builtins_up_to_two_thousand_digits(self, spec):
         for digits in range(1, 2001):
-            assert plan_terms(spec, digits) == plan_terms_oracle(spec, digits), digits
+            assert_plans_like_the_loop(spec, digits)
 
     @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=str)
     def test_builtins_at_a_hundred_thousand_digits(self, spec):
-        assert plan_terms(spec, 10**5) == plan_terms_oracle(spec, 10**5)
+        assert_plans_like_the_loop(spec, 10**5)
 
     def test_primes_at_a_hundred_thousand_digits(self):
         assert plan_terms(SequenceSpec.primes(), 10**5) == 20488
@@ -528,8 +539,7 @@ class TestPlanTermsAgainstLoop:
     def test_explicit_sequences(self, terms, digits):
         # Ones, zeros and negatives too, and runs of small terms that carry
         # the search past its first blocks: the same count or the same error.
-        spec = SequenceSpec.explicit(terms)
-        assert outcome(plan_terms, spec, digits) == outcome(plan_terms_oracle, spec, digits)
+        assert_plans_like_the_loop(SequenceSpec.explicit(terms), digits)
 
     @pytest.mark.parametrize("base", [2, 10])
     def test_product_equal_to_the_threshold(self, base):
@@ -537,7 +547,7 @@ class TestPlanTermsAgainstLoop:
         # nodes of the tree too; the first count that meets it is the plan.
         spec = SequenceSpec.explicit([base] * 1000)
         for digits in range(1, 290):
-            assert plan_terms(spec, digits) == plan_terms_oracle(spec, digits), digits
+            assert_plans_like_the_loop(spec, digits)
 
     @pytest.mark.parametrize("length", [1, 5, 63, 64, 65, 191, 192, 193, 500])
     def test_explicit_exhaustion_message(self, length):
@@ -576,7 +586,7 @@ class TestPlanTermsAgainstLoop:
         spec = SequenceSpec.explicit([base] * length)
         top = str_length(base**length) + 1
         for digits in sorted({*range(1, min(top, 160)), *range(max(1, top - 160), top)}):
-            assert outcome(plan_terms, spec, digits) == outcome(plan_terms_oracle, spec, digits), digits
+            assert_plans_like_the_loop(spec, digits)
 
     @pytest.mark.parametrize(
         "head",
@@ -588,12 +598,24 @@ class TestPlanTermsAgainstLoop:
         # next to, so the exact check decides.
         spec = SequenceSpec.explicit(head + [2, 3, 5, 7, 11, 13] * 20)
         for digits in [*range(1, 40), *range(4985, 5030)]:
-            assert outcome(plan_terms, spec, digits) == outcome(plan_terms_oracle, spec, digits), digits
+            assert_plans_like_the_loop(spec, digits)
 
-    @pytest.mark.parametrize("shift", [-70, -3, -1, 1, 2, 65])
+    @pytest.mark.parametrize("head", [2, 8])
+    def test_a_float_sum_just_short_of_an_exact_threshold(self, head):
+        # P_2 is 10**(k + 1), or head more, but past 10**308 the float sum
+        # of the two log10s can fall an ulp short of k + 1; only the start's
+        # error bound keeps the plan from taking a third term.
+        for k in range(300, 400):
+            big = 10 ** (k + 1) // head
+            for c in (0, 1):
+                spec = SequenceSpec.explicit([head, big + c, 7, 11])
+                for digits in (k - 2, k - 1, k, k + 1):
+                    assert_plans_like_the_loop(spec, digits)
+
+    @pytest.mark.parametrize("shift", [-70, -3, -1, 0])
     @pytest.mark.parametrize("spec", [*ALL_BUILTINS, SequenceSpec.explicit([10] * 300)], ids=str)
     def test_confirmation_moves_a_wrong_proposal(self, monkeypatch, spec, shift):
-        # Whatever count the floats propose, the exact check returns the
+        # From any start at or below it, the exact count returns the
         # smallest N with P_N >= 10**(digits + 2), a term at a time.
         proposal = constant._proposal
 

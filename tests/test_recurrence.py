@@ -178,6 +178,23 @@ class TestComposedMap:
         assert x + width == M * hi - C * product
 
 
+class TestWindowWithoutAFirstFloor:
+    """A window whose first floor is not certified finds no terms: its sub-windows contain it, down to `_base`."""
+
+    @pytest.mark.parametrize("bits", [64, recurrence._LEAF_BITS, recurrence._LEAF_BITS + 2, 4 * recurrence._LEAF_BITS])
+    @pytest.mark.parametrize("case", ["straddles-3", "floor-0", "floor-1", "hi-at-the-next-integer", "width-past-one"])
+    def test_returns_no_terms_and_the_identity_map(self, bits, case):
+        q = (1 << bits) - 3
+        x, width = {
+            "straddles-3": (3 * q - 5, 10),
+            "floor-0": (q // 3, 1 << (bits // 2)),
+            "floor-1": (q + q // 3, 1),
+            "hi-at-the-next-integer": (5 * q + q // 3, q - q // 3),
+            "width-past-one": (5 * q + 1, 2 * q),
+        }[case]
+        assert recurrence._windows(x, width, q, 10**6) == ([], 1, 0, x, width)
+
+
 class TestRecover:
     def test_published_digits_recover_twelve_primes(self):
         run = recover(parse_decimal("2.920050977316"), max_terms=100)
