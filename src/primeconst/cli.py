@@ -28,7 +28,7 @@ from collections.abc import Callable, Iterable
 from pathlib import Path
 
 from .constant import _enclosure_ends, enclose, enclose_digits
-from .crosscheck import alpha_build, alpha_decode, nondivisor_mean
+from .crosscheck import alpha_build, nondivisor_mean
 from .exact_arith import (
     InputError,
     InvalidArgument,
@@ -37,6 +37,7 @@ from .exact_arith import (
     _decimal_ints,
     _lowest_terms_steps,
     _over_lcm,
+    _parse_int,
     _parse_int_literal,
     format_rational,
     to_decimal,
@@ -243,6 +244,8 @@ def _ints_from_value(value: str) -> tuple[int, int, int]:
     try:
         doc = json.loads(Path(value).read_text(encoding="utf-8-sig"), parse_int=_parse_int_literal)
         return _over_lcm(*_enclosure_ends(doc))
+    except IsADirectoryError:
+        raise ParseError(f"--value is neither a decimal literal nor a file: {value!r} is a directory") from None
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, InputError) as exc:
         raise ParseError(f"{value}: not a valid enclosure document: {exc}") from None
 
@@ -362,12 +365,12 @@ def _cmd_mean(args: argparse.Namespace) -> _Output:
 
 def _cmd_alpha(args: argparse.Namespace) -> _Output:
     alpha = alpha_build(args.terms)
-    decoded = [alpha_decode(alpha, i) for i in range(1, args.terms + 1)]
+    digits = to_decimal(RationalInterval(alpha, alpha), max_digits=2 ** (args.terms + 1))
+    # A point's digits are its truncations floor(alpha * 10**k), so the two floors
+    # of `alpha_decode` leave p_i in decimal places 2**i + 1 to 2**(i+1).
+    decoded = [_parse_int(digits.fraction_digits[2**i : 2 ** (i + 1)]) for i in range(1, args.terms + 1)]
     expected = SequenceSpec.primes().terms(args.terms)
     matches = decoded == expected
-    digits = to_decimal(
-        RationalInterval(alpha, alpha), max_digits=2 ** (args.terms + 1)
-    ).text
 
     def text() -> str:
         lines = [
@@ -382,7 +385,7 @@ def _cmd_alpha(args: argparse.Namespace) -> _Output:
         return {
             "terms": args.terms,
             "alpha": format_rational(alpha),
-            "digits": digits,
+            "digits": digits.text,
             "decoded": decoded,
             "matches_primes": matches,
         }

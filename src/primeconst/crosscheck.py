@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact_arith import InvalidArgument, _check_int, _int_text
+from .exact_arith import InvalidArgument, _check_int, _int_text, _parse_int
 from .sequences import SequenceSpec
 
 __all__ = ["alpha_build", "alpha_decode", "nondivisor_mean"]
@@ -64,11 +64,9 @@ def alpha_build(terms: int) -> Fraction:
             f"alpha with {_int_text(terms)} terms needs 10**(2**{_int_text(terms + 1)}) as a denominator; "
             f"the cap is {_ALPHA_TERM_CAP} terms"
         )
-    top_exponent = 2 ** (terms + 1)
-    numerator = 0
-    for i, prime in enumerate(SequenceSpec.primes().terms(terms), start=1):
-        numerator += prime * 10 ** (top_exponent - 2 ** (i + 1))
-    return Fraction(numerator, 10**top_exponent)
+    # p_i, zero-filled to 2**i digits, fills decimal places 2**i + 1 to 2**(i+1).
+    windows = (str(prime).zfill(2**i) for i, prime in enumerate(SequenceSpec.primes().terms(terms), start=1))
+    return Fraction(_parse_int("".join(windows)), 10 ** (2 ** (terms + 1)))
 
 
 def alpha_decode(alpha: Fraction, index: int) -> int:

@@ -228,7 +228,8 @@ class RationalInterval:
     def __post_init__(self) -> None:
         lo = _as_fraction(self.lo, "lo")
         hi = _as_fraction(self.hi, "hi")
-        if lo > hi:
+        # A point is told apart by its ints, with no cross-multiplication.
+        if lo != hi and lo > hi:
             raise _out_of_order(lo, hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)

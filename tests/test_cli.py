@@ -26,9 +26,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import checkout_env, int_text_unlimited
-from primeconst import cli, constant, exact_arith, recurrence
+from primeconst import cli, constant, crosscheck, exact_arith, recurrence
 from primeconst.constant import ConstantEnclosure, enclose, enclose_digits, interval_from_enclosure_json
-from primeconst.exact_arith import ParseError, RationalInterval, format_rational, parse_decimal, parse_rational
+from primeconst.crosscheck import alpha_build, alpha_decode
+from primeconst.exact_arith import (
+    ParseError,
+    RationalInterval,
+    format_rational,
+    parse_decimal,
+    parse_rational,
+    to_decimal,
+)
 from primeconst.recurrence import RecoveryResult, ResidualReport, recover
 from primeconst.sequences import SequenceSpec
 
@@ -234,6 +242,18 @@ class TestRecoverCommand:
         assert (code, out) == (2, "")
         assert err == f"error: --value is neither a decimal literal nor an existing file: {value!r}\n"
 
+    @pytest.mark.parametrize("directory", [".", "TMP"])
+    def test_a_directory(self, capsys, tmp_path, directory):
+        value = str(tmp_path) if directory == "TMP" else directory
+        code, out, err = run_cli(["recover", "--value", value], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --value is neither a decimal literal nor a file: {value!r} is a directory\n"
+
+    def test_an_empty_file(self, capsys):
+        code, out, err = run_cli(["recover", "--value", os.devnull], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {os.devnull}: not a valid enclosure document: Expecting value: line 1 column 1 (char 0)\n"
+
     def test_junk_enclosure_file(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json")
@@ -436,7 +456,33 @@ class TestReadmeExamples:
         assert run_cli(command.split(), capsys) == (0, expected, "")
 
 
+def alpha_output(terms, fmt):
+    """`alpha --terms T` from the library: the point's certified digits, and each prime by the two floors of `alpha_decode`."""
+    alpha = alpha_build(terms)
+    digits = to_decimal(RationalInterval(alpha, alpha), 2 ** (terms + 1)).text
+    decoded = [alpha_decode(alpha, i) for i in range(1, terms + 1)]
+    matches = decoded == FIRST_TWENTY_PRIMES[:terms]
+    if fmt == "json":
+        doc = {"terms": terms, "alpha": format_rational(alpha), "digits": digits, "decoded": decoded, "matches_primes": matches}
+        return json.dumps(doc, indent=2) + "\n"
+    decoded_text = " ".join(map(str, decoded))
+    return f"alpha: {digits}\nterms: {terms}\ndecoded: {decoded_text}\nmatches_primes: {str(matches).lower()}\n"
+
+
 class TestAlphaCommand:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("terms", range(1, 13))
+    def test_matches_the_floor_decode(self, capsys, terms, fmt):
+        assert run_cli(["alpha", "--terms", str(terms), "--format", fmt], capsys) == (0, alpha_output(terms, fmt), "")
+
+    def test_reads_the_primes_off_the_expansion(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("alpha_decode called")
+
+        monkeypatch.setattr(crosscheck, "alpha_decode", refuse)
+        monkeypatch.setattr(cli, "alpha_decode", refuse, raising=False)
+        assert run_cli(["alpha"], capsys)[0] == 0
+
     def test_four_terms(self, capsys):
         doc = run_json(["alpha", "--terms", "4"], capsys)
         assert doc["digits"] == "0.00020003000000050000000000000007"

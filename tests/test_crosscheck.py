@@ -67,6 +67,15 @@ class TestAlpha:
     def test_two_terms(self):
         assert alpha_build(2) == Fraction(20003, 10**8)
 
+    @pytest.mark.parametrize("terms", range(1, 13))
+    def test_build_matches_the_power_sum(self, terms):
+        # The sum as the definition reads, one power of ten per prime.
+        top_exponent = 2 ** (terms + 1)
+        numerator = 0
+        for i, prime in enumerate(SequenceSpec.primes().terms(terms), start=1):
+            numerator += prime * 10 ** (top_exponent - 2 ** (i + 1))
+        assert alpha_build(terms) == Fraction(numerator, 10**top_exponent)
+
     def test_four_term_expansion_digits(self):
         alpha = alpha_build(4)
         digits = to_decimal(RationalInterval(alpha, alpha), 32)

@@ -88,6 +88,26 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RationalInterval(Fraction(3), Fraction(2))
 
+    def test_a_point_is_not_ordered(self, monkeypatch):
+        # Ordering two Fractions cross-multiplies them; a point's ends are
+        # equal, which their ints decide.  Distinct ends are still ordered.
+        x = Fraction(10**10_000 + 1, 3**20_000)
+        compared = []
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            def spy(a, b, name=name, original=getattr(Fraction, name)):
+                compared.append(name)
+                return original(a, b)
+
+            monkeypatch.setattr(Fraction, name, spy)
+        point = RationalInterval(x, x)
+        assert (point.lo, point.hi, compared) == (x, x, [])
+        assert RationalInterval(x, x + 1).hi == x + 1
+        assert compared == ["__gt__"]
+        with pytest.raises(InvalidArgument) as refusal:
+            RationalInterval(x + 1, x)
+        with int_text_unlimited():
+            assert str(refusal.value) == f"interval endpoints out of order: lo={x + 1} > hi={x}"
+
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             RationalInterval(2.5, 3)

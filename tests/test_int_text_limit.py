@@ -346,8 +346,9 @@ class TestCli:
         ["constant", "--digits", "3000", "--format", "json"],
         ["recover", "--value", "2." + "0" * 700 + "1", "--format", "json"],
         ["validate", "--sequence-file", "HUGE", "--format", "json"],
+        ["alpha", "--terms", "12"],
     ],
-    ids=["constant", "recover", "validate"],
+    ids=["constant", "recover", "validate", "alpha"],
 )
 def test_lowest_limit_a_caller_can_set(capsys, huge_sequence_file, argv):
     # 640 digits is the lowest limit CPython accepts other than none at all.

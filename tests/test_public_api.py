@@ -221,6 +221,8 @@ TEST_ONLY_SURFACE = {
     "RecoveryResult.residual_intervals": "the paper's residual enclosures of f_n - a_n; "
     "perfbench/worker.py wraps it by name",
     "smallest_nondividing_prime": "the elementwise definition that `mean` averages",
+    "alpha_decode": "the packing constant's two-floor decode, which the CLI's `alpha` reads off the printed digits "
+    "instead; the oracle of its tests, and perfbench/worker.py wraps it by name",
 }
 
 
