@@ -50,7 +50,7 @@ __all__ = ["build_parser", "main", "run"]
 DEFAULT_MAX_TERMS = 1000
 DEFAULT_BENCH_SIZES = (1000, 10000, 100000)
 
-_BUILTIN_SEQUENCES = ("primes", "naturals", "doubling", "boundary")
+_BUILTIN_SEQUENCES = tuple(kind.value for kind in SequenceKind if kind is not SequenceKind.EXPLICIT)
 
 # What a handler returns: two functions that make the text and the JSON
 # document, of which `main` calls only the one `--format` asks for, and the

@@ -8,12 +8,13 @@ no lowest terms: `_decimal_ints` reads a decimal as (N, N + 1, 10**k), and
 `_over_lcm` puts over the lcm of the two denominators.  `parse_decimal` and
 `parse_rational` build their Fractions from the same two parsers.  A
 `RationalInterval` is a closed interval with rational endpoints, used as a
-rigorous enclosure of a real number, with no rounding anywhere.  Decimal
-output is by truncation, and only digits shared by the entire interval are
-reported as verified.  Inside the package an enclosure is carried as
-integer numerators over one denominator, [lo/D, hi/D], and `_IntervalText`
-renders any interval from those integers, held as exact Decimals with a
-product tree of D, without forming a `Fraction`.
+rigorous enclosure of a real number, with no rounding anywhere.  It orders
+its ends through the same `_over_lcm`, the package's one out-of-order
+refusal.  Decimal output is by truncation, and only digits shared by the
+entire interval are reported as verified.  Inside the package an enclosure
+is carried as integer numerators over one denominator, [lo/D, hi/D], and
+`_IntervalText` renders any interval from those integers, held as exact
+Decimals with a product tree of D, without forming a `Fraction`.
 The rows the floor recurrence prints, one per step, are stepped and
 rendered in lowest terms by `_lowest_terms_steps`, one divmod by the step's
 term and at most one fma per step, in time linear in their digits.
@@ -228,9 +229,7 @@ class RationalInterval:
     def __post_init__(self) -> None:
         lo = _as_fraction(self.lo, "lo")
         hi = _as_fraction(self.hi, "hi")
-        # A point is told apart by its ints, with no cross-multiplication.
-        if lo != hi and lo > hi:
-            raise _out_of_order(lo, hi)
+        _over_lcm(lo.as_integer_ratio(), hi.as_integer_ratio())
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -247,23 +246,19 @@ class RationalInterval:
         return f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"
 
 
-def _out_of_order(lo: Fraction, hi: Fraction) -> InvalidArgument:
-    """The error for an interval whose lo exceeds its hi."""
-    return InvalidArgument(f"interval endpoints out of order: lo={_fraction_text(lo)} > hi={_fraction_text(hi)}")
-
-
 def _over_lcm(lo: tuple[int, int], hi: tuple[int, int]) -> tuple[int, int, int]:
     """(x, y, D) with [x/D, y/D] the interval from lo to hi, given as (numerator, denominator) pairs.
 
     The denominators are positive and need not be in lowest terms; D is
-    their lcm.  Raises RationalInterval's InvalidArgument when lo > hi, and
-    forms the lowest-terms Fractions only for its message.
+    their lcm.  Raises InvalidArgument when lo > hi, and forms the
+    lowest-terms Fractions only for its message.
     """
     (p, q), (r, s) = lo, hi
     g = math.gcd(q, s)
     x, y = p * (s // g), r * (q // g)
     if x > y:
-        raise _out_of_order(Fraction(p, q), Fraction(r, s))
+        lo_text, hi_text = _fraction_text(Fraction(p, q)), _fraction_text(Fraction(r, s))
+        raise InvalidArgument(f"interval endpoints out of order: lo={lo_text} > hi={hi_text}")
     return x, y, q // g * s
 
 

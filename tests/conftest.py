@@ -18,6 +18,7 @@ import contextlib
 import math
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,19 @@ def int_text_unlimited():
         yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.fixture
+def fraction_orderings(monkeypatch):
+    """The names of the `Fraction` ordering methods the test calls, in call order; each compares as before."""
+    compared = []
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        def spy(a, b, name=name, original=getattr(Fraction, name)):
+            compared.append(name)
+            return original(a, b)
+
+        monkeypatch.setattr(Fraction, name, spy)
+    return compared
 
 
 def checkout_env():

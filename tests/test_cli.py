@@ -151,6 +151,10 @@ class TestConstantCommand:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["constant", "--sequence", "mills", "--terms", "3"])
         assert excinfo.value.code == 2
+        # The choices are every SequenceKind but EXPLICIT, in definition order.
+        err = capsys.readouterr().err
+        assert "[--sequence {primes,naturals,doubling,boundary} |" in err
+        assert "argument --sequence: invalid choice: 'mills'" in err
 
     def test_explicit_sequence_too_short_is_user_error(self, capsys, tmp_path):
         path = tmp_path / "seq.txt"

@@ -8,6 +8,7 @@ calls beside them under the default int-to-text limit.
 """
 
 import decimal
+import math
 import random
 from fractions import Fraction
 
@@ -79,6 +80,34 @@ def interval(lo, hi):
                             Fraction(*hi) if isinstance(hi, tuple) else hi)
 
 
+# Numerators of either sign and positive denominators, up to 40 digits each.
+end_numerators = st.integers(-10**40, 10**40)
+end_denominators = st.integers(1, 10**40)
+
+
+@st.composite
+def interval_ends(draw):
+    """Two ends as ints, or as Fractions over one denominator, denominators sharing a large factor, or unrelated ones.
+
+    The second end is drawn over its own denominator, or equals the first,
+    or is one unit of the lcm of the two denominators away from it.
+    """
+    over = draw(st.sampled_from(["ints", "one", "shared", "unrelated"]))
+    if over == "ints":
+        a = draw(end_numerators)
+        return a, draw(st.one_of(end_numerators, st.sampled_from([a - 1, a, a + 1])))
+    if over == "one":
+        q = s = draw(end_denominators)
+    elif over == "shared":
+        factor = draw(end_denominators)
+        q, s = factor * draw(st.integers(1, 10**6)), factor * draw(st.integers(1, 10**6))
+    else:
+        q, s = draw(end_denominators), draw(end_denominators)
+    a = Fraction(draw(end_numerators), q)
+    unit = Fraction(1, math.lcm(q, s))
+    return a, draw(st.one_of(st.builds(Fraction, end_numerators, st.just(s)), st.sampled_from([a - unit, a, a + unit])))
+
+
 class TestConstruction:
     def test_accepts_fractions_and_ints(self):
         iv = RationalInterval(2, Fraction(7, 3))
@@ -88,25 +117,32 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RationalInterval(Fraction(3), Fraction(2))
 
-    def test_a_point_is_not_ordered(self, monkeypatch):
-        # Ordering two Fractions cross-multiplies them; a point's ends are
-        # equal, which their ints decide.  Distinct ends are still ordered.
+    def test_a_point_is_not_ordered(self, fraction_orderings):
+        # Ordering two Fractions cross-multiplies them; the ends are ordered
+        # over the lcm of their denominators instead, as ints, so neither a
+        # point nor distinct ends make a Fraction comparison.
         x = Fraction(10**10_000 + 1, 3**20_000)
-        compared = []
-        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
-            def spy(a, b, name=name, original=getattr(Fraction, name)):
-                compared.append(name)
-                return original(a, b)
-
-            monkeypatch.setattr(Fraction, name, spy)
+        compared = fraction_orderings
         point = RationalInterval(x, x)
         assert (point.lo, point.hi, compared) == (x, x, [])
         assert RationalInterval(x, x + 1).hi == x + 1
-        assert compared == ["__gt__"]
+        assert compared == []
         with pytest.raises(InvalidArgument) as refusal:
             RationalInterval(x + 1, x)
         with int_text_unlimited():
             assert str(refusal.value) == f"interval endpoints out of order: lo={x + 1} > hi={x}"
+
+    @given(ends=interval_ends())
+    def test_refuses_exactly_the_ends_out_of_order(self, ends):
+        a, b = ends
+        if a > b:
+            with pytest.raises(InvalidArgument) as refusal:
+                RationalInterval(a, b)
+            assert str(refusal.value) == f"interval endpoints out of order: lo={a} > hi={b}"
+        else:
+            iv = RationalInterval(a, b)
+            assert (iv.lo, iv.hi) == (a, b)
+            assert isinstance(iv.lo, Fraction) and isinstance(iv.hi, Fraction)
 
     def test_rejects_floats(self):
         with pytest.raises(TypeError):

@@ -332,6 +332,19 @@ class TestAgainstFractionOracle:
         assert len(run.recovered) == 1154
         assert run.stop.kind == "ambiguous_floor"
 
+    def test_views_order_no_fraction(self, fraction_orderings):
+        # Each view's ends are ordered as ints over the lcm of their
+        # denominators, both divisors of the enclosure's, not
+        # cross-multiplied as Fractions.
+        start = enclose(SequenceSpec.primes(), 905).interval
+        expected = fraction_recover(start, 905)
+        run = recover(start, 905)
+        fraction_orderings.clear()
+        views = run.residual_intervals, run.intervals
+        assert fraction_orderings == []
+        assert views == (expected["residual_intervals"], expected["intervals"])
+        assert len(views[0]) == 905
+
     def test_result_keeps_no_per_step_intervals(self):
         start = parse_decimal(enclose_digits(SequenceSpec.primes(), 4000).digits.text)
         tracemalloc.start()
